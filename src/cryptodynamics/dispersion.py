@@ -6,8 +6,8 @@ Two summaries are tracked: the intra-volatility variance Σ(p_i − 1/N)²
 the pairwise L1-Wasserstein distance between days, computed by the
 sorted-vector quantile formula — exact for equal-size point-mass
 measures. The day-by-day distance matrix feeds agglomerative
-hierarchical clustering, implemented here directly via Lance-Williams
-updates with deterministic lowest-index tie-breaking.
+hierarchical clustering by ``scipy.cluster.hierarchy.linkage``; tied
+distances merge in the order scipy picks, which is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, squareform
 
 from .errors import DegenerateDataError, InputError
 from .inconsistency import VolatilityPanel
@@ -198,12 +198,11 @@ def variance_series(vol: VolatilityPanel) -> VarianceSeries:
 
 
 def hierarchical_cluster(D, linkage="average") -> Dendrogram:
-    """Agglomerative clustering of a distance matrix via Lance-Williams updates.
+    """Agglomerative clustering of a distance matrix by scipy's ``linkage``.
 
-    At each step the smallest inter-cluster distance is merged, ties
-    resolved by the lexicographically lowest slot pair; under single,
-    complete or (size-weighted) average linkage the merge heights are
-    monotone, so the result is a valid dendrogram.
+    Single, complete and (size-weighted) average linkage give monotone
+    merge heights, so the result is a valid dendrogram. Tied distances
+    merge in scipy's deterministic order.
     """
     if linkage not in LINKAGES:
         raise InputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -213,39 +212,18 @@ def hierarchical_cluster(D, linkage="average") -> Dendrogram:
         raise InputError(f"distance matrix must be square, got {base.shape}")
     if not np.array_equal(base, base.T) or np.any(np.diag(base) != 0.0):
         raise InputError("distance matrix must be symmetric with zero diagonal")
+    if not np.all(np.isfinite(base)):
+        raise InputError("distance matrix must be finite")
     if w == 1:
         return Dendrogram(1, ())
+    # imported here so that commands which never cluster skip its import cost
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
 
-    work = base.astype(float).copy()
-    np.fill_diagonal(work, np.inf)
-    active = np.ones(w, dtype=bool)
-    sizes = np.ones(w, dtype=int)
-    ids = np.arange(w)
-    merges = []
-    for step in range(w - 1):
-        flat = int(np.argmin(work))  # row-major: lowest (i, j) among ties
-        i, j = divmod(flat, w)
-        if i > j:
-            i, j = j, i
-        height = float(work[i, j])
-        others = active.copy()
-        others[i] = others[j] = False
-        if linkage == "single":
-            merged = np.minimum(work[i], work[j])
-        elif linkage == "complete":
-            merged = np.maximum(work[i], work[j])
-        else:
-            merged = (sizes[i] * work[i] + sizes[j] * work[j]) / (sizes[i] + sizes[j])
-        work[i, :] = np.where(others, merged, np.inf)
-        work[:, i] = work[i, :]
-        work[j, :] = np.inf
-        work[:, j] = np.inf
-        active[j] = False
-        sizes[i] += sizes[j]
-        merges.append(Merge(step, int(min(ids[i], ids[j])), int(max(ids[i], ids[j])),
-                            height, int(sizes[i])))
-        ids[i] = w + step
-    return Dendrogram(w, tuple(merges))
+    Z = scipy_linkage(squareform(base, checks=False), method=linkage)
+    return Dendrogram(w, tuple(
+        Merge(step, int(a), int(b), float(height), int(size))
+        for step, (a, b, height, size) in enumerate(Z)
+    ))
 
 
 def cut_clusters(dendro: Dendrogram, k: int) -> np.ndarray:
@@ -257,22 +235,10 @@ def cut_clusters(dendro: Dendrogram, k: int) -> np.ndarray:
     w = dendro.n_leaves
     if not 1 <= k <= w:
         raise InputError(f"k must lie in 1..{w}, got {k}")
-    parent = list(range(w))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    members = {i: [i] for i in range(w)}  # root leaf -> leaves
-    roots = {i: i for i in range(w)}      # cluster id -> root leaf
+    members = {i: [i] for i in range(w)}  # cluster id -> leaves
     for merge in dendro.merges[: w - k]:
-        ra = find(roots[merge.cluster_a])
-        rb = find(roots[merge.cluster_b])
-        parent[rb] = ra
-        members[ra].extend(members.pop(rb))
-        roots[w + merge.step] = ra
+        leaves = members.pop(merge.cluster_a) + members.pop(merge.cluster_b)
+        members[w + merge.step] = leaves
     groups = sorted((min(leaves), leaves) for leaves in members.values())
     labels = np.empty(w, dtype=int)
     for label, (_, leaves) in enumerate(groups):

@@ -1,8 +1,9 @@
 """CSV/JSON writers for every analysis product.
 
-All floating-point values are printed with 12 significant digits and all
-dates as ISO-8601, with no timestamps or environment-dependent content,
-so identical inputs always serialize to byte-identical files.
+CSV floats are printed with ``%.12g`` (12 significant digits); JSON
+floats are written at full precision (``repr``). Dates are ISO-8601, and
+no file carries timestamps or environment-dependent content, so
+identical inputs always serialize to byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 
-from .dispersion import Dendrogram, DispersionMatrix, VarianceSeries, dendrogram_to_tree
+from .dispersion import Dendrogram, VarianceSeries, dendrogram_to_tree
 from .inconsistency import InconsistencySeries
 from .spectral import MarketSizeSeries, SpectralSeries
 
@@ -122,10 +123,3 @@ def write_cluster_cut(dates, labels, path):
     write_csv(path, ("date", "cluster"),
               ((d.isoformat(), str(int(c))) for d, c in zip(dates, labels)))
 
-
-def write_dispersion_matrix(dm: DispersionMatrix, matrix_path, dates_path):
-    """Persist the W×W matrix as CSV with a date-index sidecar."""
-    write_csv(matrix_path, tuple(f"c{k}" for k in range(len(dm.dates))),
-              ((fmt(v) for v in row) for row in dm.matrix))
-    write_csv(dates_path, ("index", "date"),
-              ((str(k), d.isoformat()) for k, d in enumerate(dm.dates)))

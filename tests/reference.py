@@ -157,6 +157,20 @@ def agglomerate(D, linkage):
     return merges
 
 
+def cut_partition(merges, w, k):
+    """Partition of leaves 0..w-1 left after replaying the first w-k merges.
+
+    ``merges`` holds (id_a, id_b) pairs with scipy-style ids. Every leaf
+    starts in its own set; each merge unions the two sets holding its
+    children's leaves. Returns a set of frozensets.
+    """
+    sets = [{i} for i in range(w)]
+    for a, b in merges[:w - k]:
+        sets.append(sets[a] | sets[b])
+        sets[a] = sets[b] = None
+    return {frozenset(s) for s in sets if s is not None}
+
+
 def inconsistency_at(closes, caps, t, S):
     """(nu_MR, nu_MSigma) for the window of return days [t-S+1, t].
 

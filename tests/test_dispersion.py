@@ -221,6 +221,46 @@ def test_cut_matches_scipy_fcluster_partition():
             assert pairs_ours == pairs_theirs, (seed, k)
 
 
+@pytest.mark.parametrize("method", ["single", "complete", "average"])
+def test_cut_with_tied_heights_matches_naive_replay(method):
+    rng = np.random.default_rng(9)
+    for _ in range(4):
+        x = np.round(rng.uniform(0.0, 1.0, 16), 1)  # many exactly tied distances
+        D = np.abs(x[:, None] - x[None, :])
+        w = len(x)
+        dendro = cd.hierarchical_cluster(D, method)
+        heights = [m.height for m in dendro.merges]
+        assert len(set(heights)) < len(heights) - 5  # the cuts fall inside ties
+        pairs = [(m.cluster_a, m.cluster_b) for m in dendro.merges]
+        for k in range(1, w + 1):
+            labels = cd.cut_clusters(dendro, k)
+            assert set(labels.tolist()) == set(range(k)), (method, k)
+            groups = [frozenset(np.flatnonzero(labels == c).tolist()) for c in range(k)]
+            smallest = [min(g) for g in groups]
+            assert smallest == sorted(smallest), (method, k)
+            assert set(groups) == reference.cut_partition(pairs, w, k), (method, k)
+
+
+@pytest.mark.parametrize("method", ["single", "complete", "average"])
+def test_one_and_two_leaf_dendrograms(method):
+    one = cd.hierarchical_cluster(np.zeros((1, 1)), method)
+    assert one == cd.Dendrogram(1, ())
+    np.testing.assert_array_equal(cd.cut_clusters(one, 1), [0])
+    with pytest.raises(cd.InputError):
+        cd.two_cluster_cut(one)
+    D = np.array([[0.0, 0.3], [0.3, 0.0]])
+    two = cd.hierarchical_cluster(D, method)
+    assert [(m.step, m.cluster_a, m.cluster_b, m.height, m.size)
+            for m in two.merges] == [(0, 0, 1, 0.3, 2)]
+    np.testing.assert_array_equal(cd.two_cluster_cut(two), [0, 1])
+
+
+def test_non_finite_distances_rejected():
+    D = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    with pytest.raises(cd.InputError):
+        cd.hierarchical_cluster(D)
+
+
 def test_two_cluster_cut_separates_planted_regimes():
     rng = np.random.default_rng(8)
     left = rng.uniform(0.0, 0.05, 25)
