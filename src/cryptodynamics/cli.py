@@ -2,7 +2,7 @@
 
 Subcommands: fetch, correlation, spectral, inconsistency, dispersion, all.
 Exit codes: 0 success; 1 input or configuration problem; 2 numerical
-failure; 3 I/O or transport failure.
+failure; 3 I/O, transport or resource failure.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import sys
+
+import numpy as np
 
 from . import correlation, dispersion, exports, inconsistency, spectral
 from .config import parse_tickers, resolve_config, config_echo_text
@@ -117,10 +119,70 @@ def cmd_fetch(cfg):
     _emit(cfg.marketcap_csv)
 
 
-def cmd_correlation(cfg, panel=None):
-    panel = panel if panel is not None else _load_panel(cfg)
-    returns = correlation.log_returns(panel)
-    series = correlation.rolling_norm_series(returns, cfg.correlation_days)
+def _window_pass(returns, days, wanted):
+    """The statistics in ``wanted`` at one window length, from one kernel pass.
+
+    "norm" gives a NormSeries, "lambda1" a SpectralSeries and "sigma" a
+    VolatilityPanel; ν and λ₁ share each chunk's stack when S >= N.
+    """
+    norm, lam, sigma = ("norm" in wanted, "lambda1" in wanted, "sigma" in wanted)
+    n = returns.n_assets
+    dates = returns.dates[days - 1:]
+    parts = {key: [] for key in wanted}
+    for rows, var, Z, stack in correlation.window_chunks(
+            returns, days, standardize=norm or lam,
+            stacks=norm or (lam and days >= n)):
+        if norm:
+            parts["norm"].append(correlation.chunk_norms(stack))
+        if lam:
+            parts["lambda1"].append(spectral.chunk_spectra(Z, stack, dates[rows])[:, -1])
+        if sigma:
+            parts["sigma"].append(np.sqrt(var))
+    results = {}
+    if norm:
+        results["norm"] = correlation.NormSeries(dates, np.concatenate(parts["norm"]))
+    if lam:
+        results["lambda1"] = spectral.SpectralSeries(
+            dates, np.concatenate(parts["lambda1"]) / n, n)
+    if sigma:
+        results["sigma"] = inconsistency.VolatilityPanel(
+            dates, np.concatenate(parts["sigma"], axis=1), days)
+    return results
+
+
+class _Windows:
+    """The panel, its log returns, and their rolling statistics for one run.
+
+    ``needs`` maps each window length to the statistics wanted at it; the
+    first request for a length runs one kernel pass that computes all of
+    them, so analyses sharing a window length share its pass.
+    """
+
+    def __init__(self, panel, needs):
+        self.panel = panel
+        self.returns = correlation.log_returns(panel)
+        self.needs = needs
+        self.done = {}
+
+    def get(self, what, days):
+        if days not in self.done:
+            try:
+                self.done[days] = _window_pass(self.returns, days, self.needs[days])
+            except MemoryError:
+                n, w = self.returns.n_assets, self.returns.n_days - days + 1
+                need = 8 * (correlation.chunk_windows(n, days) * n * max(n, days) + w * n)
+                raise MemoryError(
+                    f"estimated kernel working set {need / 2**20:.1f} MiB "
+                    f"(N={n}, S={days}, W={w})"
+                ) from None
+        return self.done[days][what]
+
+
+def cmd_correlation(cfg, windows=None):
+    if windows is None:
+        windows = _Windows(_load_panel(cfg), {cfg.correlation_days: {"norm"}})
+    returns = windows.returns
+    series = windows.get("norm", cfg.correlation_days)
     series = series.with_smoothed(cfg.sg_window, cfg.sg_degree)
     exports.write_norm_series(series, cfg.out_dir / "norm_series.csv",
                               cfg.out_dir / "norm_series.json")
@@ -144,11 +206,11 @@ def cmd_correlation(cfg, panel=None):
         _emit(path)
 
 
-def cmd_spectral(cfg, panel=None):
-    panel = panel if panel is not None else _load_panel(cfg)
-    returns = correlation.log_returns(panel)
-    lam = spectral.lambda1_series(returns, cfg.spectral_days)
-    size = spectral.rolling_market_size(panel, cfg.spectral_days)
+def cmd_spectral(cfg, windows=None):
+    if windows is None:
+        windows = _Windows(_load_panel(cfg), {cfg.spectral_days: {"lambda1"}})
+    lam = windows.get("lambda1", cfg.spectral_days)
+    size = spectral.rolling_market_size(windows.panel, cfg.spectral_days)
     exports.write_lambda1_series(lam, cfg.out_dir / "lambda1_series.csv")
     exports.write_market_size(size, cfg.out_dir / "market_size.csv")
     try:
@@ -163,20 +225,20 @@ def cmd_spectral(cfg, panel=None):
         _emit(cfg.out_dir / name)
 
 
-def cmd_inconsistency(cfg, panel=None):
-    panel = panel if panel is not None else _load_panel(cfg)
-    returns = correlation.log_returns(panel)
-    vol = inconsistency.rolling_volatility(returns, cfg.inconsistency_days)
-    series = inconsistency.inconsistency_norms(panel, returns, vol,
+def cmd_inconsistency(cfg, windows=None):
+    if windows is None:
+        windows = _Windows(_load_panel(cfg), {cfg.inconsistency_days: {"sigma"}})
+    vol = windows.get("sigma", cfg.inconsistency_days)
+    series = inconsistency.inconsistency_norms(windows.panel, windows.returns, vol,
                                                cfg.inconsistency_days)
     exports.write_inconsistency(series, cfg.out_dir / "inconsistency_norms.csv")
     _emit(cfg.out_dir / "inconsistency_norms.csv")
 
 
-def cmd_dispersion(cfg, panel=None):
-    panel = panel if panel is not None else _load_panel(cfg)
-    returns = correlation.log_returns(panel)
-    vol = inconsistency.rolling_volatility(returns, cfg.volatility_days)
+def cmd_dispersion(cfg, windows=None):
+    if windows is None:
+        windows = _Windows(_load_panel(cfg), {cfg.volatility_days: {"sigma"}})
+    vol = windows.get("sigma", cfg.volatility_days)
     variances = dispersion.variance_series(vol)
     exports.write_variance_series(variances, cfg.out_dir / "variance_series.csv")
     _emit(cfg.out_dir / "variance_series.csv")
@@ -194,11 +256,13 @@ def cmd_dispersion(cfg, panel=None):
 
 
 def cmd_all(cfg):
-    panel = _load_panel(cfg)
-    cmd_correlation(cfg, panel)
-    cmd_spectral(cfg, panel)
-    cmd_inconsistency(cfg, panel)
-    cmd_dispersion(cfg, panel)
+    needs = {}
+    for what, days in (("norm", cfg.correlation_days), ("lambda1", cfg.spectral_days),
+                       ("sigma", cfg.inconsistency_days), ("sigma", cfg.volatility_days)):
+        needs.setdefault(days, set()).add(what)
+    windows = _Windows(_load_panel(cfg), needs)
+    for command in (cmd_correlation, cmd_spectral, cmd_inconsistency, cmd_dispersion):
+        command(cfg, windows)
 
 
 _COMMANDS = {
@@ -228,6 +292,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: i/o: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
     return 0
 

@@ -5,6 +5,15 @@ trailing window of S return days, standardized with the *population*
 standard deviation (divisor S) so that the matrix form (1/S)·Z Zᵀ of the
 standardized returns agrees with the entrywise Pearson formula exactly.
 
+Every rolling statistic comes from one kernel, ``window_chunks``. It walks
+the W = T−S+1 windows in chunks of c windows, c sized so that a chunk's
+(c, N, N) stack, or its (c, N, S) standardized returns Z, takes about
+``_CHUNK_BYTES``. Per chunk it computes each window's two-pass mean and
+variance, then Z, then the stack. ν(t) (here), σ (inconsistency) and λ₁
+(spectral, which solves the S×S Gram matrices ZᵀZ/S instead of the stack
+when S < N) are thin loops over those chunks, so memory is
+O(c·N·max(N, S) + W·N) rather than the O(W·N²) of a full stack.
+
 Day indices follow the return-series convention used throughout: return
 day ``t`` runs 1..T, where return t is ln(close(t)/close(t−1)).
 """
@@ -25,6 +34,8 @@ from .panel import PeriodPartition, PricePanel
 DEFAULT_WINDOW_DAYS = 90
 DEFAULT_SG_WINDOW = 31
 DEFAULT_SG_DEGREE = 3
+# Bytes of (c, N, N) stack, or of (c, N, S) Z, that one kernel chunk holds.
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -184,55 +195,88 @@ def l1_norm(matrix) -> float:
     return float(np.abs(m).sum() / (n * n))
 
 
-def _standardized_windows(returns, window_days):
-    """Per-window standardized returns: (window dates, Z of shape (W, N, S))."""
+def _moments(X, S, lo, hi):
+    """Centered returns (N, hi−lo, S) and population variances (N, hi−lo) of windows lo..hi−1."""
+    windows = sliding_window_view(X[:, lo:hi + S - 1], S, axis=1)
+    centered = windows - windows.mean(axis=2)[:, :, None]
+    return centered, np.einsum("nws,nws->nw", centered, centered) / S
+
+
+def _raise_dead(returns, S, lo, step):
+    """Raise for the lowest-index asset that is constant on a window >= lo.
+
+    Names that asset's first such window, the same pick as scanning the
+    full (N, W) variance array in row-major order.
+    """
+    W = returns.n_days - S + 1
+    dead = []
+    for a in range(lo, W, step):
+        _, var = _moments(returns.returns, S, a, min(a + step, W))
+        dead.extend((int(i), a + int(w)) for i, w in np.argwhere(var <= 0.0))
+    i, w = min(dead)
+    t = w + S
+    raise DegenerateDataError(
+        f"asset {returns.assets[i].ticker!r} has zero variance on return days "
+        f"[{t - S + 1}:{t}] (window ending {returns.dates[t - 1]})"
+    )
+
+
+def chunk_windows(n_assets, window_days):
+    """Windows per kernel chunk: about _CHUNK_BYTES of stack or of Z."""
+    return max(1, _CHUNK_BYTES // (8 * n_assets * max(n_assets, int(window_days))))
+
+
+def window_chunks(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
+                  standardize=True, stacks=True):
+    """Walk the trailing S-day windows, dated t = S..T, in fixed-size chunks.
+
+    Yields ``(rows, var, Z, stack)`` per chunk: ``rows`` is the slice of
+    window indices it covers, ``var`` the (N, c) population variances,
+    ``Z`` the (c, N, S) standardized returns and ``stack`` the (c, N, N)
+    correlation matrices. ``Z`` is None unless ``standardize`` (which also
+    rejects constant assets), ``stack`` is None unless ``stacks`` too.
+    """
     S = int(window_days)
     if S < 2:
         raise ConfigError(f"rolling window must be >= 2 days, got {S}")
     T = returns.n_days
     if T < S:
         raise InputError(f"need at least {S} return days, have {T}")
-    windows = sliding_window_view(returns.returns, S, axis=1)  # (N, W, S)
-    mu = windows.mean(axis=2)
-    centered = windows - mu[:, :, None]
-    var = np.einsum("nws,nws->nw", centered, centered) / S
-    dead = np.argwhere(var <= 0.0)
-    if dead.size:
-        i, w = dead[0]
-        t = int(w) + S
-        raise DegenerateDataError(
-            f"asset {returns.assets[i].ticker!r} has zero variance on return days "
-            f"[{t - S + 1}:{t}] (window ending {returns.dates[t - 1]})"
-        )
-    Z = centered / np.sqrt(var)[:, :, None]
-    dates = returns.dates[S - 1:]
-    return dates, np.ascontiguousarray(Z.transpose(1, 0, 2))
+    W = T - S + 1
+    step = chunk_windows(returns.n_assets, S)
+    idx = np.arange(returns.n_assets)
+    for lo in range(0, W, step):
+        hi = min(lo + step, W)
+        centered, var = _moments(returns.returns, S, lo, hi)
+        Z = stack = None
+        if standardize:
+            if np.any(var <= 0.0):
+                _raise_dead(returns, S, lo, step)
+            centered /= np.sqrt(var)[:, :, None]
+            Z = np.ascontiguousarray(centered.transpose(1, 0, 2))
+            del centered
+            if stacks:
+                stack = Z @ Z.transpose(0, 2, 1) / S
+                stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+                stack[:, idx, idx] = 1.0
+        yield slice(lo, hi), var, Z, stack
 
 
-def rolling_correlation_matrices(returns: ReturnsPanel,
-                                 window_days=DEFAULT_WINDOW_DAYS):
-    """All trailing-window correlation matrices as a (W, N, N) stack.
-
-    Window w (0-based) covers return days [w+1, w+S] and is dated by its
-    last day; equivalent to correlation_matrix(returns, t−S+1, t) for
-    t = S..T.
-    """
-    dates, Z = _standardized_windows(returns, window_days)
-    S = Z.shape[2]
-    stack = Z @ Z.transpose(0, 2, 1) / S
-    stack = 0.5 * (stack + stack.transpose(0, 2, 1))
-    idx = np.arange(stack.shape[1])
-    stack[:, idx, idx] = 1.0
-    return dates, stack
+def chunk_norms(stack):
+    """ν of each matrix in a (c, N, N) stack."""
+    n = stack.shape[1]
+    return np.abs(stack).sum(axis=(1, 2)) / (n * n)
 
 
 def rolling_norm_series(returns: ReturnsPanel,
                         window_days=DEFAULT_WINDOW_DAYS) -> NormSeries:
-    """ν(t) = normalized L1 norm of the trailing S-day correlation matrix, t = S..T."""
-    dates, stack = rolling_correlation_matrices(returns, window_days)
-    n = returns.n_assets
-    raw = np.abs(stack).sum(axis=(1, 2)) / (n * n)
-    return NormSeries(dates, raw)
+    """ν(t) = normalized L1 norm of the trailing S-day correlation matrix, t = S..T.
+
+    Window w (0-based) covers return days [w+1, w+S] and is dated by its
+    last day; its matrix equals correlation_matrix(returns, t−S+1, t).
+    """
+    raw = [chunk_norms(stack) for _, _, _, stack in window_chunks(returns, window_days)]
+    return NormSeries(returns.dates[int(window_days) - 1:], np.concatenate(raw))
 
 
 def smooth_series(raw, sg_window=DEFAULT_SG_WINDOW, sg_degree=DEFAULT_SG_DEGREE):

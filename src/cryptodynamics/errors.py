@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all analysis modules.
 
 Exit-code mapping used by the CLI: InputError/ConfigError -> 1,
-NumericalError -> 2, OS-level I/O failures -> 3.
+NumericalError -> 2, transport, OS-level I/O and out-of-memory failures -> 3.
 """
 
 

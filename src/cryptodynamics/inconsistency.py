@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel
+from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, window_chunks
 from .errors import InputError
 from .panel import PricePanel
 
@@ -117,11 +117,9 @@ def rolling_volatility(returns: ReturnsPanel,
         raise InputError(f"window must be >= 2 days, got {S}")
     if returns.n_days < S:
         raise InputError(f"need at least {S} return days, have {returns.n_days}")
-    windows = sliding_window_view(returns.returns, S, axis=1)
-    mu = windows.mean(axis=2)
-    centered = windows - mu[:, :, None]
-    var = np.einsum("nws,nws->nw", centered, centered) / S
-    return VolatilityPanel(returns.dates[S - 1:], np.sqrt(var), S)
+    sigmas = [np.sqrt(var) for _, var, _, _ in
+              window_chunks(returns, S, standardize=False)]
+    return VolatilityPanel(returns.dates[S - 1:], np.concatenate(sigmas, axis=1), S)
 
 
 def _pairwise_absdiff(v):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +243,8 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
     """Load and align a panel; returns (PricePanel, drop records).
 
     Assets survive only if both files give a usable value on every day of
-    [start, end]: a parseable positive close and a non-negative market cap.
+    [start, end]: a finite positive close and a finite non-negative market
+    cap. Each dropped asset is reported with the first day that failed.
     Missing whole days raise GapError instead.
     """
     start = _coerce_date(start)
@@ -269,6 +271,8 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
             cap = cap_rows[day][ticker]
             if close is None or cap is None:
                 bad = DropRecord(ticker, "missing value", day)
+            elif not (math.isfinite(close) and math.isfinite(cap)):
+                bad = DropRecord(ticker, "non-finite value", day)
             elif close <= 0:
                 bad = DropRecord(ticker, "non-positive close", day)
             elif cap < 0:

@@ -6,6 +6,13 @@ collective axis. Since a correlation matrix has trace N, λ̃₁ lies in
 [1/N, 1], and because the matrix is symmetric PSD it also equals
 ‖Ψ‖_op/N — an identity this module re-verifies with an independent power
 iteration rather than trusting one eigensolver.
+
+``lambda1_series`` runs ``eigvalsh`` chunk by chunk over the window kernel
+of ``correlation``, so it never holds more than one chunk of matrices. A
+window's matrix is (1/S)·Z Zᵀ with Z its N×S standardized returns; when
+S < N the S×S Gram matrix (1/S)·ZᵀZ has the same nonzero eigenvalues and
+is solved instead, and the N−S remaining eigenvalues are zero. Memory is
+O(c·N·max(N, S) + W·N) for c windows per chunk.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .correlation import (
     DEFAULT_WINDOW_DAYS,
     CorrelationMatrix,
     ReturnsPanel,
-    rolling_correlation_matrices,
+    window_chunks,
 )
 from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import PricePanel
@@ -113,11 +120,18 @@ def eigen_spectrum(m: CorrelationMatrix) -> np.ndarray:
     return _clean_spectrum(values)
 
 
-def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
-                   keep_spectra=False) -> SpectralSeries:
-    """λ̃₁(t) = λ₁/N of the trailing S-day correlation matrix, t = S..T."""
-    dates, stack = rolling_correlation_matrices(returns, window_days)
-    n = returns.n_assets
+def chunk_spectra(Z, stack, dates):
+    """Ascending, zero-clamped eigenvalues (c, N) of one kernel chunk's windows.
+
+    With S >= N these come from the (c, N, N) ``stack``. With S < N they
+    come from the symmetrised S×S Gram matrices ZᵀZ/S, whose nonzero
+    spectrum is the correlation matrix's; the N−S missing eigenvalues are
+    zeros. ``dates`` dates the chunk's windows for the error message.
+    """
+    _, n, S = Z.shape
+    if S < n:
+        gram = Z.transpose(0, 2, 1) @ Z / S
+        stack = 0.5 * (gram + gram.transpose(0, 2, 1))
     try:
         values = np.linalg.eigvalsh(stack)  # ascending, per window
     except np.linalg.LinAlgError as exc:
@@ -129,9 +143,25 @@ def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
             f"-{_NEGATIVE_EIGENVALUE_TOL}"
         )
     values = np.clip(values, 0.0, None)
-    lam1 = values[:, -1] / n
-    spectra = values[:, ::-1] if keep_spectra else None
-    return SpectralSeries(dates, lam1, n, keep_spectra, spectra)
+    if S < n:
+        values = np.pad(values, ((0, 0), (n - S, 0)))
+    return values
+
+
+def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
+                   keep_spectra=False) -> SpectralSeries:
+    """λ̃₁(t) = λ₁/N of the trailing S-day correlation matrix, t = S..T."""
+    n = returns.n_assets
+    dates = returns.dates[int(window_days) - 1:]
+    top, spectra = [], []
+    for rows, _, Z, stack in window_chunks(returns, window_days,
+                                           stacks=int(window_days) >= n):
+        values = chunk_spectra(Z, stack, dates[rows])
+        top.append(values[:, -1])
+        if keep_spectra:
+            spectra.append(values[:, ::-1])
+    return SpectralSeries(dates, np.concatenate(top) / n, n, keep_spectra,
+                          np.concatenate(spectra) if keep_spectra else None)
 
 
 def operator_norm_power_iteration(matrix, max_iter=100_000, tol=1e-12):

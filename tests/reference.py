@@ -25,6 +25,23 @@ def pearson_matrix(X):
     return out
 
 
+def correlation_stack(X, S):
+    """(W, N, N) correlation matrices of every length-S window, one at a time.
+
+    Population standardization, unit diagonal; window w covers columns
+    w..w+S-1 of X.
+    """
+    X = np.asarray(X, dtype=float)
+    n, T = X.shape
+    out = np.empty((T - S + 1, n, n))
+    for w in range(T - S + 1):
+        seg = X[:, w:w + S]
+        z = (seg - seg.mean(axis=1, keepdims=True)) / seg.std(axis=1, keepdims=True)
+        out[w] = z @ z.T / S
+        np.fill_diagonal(out[w], 1.0)
+    return out
+
+
 def abs_entry_mean(M, exclude_diagonal=False):
     M = np.asarray(M, dtype=float)
     n = M.shape[0]

@@ -181,3 +181,42 @@ def test_fetch_then_analyse_end_to_end(local_http, tmp_path):
                  "--sg-degree", "2", "--tp-l", "8"])
     assert code == 0
     assert (out / "norm_series.csv").exists()
+
+
+def test_all_builds_each_window_stack_once(small_dataset_dir, tmp_path, monkeypatch):
+    from cryptodynamics import correlation
+
+    passes, stacked = [], []
+    kernel = correlation.window_chunks
+
+    def counting(returns, days, *args, **kwargs):
+        passes.append(days)
+        for chunk in kernel(returns, days, *args, **kwargs):
+            if chunk[3] is not None:
+                stacked.extend(range(chunk[0].start, chunk[0].stop))
+            yield chunk
+
+    monkeypatch.setattr(correlation, "window_chunks", counting)
+    out = tmp_path / "out"
+    assert run("all", small_dataset_dir, out) == 0
+    n_windows = len((out / "norm_series.csv").read_text().splitlines()) - 1
+    assert passes == [30]  # ν, λ₁ and σ all at 30 days: one pass
+    assert sorted(stacked) == list(range(n_windows))
+
+    passes.clear()
+    assert run("all", small_dataset_dir, tmp_path / "out2",
+               "--spectral-days", "40", "--volatility-days", "40") == 0
+    assert passes == [30, 40]
+
+
+def test_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path, monkeypatch, capsys):
+    from cryptodynamics import correlation
+
+    def exhausted(stack):
+        raise MemoryError
+
+    monkeypatch.setattr(correlation, "chunk_norms", exhausted)
+    assert run("all", small_dataset_dir, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: estimated kernel working set ")
+    assert "(N=6, S=30, W=184)" in err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
 import cryptodynamics as cd
-from cryptodynamics.correlation import rolling_correlation_matrices
+from cryptodynamics.correlation import window_chunks
 
 import reference
 from conftest import SMALL_PERIODS, SMALL_PHASES
@@ -96,9 +96,10 @@ def test_rolling_stack_agrees_with_individual_windows():
     X = rng.standard_normal((4, 70))
     r = make_returns(X)
     S = 20
-    dates, stack = rolling_correlation_matrices(r, S)
-    assert len(dates) == 70 - S + 1
-    assert dates[0] == r.dates[S - 1] and dates[-1] == r.dates[-1]
+    stack = np.concatenate([s for _, _, _, s in window_chunks(r, S)])
+    assert stack.shape[0] == 70 - S + 1
+    np.testing.assert_allclose(stack, reference.correlation_stack(X, S),
+                               rtol=0.0, atol=1e-13)
     for t in (S, 37, 70):
         one = cd.correlation_matrix(r, t - S + 1, t).matrix
         np.testing.assert_allclose(stack[t - S], one, rtol=0.0, atol=1e-13)
@@ -109,7 +110,8 @@ def test_norm_series_is_l1_of_each_window():
     X = rng.standard_normal((5, 45))
     r = make_returns(X)
     ns = cd.rolling_norm_series(r, 15)
-    _, stack = rolling_correlation_matrices(r, 15)
+    stack = reference.correlation_stack(X, 15)
+    assert ns.dates[0] == r.dates[14] and ns.dates[-1] == r.dates[-1]
     for k in range(stack.shape[0]):
         assert math.isclose(ns.raw[k], cd.l1_norm(stack[k]), abs_tol=1e-14)
     assert np.all(ns.raw >= 0.0) and np.all(ns.raw <= 1.0)

@@ -111,6 +111,42 @@ def test_drop_negative_market_cap(tmp_path):
     assert drops[0].reason == "negative market cap"
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_drop_non_finite_value(tmp_path, cell):
+    cap = CAP.replace("110.0,45.0,11.0", f"110.0,45.0,{cell}")
+    p, c = files(tmp_path, PRICE, cap)
+    panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
+    assert panel.tickers == ["AAA", "BBB"]
+    assert [(d.ticker, d.reason, d.first_missing_date) for d in drops] == [
+        ("CCC", "non-finite value", dt.date(2020, 1, 2))
+    ]
+
+
+def test_nan_close_is_dropped_and_reported_by_the_cli(tmp_path, small_dataset_dir):
+    from cryptodynamics.cli import main
+
+    data = tmp_path / "data"
+    data.mkdir()
+    lines = (small_dataset_dir / "price.csv").read_text().splitlines()
+    ticker = lines[0].split(",")[2]
+    row = next(k for k, line in enumerate(lines) if line.startswith("2019-08-15,"))
+    cells = lines[row].split(",")
+    cells[2] = "nan"
+    lines[row] = ",".join(cells)
+    (data / "price.csv").write_text("\n".join(lines) + "\n")
+    (data / "marketcap.csv").write_bytes((small_dataset_dir / "marketcap.csv").read_bytes())
+    out = tmp_path / "out"
+    code = main(["all", "--data-dir", str(data), "--out-dir", str(out),
+                 "--from", "2019-06-01", "--to", "2019-12-31",
+                 "--correlation-days", "30", "--spectral-days", "30",
+                 "--inconsistency-days", "30", "--volatility-days", "30",
+                 "--sg-window", "11", "--tp-l", "5"])
+    assert code == 0
+    report = json.loads((out / "drop_report.json").read_text())
+    assert report == [{"ticker": ticker, "reason": "non-finite value",
+                       "first_missing_date": "2019-08-15"}]
+
+
 def test_empty_panel_raises(tmp_path):
     price = "date,AAA\n2020-01-01,\n"
     cap = "date,AAA\n2020-01-01,1.0\n"
