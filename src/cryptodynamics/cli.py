@@ -11,8 +11,6 @@ import argparse
 import datetime as dt
 import sys
 
-import numpy as np
-
 from . import correlation, dispersion, exports, inconsistency, spectral
 from .config import parse_tickers, resolve_config, config_echo_text
 from .errors import (
@@ -119,70 +117,24 @@ def cmd_fetch(cfg):
     _emit(cfg.marketcap_csv)
 
 
-def _window_pass(returns, days, wanted):
-    """The statistics in ``wanted`` at one window length, from one kernel pass.
+def _load_inputs(cfg, wanted=None):
+    """The panel, its log returns, and one kernel pass per window length.
 
-    "norm" gives a NormSeries, "lambda1" a SpectralSeries and "sigma" a
-    VolatilityPanel; ν and λ₁ share each chunk's stack when S >= N.
+    ``wanted`` maps each window length to the rolling statistics needed at
+    it, so analyses sharing a window length share its pass. Without it the
+    pass dict is empty and each analysis runs its own pass.
     """
-    norm, lam, sigma = ("norm" in wanted, "lambda1" in wanted, "sigma" in wanted)
-    n = returns.n_assets
-    dates = returns.dates[days - 1:]
-    parts = {key: [] for key in wanted}
-    for rows, var, Z, stack in correlation.window_chunks(
-            returns, days, standardize=norm or lam,
-            stacks=norm or (lam and days >= n)):
-        if norm:
-            parts["norm"].append(correlation.chunk_norms(stack))
-        if lam:
-            parts["lambda1"].append(spectral.chunk_spectra(Z, stack, dates[rows])[:, -1])
-        if sigma:
-            parts["sigma"].append(np.sqrt(var))
-    results = {}
-    if norm:
-        results["norm"] = correlation.NormSeries(dates, np.concatenate(parts["norm"]))
-    if lam:
-        results["lambda1"] = spectral.SpectralSeries(
-            dates, np.concatenate(parts["lambda1"]) / n, n)
-    if sigma:
-        results["sigma"] = inconsistency.VolatilityPanel(
-            dates, np.concatenate(parts["sigma"], axis=1), days)
-    return results
+    panel = _load_panel(cfg)
+    returns = correlation.log_returns(panel)
+    stats = {days: correlation.rolling_statistics(returns, days, what)
+             for days, what in (wanted or {}).items()}
+    return panel, returns, stats
 
 
-class _Windows:
-    """The panel, its log returns, and their rolling statistics for one run.
-
-    ``needs`` maps each window length to the statistics wanted at it; the
-    first request for a length runs one kernel pass that computes all of
-    them, so analyses sharing a window length share its pass.
-    """
-
-    def __init__(self, panel, needs):
-        self.panel = panel
-        self.returns = correlation.log_returns(panel)
-        self.needs = needs
-        self.done = {}
-
-    def get(self, what, days):
-        if days not in self.done:
-            try:
-                self.done[days] = _window_pass(self.returns, days, self.needs[days])
-            except MemoryError:
-                n, w = self.returns.n_assets, self.returns.n_days - days + 1
-                need = 8 * (correlation.chunk_windows(n, days) * n * max(n, days) + w * n)
-                raise MemoryError(
-                    f"estimated kernel working set {need / 2**20:.1f} MiB "
-                    f"(N={n}, S={days}, W={w})"
-                ) from None
-        return self.done[days][what]
-
-
-def cmd_correlation(cfg, windows=None):
-    if windows is None:
-        windows = _Windows(_load_panel(cfg), {cfg.correlation_days: {"norm"}})
-    returns = windows.returns
-    series = windows.get("norm", cfg.correlation_days)
+def cmd_correlation(cfg, inputs=None):
+    _, returns, stats = inputs or _load_inputs(cfg)
+    days = cfg.correlation_days
+    series = correlation.rolling_norm_series(returns, days, stats.get(days))
     series = series.with_smoothed(cfg.sg_window, cfg.sg_degree)
     exports.write_norm_series(series, cfg.out_dir / "norm_series.csv",
                               cfg.out_dir / "norm_series.json")
@@ -206,11 +158,11 @@ def cmd_correlation(cfg, windows=None):
         _emit(path)
 
 
-def cmd_spectral(cfg, windows=None):
-    if windows is None:
-        windows = _Windows(_load_panel(cfg), {cfg.spectral_days: {"lambda1"}})
-    lam = windows.get("lambda1", cfg.spectral_days)
-    size = spectral.rolling_market_size(windows.panel, cfg.spectral_days)
+def cmd_spectral(cfg, inputs=None):
+    panel, returns, stats = inputs or _load_inputs(cfg)
+    days = cfg.spectral_days
+    lam = spectral.lambda1_series(returns, days, stats=stats.get(days))
+    size = spectral.rolling_market_size(panel, days)
     exports.write_lambda1_series(lam, cfg.out_dir / "lambda1_series.csv")
     exports.write_market_size(size, cfg.out_dir / "market_size.csv")
     try:
@@ -225,20 +177,19 @@ def cmd_spectral(cfg, windows=None):
         _emit(cfg.out_dir / name)
 
 
-def cmd_inconsistency(cfg, windows=None):
-    if windows is None:
-        windows = _Windows(_load_panel(cfg), {cfg.inconsistency_days: {"sigma"}})
-    vol = windows.get("sigma", cfg.inconsistency_days)
-    series = inconsistency.inconsistency_norms(windows.panel, windows.returns, vol,
-                                               cfg.inconsistency_days)
+def cmd_inconsistency(cfg, inputs=None):
+    panel, returns, stats = inputs or _load_inputs(cfg)
+    days = cfg.inconsistency_days
+    vol = inconsistency.rolling_volatility(returns, days, stats.get(days))
+    series = inconsistency.inconsistency_norms(panel, returns, vol, days)
     exports.write_inconsistency(series, cfg.out_dir / "inconsistency_norms.csv")
     _emit(cfg.out_dir / "inconsistency_norms.csv")
 
 
-def cmd_dispersion(cfg, windows=None):
-    if windows is None:
-        windows = _Windows(_load_panel(cfg), {cfg.volatility_days: {"sigma"}})
-    vol = windows.get("sigma", cfg.volatility_days)
+def cmd_dispersion(cfg, inputs=None):
+    _, returns, stats = inputs or _load_inputs(cfg)
+    days = cfg.volatility_days
+    vol = inconsistency.rolling_volatility(returns, days, stats.get(days))
     variances = dispersion.variance_series(vol)
     exports.write_variance_series(variances, cfg.out_dir / "variance_series.csv")
     _emit(cfg.out_dir / "variance_series.csv")
@@ -256,13 +207,13 @@ def cmd_dispersion(cfg, windows=None):
 
 
 def cmd_all(cfg):
-    needs = {}
+    wanted = {}
     for what, days in (("norm", cfg.correlation_days), ("lambda1", cfg.spectral_days),
                        ("sigma", cfg.inconsistency_days), ("sigma", cfg.volatility_days)):
-        needs.setdefault(days, set()).add(what)
-    windows = _Windows(_load_panel(cfg), needs)
+        wanted.setdefault(days, set()).add(what)
+    inputs = _load_inputs(cfg, wanted)
     for command in (cmd_correlation, cmd_spectral, cmd_inconsistency, cmd_dispersion):
-        command(cfg, windows)
+        command(cfg, inputs)
 
 
 _COMMANDS = {

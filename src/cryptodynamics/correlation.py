@@ -9,10 +9,13 @@ Every rolling statistic comes from one kernel, ``window_chunks``. It walks
 the W = T−S+1 windows in chunks of c windows, c sized so that a chunk's
 (c, N, N) stack, or its (c, N, S) standardized returns Z, takes about
 ``_CHUNK_BYTES``. Per chunk it computes each window's two-pass mean and
-variance, then Z, then the stack. ν(t) (here), σ (inconsistency) and λ₁
-(spectral, which solves the S×S Gram matrices ZᵀZ/S instead of the stack
-when S < N) are thin loops over those chunks, so memory is
-O(c·N·max(N, S) + W·N) rather than the O(W·N²) of a full stack.
+variance, then Z, then the stack. ``rolling_statistics`` is the one loop
+over those chunks: it takes ν(t), λ₁ (solving the S×S Gram matrices
+ZᵀZ/S instead of the stack when S < N) and σ from the same pass, so
+memory is O(c·N·max(N, S) + W·N) rather than the O(W·N²) of a full
+stack. ``rolling_norm_series`` (here), ``spectral.lambda1_series`` and
+``inconsistency.rolling_volatility`` wrap its results, or take a result
+computed once for several of them.
 
 Day indices follow the return-series convention used throughout: return
 day ``t`` runs 1..T, where return t is ln(close(t)/close(t−1)).
@@ -28,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
 from scipy.stats import gaussian_kde
 
-from .errors import ConfigError, DegenerateDataError, InputError
+from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from .panel import PeriodPartition, PricePanel
 
 DEFAULT_WINDOW_DAYS = 90
@@ -36,6 +39,9 @@ DEFAULT_SG_WINDOW = 31
 DEFAULT_SG_DEGREE = 3
 # Bytes of (c, N, N) stack, or of (c, N, S) Z, that one kernel chunk holds.
 _CHUNK_BYTES = 4 << 20
+# Eigenvalues below minus this are an error; those above it are clamped to 0.
+NEGATIVE_EIGENVALUE_TOL = 1e-10
+STATISTICS = ("norm", "lambda1", "spectra", "sigma")
 
 
 @dataclass(frozen=True)
@@ -268,15 +274,91 @@ def chunk_norms(stack):
     return np.abs(stack).sum(axis=(1, 2)) / (n * n)
 
 
-def rolling_norm_series(returns: ReturnsPanel,
-                        window_days=DEFAULT_WINDOW_DAYS) -> NormSeries:
+def chunk_spectra(Z, stack, dates):
+    """Ascending, zero-clamped eigenvalues (c, N) of one kernel chunk's windows.
+
+    With S >= N these come from the (c, N, N) ``stack``. With S < N they
+    come from the symmetrised S×S Gram matrices ZᵀZ/S, whose nonzero
+    spectrum is the correlation matrix's; the N−S missing eigenvalues are
+    zeros. ``dates`` dates the chunk's windows for the error message.
+    """
+    _, n, S = Z.shape
+    if S < n:
+        gram = Z.transpose(0, 2, 1) @ Z / S
+        stack = 0.5 * (gram + gram.transpose(0, 2, 1))
+    try:
+        values = np.linalg.eigvalsh(stack)  # ascending, per window
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed: {exc}") from None
+    if values.min() < -NEGATIVE_EIGENVALUE_TOL:
+        w = int(np.argwhere(values < -NEGATIVE_EIGENVALUE_TOL)[0][0])
+        raise NumericalError(
+            f"window ending {dates[w]} has eigenvalue {values[w].min()} < "
+            f"-{NEGATIVE_EIGENVALUE_TOL}"
+        )
+    values = np.clip(values, 0.0, None)
+    if S < n:
+        values = np.pad(values, ((0, 0), (n - S, 0)))
+    return values
+
+
+def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
+                       wanted=("norm",)):
+    """Rolling statistics at one window length, from one pass of the kernel.
+
+    ``wanted`` names any of ``STATISTICS``: "norm" gives ν per window (W,),
+    "lambda1" the largest eigenvalue λ₁ per window (W,), "spectra" every
+    window's eigenvalues, non-increasing (W, N), together with "lambda1",
+    and "sigma" the population volatilities (N, W). Returns a dict keyed by
+    those names. ν and λ₁ share each chunk's stack when S >= N. Running
+    out of memory raises MemoryError with the estimated working set.
+    """
+    wanted = set(wanted)
+    if not wanted or not wanted <= set(STATISTICS):
+        raise InputError(f"wanted must name some of {STATISTICS}, got {sorted(wanted)}")
+    S, n = int(window_days), returns.n_assets
+    norm, sigma, spectra = "norm" in wanted, "sigma" in wanted, "spectra" in wanted
+    eig = spectra or "lambda1" in wanted
+    stacks = norm or (eig and S >= n)
+    dates = returns.dates[S - 1:]
+    parts = {key: [] for key in STATISTICS}
+    try:
+        for rows, var, Z, stack in window_chunks(returns, S, standardize=norm or eig,
+                                                 stacks=stacks):
+            if norm:
+                parts["norm"].append(chunk_norms(stack))
+            if eig:
+                values = chunk_spectra(Z, stack, dates[rows])
+                parts["lambda1"].append(values[:, -1])
+                if spectra:
+                    parts["spectra"].append(values[:, ::-1])
+            if sigma:
+                parts["sigma"].append(np.sqrt(var))
+    except MemoryError:
+        # Per chunk: centred returns, Z, and a stack (or Gram) with two temporaries.
+        W = returns.n_days - S + 1
+        side = n if stacks else (S if eig else 0)
+        need = 8 * (chunk_windows(n, S) * (2 * n * S + 3 * side * side) + W * n)
+        raise MemoryError(
+            f"estimated kernel working set {need / 2**20:.1f} MiB "
+            f"(N={n}, S={S}, W={W})"
+        ) from None
+    return {key: np.concatenate(chunks, axis=1 if key == "sigma" else 0)
+            for key, chunks in parts.items() if chunks}
+
+
+def rolling_norm_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
+                        stats=None) -> NormSeries:
     """ν(t) = normalized L1 norm of the trailing S-day correlation matrix, t = S..T.
 
     Window w (0-based) covers return days [w+1, w+S] and is dated by its
     last day; its matrix equals correlation_matrix(returns, t−S+1, t).
+    ``stats``, a ``rolling_statistics`` result for the same window length
+    that holds "norm", stands in for the kernel pass.
     """
-    raw = [chunk_norms(stack) for _, _, _, stack in window_chunks(returns, window_days)]
-    return NormSeries(returns.dates[int(window_days) - 1:], np.concatenate(raw))
+    if stats is None:
+        stats = rolling_statistics(returns, window_days, ("norm",))
+    return NormSeries(returns.dates[int(window_days) - 1:], stats["norm"])
 
 
 def smooth_series(raw, sg_window=DEFAULT_SG_WINDOW, sg_degree=DEFAULT_SG_DEGREE):

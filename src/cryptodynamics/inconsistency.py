@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, window_chunks
+from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics
 from .errors import InputError
 from .panel import PricePanel
 
@@ -109,17 +109,21 @@ class InconsistencySeries:
         object.__setattr__(self, "nu_MSigma", ms)
 
 
-def rolling_volatility(returns: ReturnsPanel,
-                       window_days=DEFAULT_WINDOW_DAYS) -> VolatilityPanel:
-    """Population standard deviation of each asset's trailing S returns."""
+def rolling_volatility(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
+                       stats=None) -> VolatilityPanel:
+    """Population standard deviation of each asset's trailing S returns.
+
+    ``stats``, a ``rolling_statistics`` result for the same window length
+    that holds "sigma", stands in for the kernel pass.
+    """
     S = int(window_days)
     if S < 2:
         raise InputError(f"window must be >= 2 days, got {S}")
     if returns.n_days < S:
         raise InputError(f"need at least {S} return days, have {returns.n_days}")
-    sigmas = [np.sqrt(var) for _, var, _, _ in
-              window_chunks(returns, S, standardize=False)]
-    return VolatilityPanel(returns.dates[S - 1:], np.concatenate(sigmas, axis=1), S)
+    if stats is None:
+        stats = rolling_statistics(returns, S, ("sigma",))
+    return VolatilityPanel(returns.dates[S - 1:], stats["sigma"], S)
 
 
 def _pairwise_absdiff(v):

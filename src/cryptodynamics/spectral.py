@@ -7,12 +7,13 @@ collective axis. Since a correlation matrix has trace N, λ̃₁ lies in
 ‖Ψ‖_op/N — an identity this module re-verifies with an independent power
 iteration rather than trusting one eigensolver.
 
-``lambda1_series`` runs ``eigvalsh`` chunk by chunk over the window kernel
-of ``correlation``, so it never holds more than one chunk of matrices. A
-window's matrix is (1/S)·Z Zᵀ with Z its N×S standardized returns; when
-S < N the S×S Gram matrix (1/S)·ZᵀZ has the same nonzero eigenvalues and
-is solved instead, and the N−S remaining eigenvalues are zero. Memory is
-O(c·N·max(N, S) + W·N) for c windows per chunk.
+``lambda1_series`` takes λ₁ from ``correlation.rolling_statistics``, the
+chunked window kernel, which runs ``eigvalsh`` chunk by chunk and so never
+holds more than one chunk of matrices. A window's matrix is (1/S)·Z Zᵀ
+with Z its N×S standardized returns; when S < N the S×S Gram matrix
+(1/S)·ZᵀZ has the same nonzero eigenvalues and is solved instead, and the
+N−S remaining eigenvalues are zero. Memory is O(c·N·max(N, S) + W·N) for
+c windows per chunk.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import (
     DEFAULT_WINDOW_DAYS,
+    NEGATIVE_EIGENVALUE_TOL,
     CorrelationMatrix,
     ReturnsPanel,
-    window_chunks,
+    rolling_statistics,
 )
 from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import PricePanel
 
-_NEGATIVE_EIGENVALUE_TOL = 1e-10
 _IDENTITY_TOL = 1e-8
 
 
@@ -98,9 +99,9 @@ class MarketSizeSeries:
 def _clean_spectrum(values):
     """Descending, negatives-clamped eigenvalues; large negatives are an error."""
     spectrum = np.sort(np.asarray(values, dtype=float))[::-1]
-    if spectrum[-1] < -_NEGATIVE_EIGENVALUE_TOL:
+    if spectrum[-1] < -NEGATIVE_EIGENVALUE_TOL:
         raise NumericalError(
-            f"eigenvalue {spectrum[-1]} below -{_NEGATIVE_EIGENVALUE_TOL}; "
+            f"eigenvalue {spectrum[-1]} below -{NEGATIVE_EIGENVALUE_TOL}; "
             "matrix is not positive semi-definite"
         )
     return np.clip(spectrum, 0.0, None)
@@ -120,48 +121,20 @@ def eigen_spectrum(m: CorrelationMatrix) -> np.ndarray:
     return _clean_spectrum(values)
 
 
-def chunk_spectra(Z, stack, dates):
-    """Ascending, zero-clamped eigenvalues (c, N) of one kernel chunk's windows.
-
-    With S >= N these come from the (c, N, N) ``stack``. With S < N they
-    come from the symmetrised S×S Gram matrices ZᵀZ/S, whose nonzero
-    spectrum is the correlation matrix's; the N−S missing eigenvalues are
-    zeros. ``dates`` dates the chunk's windows for the error message.
-    """
-    _, n, S = Z.shape
-    if S < n:
-        gram = Z.transpose(0, 2, 1) @ Z / S
-        stack = 0.5 * (gram + gram.transpose(0, 2, 1))
-    try:
-        values = np.linalg.eigvalsh(stack)  # ascending, per window
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from None
-    if values.min() < -_NEGATIVE_EIGENVALUE_TOL:
-        w = int(np.argwhere(values < -_NEGATIVE_EIGENVALUE_TOL)[0][0])
-        raise NumericalError(
-            f"window ending {dates[w]} has eigenvalue {values[w].min()} < "
-            f"-{_NEGATIVE_EIGENVALUE_TOL}"
-        )
-    values = np.clip(values, 0.0, None)
-    if S < n:
-        values = np.pad(values, ((0, 0), (n - S, 0)))
-    return values
-
-
 def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
-                   keep_spectra=False) -> SpectralSeries:
-    """λ̃₁(t) = λ₁/N of the trailing S-day correlation matrix, t = S..T."""
+                   keep_spectra=False, stats=None) -> SpectralSeries:
+    """λ̃₁(t) = λ₁/N of the trailing S-day correlation matrix, t = S..T.
+
+    ``stats``, a ``rolling_statistics`` result for the same window length
+    that holds "lambda1" (and "spectra" with ``keep_spectra``), stands in
+    for the kernel pass.
+    """
+    if stats is None:
+        stats = rolling_statistics(returns, window_days,
+                                   ("spectra",) if keep_spectra else ("lambda1",))
     n = returns.n_assets
-    dates = returns.dates[int(window_days) - 1:]
-    top, spectra = [], []
-    for rows, _, Z, stack in window_chunks(returns, window_days,
-                                           stacks=int(window_days) >= n):
-        values = chunk_spectra(Z, stack, dates[rows])
-        top.append(values[:, -1])
-        if keep_spectra:
-            spectra.append(values[:, ::-1])
-    return SpectralSeries(dates, np.concatenate(top) / n, n, keep_spectra,
-                          np.concatenate(spectra) if keep_spectra else None)
+    return SpectralSeries(returns.dates[int(window_days) - 1:], stats["lambda1"] / n,
+                          n, keep_spectra, stats["spectra"] if keep_spectra else None)
 
 
 def operator_norm_power_iteration(matrix, max_iter=100_000, tol=1e-12):

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 import cryptodynamics as cd
-from cryptodynamics import cli, dispersion, inconsistency, spectral
+from cryptodynamics import cli, correlation, dispersion, inconsistency, spectral
 from cryptodynamics.inconsistency import VolatilityPanel
 from cryptodynamics.simulate import DEFAULT_PHASES
 
@@ -76,7 +76,7 @@ def test_3_market_mode_and_identities(sim_panel, sim_returns, capsys):
     rho = spectral.series_correlation(size.values, lam.lambda1)
     ok_rho = -0.20 <= rho <= -0.05
 
-    stack = reference.correlation_stack(sim_returns.returns, 90)
+    stack = np.concatenate([s for *_, s in correlation.window_chunks(sim_returns, 90)])
     op_dev = max(spectral.verify_operator_norm_identity(stack[w])[2]
                  for w in range(stack.shape[0]))  # raises above 1e-8 itself
     trace_dev = float(np.abs(lam.spectra.sum(axis=1) - sim_returns.n_assets).max())

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import cryptodynamics as cd
 from cryptodynamics import correlation
-from cryptodynamics.spectral import chunk_spectra
+from cryptodynamics.correlation import chunk_spectra
 
 import reference
 from test_correlation import make_returns
@@ -57,6 +57,30 @@ def test_kernel_matches_per_window_oracles(n, S, W, c, seed):
 
     np.testing.assert_allclose(vol.sigmas, reference.rolling_std(X, S),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, S", [(4, 9), (8, 5)])  # stack route, Gram route
+def test_shared_pass_equals_separate_passes(n, S):
+    X = np.random.default_rng(4).standard_normal((n, 60))
+    r = make_returns(X)
+    with chunked(n, S, 7):
+        stats = correlation.rolling_statistics(r, S, ("norm", "spectra", "sigma"))
+        nu = cd.rolling_norm_series(r, S)
+        lam = cd.lambda1_series(r, S, keep_spectra=True)
+        vol = cd.rolling_volatility(r, S)
+    assert sorted(stats) == ["lambda1", "norm", "sigma", "spectra"]
+    np.testing.assert_array_equal(cd.rolling_norm_series(r, S, stats).raw, nu.raw)
+    shared = cd.lambda1_series(r, S, keep_spectra=True, stats=stats)
+    np.testing.assert_array_equal(shared.lambda1, lam.lambda1)
+    np.testing.assert_array_equal(shared.spectra, lam.spectra)
+    np.testing.assert_array_equal(cd.rolling_volatility(r, S, stats).sigmas, vol.sigmas)
+
+
+def test_rolling_statistics_rejects_unknown_names():
+    r = make_returns(np.random.default_rng(7).standard_normal((3, 20)))
+    for wanted in ((), ("norm", "mean")):
+        with pytest.raises(cd.InputError, match="wanted must name some of"):
+            correlation.rolling_statistics(r, 5, wanted)
 
 
 def test_gram_route_pads_with_zeros():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import cryptodynamics as cd
+from cryptodynamics.correlation import window_chunks
 from cryptodynamics.spectral import operator_norm_power_iteration
 
-import reference
 from test_correlation import make_returns
 
 
@@ -88,7 +88,7 @@ def test_power_iteration_handles_identity_like_cases():
 
 
 def test_identity_verification_runs_on_every_window(small_returns):
-    stack = reference.correlation_stack(small_returns.returns, 30)
+    stack = np.concatenate([s for *_, s in window_chunks(small_returns, 30)])
     for w in range(0, stack.shape[0], 25):
         lam1, opnorm, diff = cd.verify_operator_norm_identity(stack[w])
         assert diff < 1e-8
