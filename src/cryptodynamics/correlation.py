@@ -17,6 +17,13 @@ stack. ``rolling_norm_series`` (here), ``spectral.lambda1_series`` and
 ``inconsistency.rolling_volatility`` wrap its results, or take a result
 computed once for several of them.
 
+``period_entry_stats`` describes each named period by the density of its
+correlation entries: a Gaussian kernel-density estimate with Silverman's
+bandwidth, computed in numpy rather than by ``scipy.stats``, whose import
+would dominate the start-up of every run. Equal entries share one kernel
+weighted by their count, and the grid is evaluated in blocks of about
+``_CHUNK_BYTES``.
+
 Day indices follow the return-series convention used throughout: return
 day ``t`` runs 1..T, where return t is ln(close(t)/close(t−1)).
 """
@@ -24,12 +31,12 @@ day ``t`` runs 1..T, where return t is ln(close(t)/close(t−1)).
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import polynomial as npoly
-from scipy.stats import gaussian_kde
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from .panel import PeriodPartition, PricePanel
@@ -37,7 +44,8 @@ from .panel import PeriodPartition, PricePanel
 DEFAULT_WINDOW_DAYS = 90
 DEFAULT_SG_WINDOW = 31
 DEFAULT_SG_DEGREE = 3
-# Bytes of (c, N, N) stack, or of (c, N, S) Z, that one kernel chunk holds.
+# Bytes of (c, N, N) stack, or of (c, N, S) Z, that one kernel chunk holds;
+# also the size of one (grid block, centres) array of the period KDE.
 _CHUNK_BYTES = 4 << 20
 # Eigenvalues below minus this are an error; those above it are clamped to 0.
 NEGATIVE_EIGENVALUE_TOL = 1e-10
@@ -408,6 +416,26 @@ def _entry_pool(matrix, exclude_diagonal):
     return m[~np.eye(n, dtype=bool)]
 
 
+def _gaussian_density(pool, grid, bw):
+    """Gaussian kernel-density estimate of ``pool`` at each ``grid`` point.
+
+    Equal entries share one kernel weighted by their count (a symmetric
+    matrix holds each off-diagonal entry twice). The grid is evaluated in
+    blocks whose (block, centres) temporary stays within ``_CHUNK_BYTES``.
+    """
+    centres, counts = np.unique(pool, return_counts=True)
+    step = max(1, _CHUNK_BYTES // (8 * centres.size))
+    density = np.empty(grid.size)
+    for lo in range(0, grid.size, step):
+        # exp(-½((g − c)/bw)²) in place: one temporary per block
+        u = grid[lo:lo + step, None] - centres
+        u /= bw
+        u *= u
+        u *= -0.5
+        density[lo:lo + step] = np.exp(u, out=u) @ counts
+    return density / (pool.size * bw * math.sqrt(2.0 * math.pi))
+
+
 def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
                        exclude_diagonal=False, density_points=256):
     """Per-period correlation-entry statistics and kernel-density curves.
@@ -418,7 +446,12 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
     Reported are the signed mean and population standard deviation of all
     N² entries (or the N²−N off-diagonal entries when
     ``exclude_diagonal``), plus a Gaussian kernel-density estimate of the
-    same pool (Silverman bandwidth).
+    same pool on ``density_points`` points spanning the pool's range
+    widened by 3 bandwidths on each side. The bandwidth is Silverman's,
+    (3n/4)^(−1/5) times the pool's sample standard deviation for a pool
+    of n entries. The estimate is computed in numpy: one kernel per
+    distinct entry weighted by its count, evaluated over blocks of grid
+    points so that memory stays bounded at large N.
     """
     first, last = returns.dates[0], returns.dates[-1]
     results = []
@@ -442,11 +475,10 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
         mean = float(pool.mean())
         std = float(pool.std())
         if std > 0.0:
-            kde = gaussian_kde(pool, bw_method="silverman")
-            bw = float(kde.factor) * float(pool.std(ddof=1))
+            bw = (0.75 * pool.size) ** -0.2 * float(pool.std(ddof=1))
             grid = np.linspace(pool.min() - 3.0 * bw, pool.max() + 3.0 * bw,
                                int(density_points))
-            density = kde(grid)
+            density = _gaussian_density(pool, grid, bw)
         else:
             grid = np.empty(0)
             density = np.empty(0)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError, InputError
 from .panel import (
@@ -121,6 +120,9 @@ def calibrated_loadings(n_assets, entry_mean, entry_std):
     def residual(x):
         mean, std = entry_pool_moments(build(x))
         return [100.0 * (mean - entry_mean), 100.0 * (std - entry_std)]
+
+    # imported here so that importing the package skips its import cost
+    from scipy.optimize import least_squares
 
     x0 = (min(0.95, math.sqrt(max(entry_mean, 0.05)) + 0.2), 0.7, 1.5)
     fit = least_squares(residual, x0=x0,

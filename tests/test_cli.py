@@ -1,9 +1,14 @@
 import datetime as dt
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cryptodynamics
 from cryptodynamics.cli import main
 
 SMALL_FLAGS = [
@@ -220,3 +225,17 @@ def test_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: estimated kernel working set ")
     assert "(N=6, S=30, W=184)" in err
+
+
+@pytest.mark.parametrize("module", ["cryptodynamics", "cryptodynamics.cli"])
+def test_import_loads_no_unused_heavy_modules(module):
+    # Every run pays for what the CLI imports before any analysis starts.
+    src = Path(cryptodynamics.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = f"import sys, {module}; print('\\n'.join(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+    if module == "cryptodynamics.cli":
+        assert [m for m in loaded if m.startswith(("scipy.stats", "requests"))
+                or m == "cryptodynamics.fetch"] == []

@@ -190,7 +190,8 @@ def test_period_stats_density_integrates_to_one(small_returns):
     for s in cd.period_entry_stats(small_returns, SMALL_PERIODS):
         assert s.density_x.size == 256
         assert np.all(s.density_y >= 0.0)
-        mass = np.trapezoid(s.density_y, s.density_x)
+        x, y = s.density_x, s.density_y
+        mass = ((y[1:] + y[:-1]) * np.diff(x)).sum() / 2
         assert math.isclose(mass, 1.0, abs_tol=5e-3)
 
 
