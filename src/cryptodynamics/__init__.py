@@ -6,7 +6,6 @@ from .correlation import (
     NormSeries,
     ReturnsPanel,
     correlation_matrix,
-    l1_norm,
     log_returns,
     period_entry_stats,
     rolling_norm_series,
@@ -15,15 +14,11 @@ from .correlation import (
 from .dispersion import (
     Dendrogram,
     DispersionMatrix,
-    VolatilityDistribution,
     cut_clusters,
     dispersion_matrix,
     hierarchical_cluster,
-    intra_volatility_variance,
     two_cluster_cut,
     variance_series,
-    volatility_distribution,
-    wasserstein,
 )
 from .errors import (
     AnalysisError,
@@ -38,13 +33,10 @@ from .errors import (
     TransportError,
 )
 from .inconsistency import (
-    AffinityMatrix,
     InconsistencySeries,
     VolatilityPanel,
-    distance_matrices,
     inconsistency_norms,
     rolling_volatility,
-    to_affinity,
 )
 from .panel import (
     AssetMeta,
@@ -60,11 +52,9 @@ from .simulate import simulated_market, write_simulated_dataset
 from .spectral import (
     MarketSizeSeries,
     SpectralSeries,
-    eigen_spectrum,
     lambda1_series,
     rolling_market_size,
     series_correlation,
-    verify_operator_norm_identity,
 )
 from .turning_points import (
     TurningPoint,

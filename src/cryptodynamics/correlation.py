@@ -202,13 +202,6 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
     return CorrelationMatrix((a, b), m)
 
 
-def l1_norm(matrix) -> float:
-    """Normalized L1 norm (1/N²)·Σ|entries|, diagonal included."""
-    m = matrix.matrix if isinstance(matrix, CorrelationMatrix) else np.asarray(matrix, float)
-    n = m.shape[0]
-    return float(np.abs(m).sum() / (n * n))
-
-
 def _moments(X, S, lo, hi):
     """Centered returns (N, hi−lo, S) and population variances (N, hi−lo) of windows lo..hi−1."""
     windows = sliding_window_view(X[:, lo:hi + S - 1], S, axis=1)

@@ -5,9 +5,12 @@ Two summaries are tracked: the intra-volatility variance Σ(p_i − 1/N)²
 (zero at the uniform spread, at most 1 − 1/N at a one-shot vector), and
 the pairwise L1-Wasserstein distance between days, computed by the
 sorted-vector quantile formula — exact for equal-size point-mass
-measures. The day-by-day distance matrix feeds agglomerative
-hierarchical clustering by ``scipy.cluster.hierarchy.linkage``; tied
-distances merge in the order scipy picks, which is deterministic.
+measures. ``variance_series`` and ``dispersion_matrix`` are the one path
+to each: both normalize every day at once and leave out, and report,
+the days whose volatilities are all zero. The day-by-day distance matrix
+feeds agglomerative hierarchical clustering by
+``scipy.cluster.hierarchy.linkage``; tied distances merge in the order
+scipy picks, which is deterministic.
 """
 
 from __future__ import annotations
@@ -17,31 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, squareform
 
-from .errors import DegenerateDataError, InputError
+from .errors import InputError
 from .inconsistency import VolatilityPanel
 
 LINKAGES = ("average", "complete", "single")
-
-
-@dataclass(frozen=True)
-class VolatilityDistribution:
-    date: object
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(self.p, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise InputError("p must be a non-empty vector")
-        if np.any(p < 0.0):
-            raise InputError("p entries must be non-negative")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise InputError(f"p must sum to 1, got {p.sum()!r}")
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self):
-        return self.p.size
 
 
 @dataclass(frozen=True)
@@ -123,47 +105,6 @@ class VarianceSeries:
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "excluded_dates", tuple(self.excluded_dates))
-
-
-def volatility_distribution(vol: VolatilityPanel, t: int) -> VolatilityDistribution:
-    """p(t): the day's volatilities normalized to sum to 1.
-
-    ``t`` is the return-day index (S..T), as everywhere else.
-    """
-    S = vol.window_days
-    if not S <= t <= S + vol.n_dates - 1:
-        raise InputError(f"t={t} outside valid range {S}..{S + vol.n_dates - 1}")
-    column = vol.sigmas[:, t - S]
-    total = column.sum()
-    if total <= 0.0:
-        raise DegenerateDataError(
-            f"all volatilities are zero on {vol.dates[t - S]}; p(t) undefined"
-        )
-    return VolatilityDistribution(vol.dates[t - S], column / total)
-
-
-def _as_vector(p):
-    return p.p if isinstance(p, VolatilityDistribution) else np.asarray(p, float)
-
-
-def wasserstein(p, q) -> float:
-    """L1-Wasserstein distance of two N-point volatility distributions.
-
-    Equal-size point-mass measures reduce to the quantile-function
-    formula: sort both vectors and average the absolute differences.
-    Insensitive to coordinate order by construction.
-    """
-    a = _as_vector(p)
-    b = _as_vector(q)
-    if a.shape != b.shape:
-        raise InputError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(np.sort(a) - np.sort(b)).mean())
-
-
-def intra_volatility_variance(p) -> float:
-    """Var(p) = Σ(p_i − 1/N)²: distance of the spread from uniform."""
-    a = _as_vector(p)
-    return float(((a - 1.0 / a.size) ** 2).sum())
 
 
 def _distributions(vol):

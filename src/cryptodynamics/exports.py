@@ -33,10 +33,38 @@ def write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, without recursion.
+
+    ``json`` recurses once per nesting level, so it cannot encode a
+    dendrogram a few hundred merges deep. This walks the containers with
+    an explicit stack; keys, scalars and empty containers go through
+    ``json.dumps``, so the text is the same.
+    """
+    parts, todo = [], [(obj, 0)]  # (value, depth), or (text, None) to copy
+    while todo:
+        value, depth = todo.pop()
+        if depth is None:
+            parts.append(value)
+        elif not isinstance(value, (dict, list, tuple)) or not value:
+            parts.append(json.dumps(value))
+        else:
+            keyed = isinstance(value, dict)
+            items = sorted(value.items()) if keyed else list(enumerate(value))
+            inner = "\n" + "  " * (depth + 1)
+            parts.append("{" if keyed else "[")
+            todo.append(("\n" + "  " * depth + ("}" if keyed else "]"), None))
+            for k in range(len(items) - 1, -1, -1):
+                key, item = items[k]
+                todo.append((item, depth + 1))
+                todo.append(((inner if k == 0 else "," + inner)
+                             + (json.dumps(key) + ": " if keyed else ""), None))
+    return "".join(parts)
+
+
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(obj) + "\n")
 
 
 def write_norm_series(series, csv_path, json_path=None):

@@ -11,6 +11,11 @@ inconsistency.
 Conventions: D^M averages the cap differences over the window (1/S
 factor); D^R is the plain sum of return differences (no 1/S — a
 total-return discrepancy); D^Σ compares the window volatilities directly.
+
+``inconsistency_norms`` is the one path: it takes the three per-window
+features for every window at once, then builds each window's affinities
+straight from them. The volatilities come from ``rolling_volatility``, a
+wrapper of the chunked window kernel in ``correlation``.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics
 from .errors import InputError
 from .panel import PricePanel
-
-DISTANCE_KINDS = ("size", "returns", "volatility")
 
 
 @dataclass(frozen=True)
@@ -58,31 +61,6 @@ class VolatilityPanel:
     @property
     def n_dates(self):
         return len(self.dates)
-
-
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Distance matrix rescaled to similarities in [0,1]; diagonal exactly 1."""
-
-    matrix: np.ndarray
-    kind: str | None = None
-    date: object = None
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=float)
-        n = m.shape[0]
-        if m.shape != (n, n):
-            raise InputError(f"affinity matrix must be square, got {m.shape}")
-        if self.kind is not None and self.kind not in DISTANCE_KINDS:
-            raise InputError(f"kind must be one of {DISTANCE_KINDS}, got {self.kind!r}")
-        if not np.array_equal(m, m.T):
-            raise InputError("affinity matrix must be symmetric")
-        if np.any(np.diag(m) != 1.0):
-            raise InputError("affinity diagonal must be exactly 1")
-        if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
-            raise InputError("affinity entries must lie in [0, 1]")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -126,11 +104,6 @@ def rolling_volatility(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     return VolatilityPanel(returns.dates[S - 1:], stats["sigma"], S)
 
 
-def _pairwise_absdiff(v):
-    v = np.asarray(v, dtype=float)
-    return np.abs(v[:, None] - v[None, :])
-
-
 def _window_feature_tracks(panel, returns, vol, window_days):
     """Cap means, return sums and volatilities per window, all (N, W)."""
     S = int(window_days)
@@ -147,42 +120,15 @@ def _window_feature_tracks(panel, returns, vol, window_days):
     return cap_means, ret_sums, vol.sigmas
 
 
-def distance_matrices(panel: PricePanel, returns: ReturnsPanel,
-                      vol: VolatilityPanel, t: int,
-                      window_days=DEFAULT_WINDOW_DAYS):
-    """(D^M, D^R, D^Σ) on the window of return days [t−S+1, t].
-
-    D^M compares window-average market caps, D^R total window log
-    returns, D^Σ window volatilities; all are symmetric with zero
-    diagonal.
-    """
-    S = int(window_days)
-    T = returns.n_days
-    if not S <= t <= T:
-        raise InputError(f"t={t} outside valid range {S}..{T}")
-    w = t - S
-    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, returns, vol, S)
-    return (_pairwise_absdiff(cap_means[:, w]),
-            _pairwise_absdiff(ret_sums[:, w]),
-            _pairwise_absdiff(sigmas[:, w]))
-
-
-def to_affinity(D, kind=None, date=None) -> AffinityMatrix:
-    """A = 1 − D/max(D); an all-zero D maps to the all-ones matrix.
+def _affinity(feature):
+    """A = 1 − D/max(D) for D = |fᵢ − fⱼ|; an all-zero D maps to all ones.
 
     The all-ones convention is the limit of vanishing distances: assets
     that cannot be told apart are maximally similar.
     """
-    d = np.asarray(D, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise InputError(f"distance matrix must be square, got {d.shape}")
-    if np.any(d < 0.0):
-        raise InputError("distance entries must be non-negative")
-    if not np.array_equal(d, d.T):
-        raise InputError("distance matrix must be symmetric")
+    d = np.abs(feature[:, None] - feature[None, :])
     top = d.max()
-    matrix = np.ones_like(d) if top == 0.0 else 1.0 - d / top
-    return AffinityMatrix(matrix, kind, date)
+    return np.ones_like(d) if top == 0.0 else 1.0 - d / top
 
 
 def _nu(signed_matrix):
@@ -200,9 +146,9 @@ def inconsistency_norms(panel: PricePanel, returns: ReturnsPanel,
     nu_mr = np.empty(n_windows)
     nu_ms = np.empty(n_windows)
     for w in range(n_windows):
-        a_m = to_affinity(_pairwise_absdiff(cap_means[:, w])).matrix
-        a_r = to_affinity(_pairwise_absdiff(ret_sums[:, w])).matrix
-        a_s = to_affinity(_pairwise_absdiff(sigmas[:, w])).matrix
+        a_m = _affinity(cap_means[:, w])
+        a_r = _affinity(ret_sums[:, w])
+        a_s = _affinity(sigmas[:, w])
         nu_mr[w] = _nu(a_m - a_r)
         nu_ms[w] = _nu(a_m - a_s)
     return InconsistencySeries(vol.dates, nu_mr, nu_ms)

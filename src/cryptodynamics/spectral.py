@@ -4,16 +4,17 @@ The normalized first eigenvalue λ̃₁(t) = λ₁(t)/N of the trailing-window
 correlation matrix measures how much of the panel's variance sits on one
 collective axis. Since a correlation matrix has trace N, λ̃₁ lies in
 [1/N, 1], and because the matrix is symmetric PSD it also equals
-‖Ψ‖_op/N — an identity this module re-verifies with an independent power
-iteration rather than trusting one eigensolver.
+‖Ψ‖_op/N.
 
-``lambda1_series`` takes λ₁ from ``correlation.rolling_statistics``, the
-chunked window kernel, which runs ``eigvalsh`` chunk by chunk and so never
-holds more than one chunk of matrices. A window's matrix is (1/S)·Z Zᵀ
-with Z its N×S standardized returns; when S < N the S×S Gram matrix
-(1/S)·ZᵀZ has the same nonzero eigenvalues and is solved instead, and the
-N−S remaining eigenvalues are zero. Memory is O(c·N·max(N, S) + W·N) for
-c windows per chunk.
+``lambda1_series`` is the one path to λ₁ and the spectra. It takes them
+from ``correlation.rolling_statistics``, the chunked window kernel, which
+runs ``eigvalsh`` chunk by chunk (``correlation.chunk_spectra`` clamps
+eigenvalues that are negative by rounding only) and so never holds more
+than one chunk of matrices. A window's matrix is (1/S)·Z Zᵀ with Z its
+N×S standardized returns; when S < N the S×S Gram matrix (1/S)·ZᵀZ has
+the same nonzero eigenvalues and is solved instead, and the N−S remaining
+eigenvalues are zero. Memory is O(c·N·max(N, S) + W·N) for c windows per
+chunk.
 """
 
 from __future__ import annotations
@@ -23,17 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import (
-    DEFAULT_WINDOW_DAYS,
-    NEGATIVE_EIGENVALUE_TOL,
-    CorrelationMatrix,
-    ReturnsPanel,
-    rolling_statistics,
-)
-from .errors import DegenerateDataError, InputError, NumericalError
+from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics
+from .errors import DegenerateDataError, InputError
 from .panel import PricePanel
-
-_IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,31 +89,6 @@ class MarketSizeSeries:
         object.__setattr__(self, "values", values)
 
 
-def _clean_spectrum(values):
-    """Descending, negatives-clamped eigenvalues; large negatives are an error."""
-    spectrum = np.sort(np.asarray(values, dtype=float))[::-1]
-    if spectrum[-1] < -NEGATIVE_EIGENVALUE_TOL:
-        raise NumericalError(
-            f"eigenvalue {spectrum[-1]} below -{NEGATIVE_EIGENVALUE_TOL}; "
-            "matrix is not positive semi-definite"
-        )
-    return np.clip(spectrum, 0.0, None)
-
-
-def eigen_spectrum(m: CorrelationMatrix) -> np.ndarray:
-    """Eigenvalues of a correlation matrix, sorted non-increasing.
-
-    Tiny negative values (floating-point noise on a PSD matrix) are
-    clamped to zero; anything below -1e-10 raises NumericalError.
-    """
-    matrix = m.matrix if isinstance(m, CorrelationMatrix) else np.asarray(m, float)
-    try:
-        values = np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed: {exc}") from None
-    return _clean_spectrum(values)
-
-
 def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
                    keep_spectra=False, stats=None) -> SpectralSeries:
     """λ̃₁(t) = λ₁/N of the trailing S-day correlation matrix, t = S..T.
@@ -135,53 +103,6 @@ def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     n = returns.n_assets
     return SpectralSeries(returns.dates[int(window_days) - 1:], stats["lambda1"] / n,
                           n, keep_spectra, stats["spectra"] if keep_spectra else None)
-
-
-def operator_norm_power_iteration(matrix, max_iter=100_000, tol=1e-12):
-    """Largest eigenvalue of a symmetric PSD matrix by plain power iteration.
-
-    Deliberately independent of the LAPACK eigensolver so the two routes
-    can be checked against each other. Deterministic start vector;
-    converges on the Rayleigh quotient with a residual-norm criterion.
-    """
-    m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    if n == 1:
-        return float(m[0, 0])
-    v = 1.0 + np.arange(n) / (7.0 + n)  # fixed, generic start
-    v /= np.linalg.norm(v)
-    rayleigh = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        rayleigh = float(v @ w)
-        residual = np.linalg.norm(w - rayleigh * v)
-        if residual <= tol * max(1.0, abs(rayleigh)):
-            return rayleigh
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0  # matrix annihilates the iterate: norm 0 on this cycle
-        v = w / norm
-    raise NumericalError(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
-
-
-def verify_operator_norm_identity(m: CorrelationMatrix):
-    """Check λ̃₁ == ‖Ψ‖_op/N via two independent routes.
-
-    Returns (lambda1_normalized, opnorm_over_N, absolute difference); the
-    difference exceeding 1e-8 raises NumericalError.
-    """
-    matrix = m.matrix if isinstance(m, CorrelationMatrix) else np.asarray(m, float)
-    n = matrix.shape[0]
-    lam1 = float(eigen_spectrum(m)[0]) / n
-    opnorm = operator_norm_power_iteration(matrix) / n
-    diff = abs(lam1 - opnorm)
-    if not diff < _IDENTITY_TOL:
-        raise NumericalError(
-            f"operator-norm identity violated: |{lam1} - {opnorm}| = {diff}"
-        )
-    return lam1, opnorm, diff
 
 
 def rolling_market_size(panel: PricePanel,

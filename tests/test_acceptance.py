@@ -15,11 +15,12 @@ import time
 import numpy as np
 
 import cryptodynamics as cd
-from cryptodynamics import cli, correlation, dispersion, inconsistency, spectral
+from cryptodynamics import cli, dispersion, inconsistency, spectral
 from cryptodynamics.inconsistency import VolatilityPanel
 from cryptodynamics.simulate import DEFAULT_PHASES
 
 import reference
+from test_dispersion import columns
 from test_turning_points import _series_family
 
 PEAK_START, PEAK_END = dt.date(2020, 3, 1), dt.date(2020, 5, 30)
@@ -70,16 +71,18 @@ def test_2_turning_point_equivalence(capsys):
 
 def test_3_market_mode_and_identities(sim_panel, sim_returns, capsys):
     """Market size and market mode anticorrelate in the planted band; the
-    operator-norm and trace identities hold on every rolling window."""
+    operator-norm and trace identities hold on every rolling window of the
+    lambda1 series the CLI writes."""
     lam = spectral.lambda1_series(sim_returns, 90, keep_spectra=True)
     size = spectral.rolling_market_size(sim_panel, 90)
     rho = spectral.series_correlation(size.values, lam.lambda1)
     ok_rho = -0.20 <= rho <= -0.05
 
-    stack = np.concatenate([s for *_, s in correlation.window_chunks(sim_returns, 90)])
-    op_dev = max(spectral.verify_operator_norm_identity(stack[w])[2]
-                 for w in range(stack.shape[0]))  # raises above 1e-8 itself
-    trace_dev = float(np.abs(lam.spectra.sum(axis=1) - sim_returns.n_assets).max())
+    n = sim_returns.n_assets
+    stack = reference.correlation_stack(sim_returns.returns, 90)
+    op_dev = max(abs(lam.lambda1[w] - reference.power_iteration(stack[w]) / n)
+                 for w in range(stack.shape[0]))
+    trace_dev = float(np.abs(lam.spectra.sum(axis=1) - n).max())
     ok = ok_rho and op_dev < 1e-8 and trace_dev < 1e-8
     _report(capsys, 3, ok,
             f"rho(size, lambda1)={rho:.4f} in [-0.20,-0.05]; worst operator-"
@@ -113,34 +116,32 @@ def test_4_inconsistency_ordering(sim_panel, sim_returns, capsys):
 
 def test_5_distribution_propositions(capsys):
     """Variance and transport-distance bounds, their equality cases, and the
-    sorted-difference Wasserstein against a brute-force matching oracle."""
+    sorted-difference Wasserstein against a brute-force matching oracle,
+    all through dispersion_matrix and variance_series."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20210630)
     ok = True
     for n in range(2, 9):
         P = rng.dirichlet(np.ones(n), size=10_000)
-        variances = np.array([cd.intra_volatility_variance(p) for p in P])
-        ok &= bool(np.all(variances >= 0.0)
-                   and np.all(variances <= 1.0 - 1.0 / n ** 2))
         w_bound = (2.0 / n) * (1.0 - 1.0 / n)
-        dists = np.array([cd.wasserstein(P[i], P[i + 1])
-                          for i in range(0, 9_998, 2)])
-        ok &= bool(np.all(dists >= 0.0) and np.all(dists <= w_bound))
+        for lo in range(0, len(P), 1_000):  # 10^3 x 10^3 blocks of distances
+            dists, variances = columns(P[lo:lo + 1_000])
+            ok &= bool(np.all(variances >= 0.0)
+                       and np.all(variances <= 1.0 - 1.0 / n ** 2))
+            ok &= bool(np.all(dists >= 0.0) and np.all(dists <= w_bound))
 
         uniform = np.full(n, 1.0 / n)
-        ok &= abs(cd.intra_volatility_variance(uniform)) <= 1e-12
-        for k in range(n):
-            one_shot = np.zeros(n)
-            one_shot[k] = 1.0
-            ok &= abs(cd.wasserstein(uniform, one_shot) - w_bound) <= 1e-12
-            ok &= abs(cd.intra_volatility_variance(one_shot)
-                      - (1.0 - 1.0 / n)) <= 1e-12
+        dists, variances = columns(np.vstack([uniform, np.eye(n)]))
+        ok &= abs(variances[0]) <= 1e-12
+        ok &= bool(np.all(np.abs(dists[0, 1:] - w_bound) <= 1e-12))
+        ok &= bool(np.all(np.abs(variances[1:] - (1.0 - 1.0 / n)) <= 1e-12))
 
         if n <= 6:
-            for _ in range(400):
-                p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
-                ok &= abs(cd.wasserstein(p, q)
-                          - reference.wasserstein_by_matching(p, q)) <= 1e-9
+            pairs = rng.dirichlet(np.ones(n), size=800)
+            dists, _ = columns(pairs)
+            for k in range(0, 800, 2):
+                ok &= abs(dists[k, k + 1] - reference.wasserstein_by_matching(
+                    pairs[k], pairs[k + 1])) <= 1e-9
     elapsed = time.perf_counter() - t0
     _report(capsys, 5, ok and elapsed < 30.0,
             f"bounds, equality cases and transport oracle hold for "

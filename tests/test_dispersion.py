@@ -8,6 +8,7 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
 import cryptodynamics as cd
+from cryptodynamics.dispersion import _distributions
 
 import reference
 
@@ -19,47 +20,54 @@ def make_vol(sigmas, S=20):
     return cd.VolatilityPanel(dates, sigmas, S)
 
 
+def columns(P):
+    """Distance matrix and variances of probability vectors, one per row of P."""
+    vol = make_vol(np.asarray(P, dtype=float).T)
+    return cd.dispersion_matrix(vol).matrix, cd.variance_series(vol).values
+
+
 def test_distribution_normalizes_and_dates(small_vol):
-    S = small_vol.window_days
-    p = cd.volatility_distribution(small_vol, S)
-    assert p.date == small_vol.dates[0]
-    assert math.isclose(p.p.sum(), 1.0, abs_tol=1e-12)
-    assert np.all(p.p >= 0.0)
-    last = S + small_vol.n_dates - 1
-    assert cd.volatility_distribution(small_vol, last).date == small_vol.dates[-1]
-    with pytest.raises(cd.InputError):
-        cd.volatility_distribution(small_vol, S - 1)
+    dates, P, excluded = _distributions(small_vol)
+    assert dates == small_vol.dates and excluded == ()
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(P >= 0.0)
+    k = 17
+    column = small_vol.sigmas[:, k]
+    np.testing.assert_array_equal(P[k], column / column.sum())
 
 
 def test_all_zero_day_is_degenerate():
     vol = make_vol(np.array([[0.0, 1.0], [0.0, 2.0]]))
-    with pytest.raises(cd.DegenerateDataError):
-        cd.volatility_distribution(vol, 20)
+    with pytest.raises(cd.InputError, match="need at least 2 valid dates"):
+        cd.dispersion_matrix(vol)
+    var = cd.variance_series(vol)
+    assert var.dates == vol.dates[1:] and var.excluded_dates == vol.dates[:1]
 
 
 def test_wasserstein_equals_brute_force_transport():
     rng = np.random.default_rng(0)
     for n in (2, 3, 4, 5, 6):
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(n))
-            q = rng.dirichlet(np.ones(n))
-            got = cd.wasserstein(p, q)
-            want = reference.wasserstein_by_matching(p, q)
-            assert math.isclose(got, want, abs_tol=1e-12), (n, p, q)
+        P = rng.dirichlet(np.ones(n), size=40)
+        D, _ = columns(P)
+        for k in range(0, 40, 2):
+            want = reference.wasserstein_by_matching(P[k], P[k + 1])
+            assert math.isclose(D[k, k + 1], want, abs_tol=1e-12), (n, k)
 
 
 def test_wasserstein_is_a_metric_on_sorted_vectors():
     rng = np.random.default_rng(1)
-    for _ in range(50):
+    for _ in range(10):
         n = int(rng.integers(2, 9))
-        p, q, r = rng.dirichlet(np.ones(n), size=3)
-        dpq = cd.wasserstein(p, q)
-        assert dpq >= 0.0
-        assert math.isclose(dpq, cd.wasserstein(q, p), abs_tol=1e-15)
-        assert dpq <= cd.wasserstein(p, r) + cd.wasserstein(r, q) + 1e-12
-        shuffled = rng.permutation(q)
-        assert math.isclose(dpq, cd.wasserstein(p, shuffled), abs_tol=1e-15)
-    assert cd.wasserstein([0.25, 0.75], [0.75, 0.25]) == 0.0
+        P = rng.dirichlet(np.ones(n), size=12)
+        shuffled = np.array([rng.permutation(p) for p in P])
+        D, _ = columns(np.concatenate([P, shuffled]))
+        top = D[:12, :12]
+        assert np.all(top >= 0.0)
+        np.testing.assert_array_equal(top, top.T)
+        assert np.all(top[:, None, :] <= top[:, :, None] + top[None, :, :] + 1e-12)
+        np.testing.assert_allclose(D[:12, 12:], top, rtol=0.0, atol=1e-15)
+    D, _ = columns([[0.25, 0.75], [0.75, 0.25]])
+    assert D[0, 1] == 0.0
 
 
 def test_wasserstein_extreme_pair_attains_the_bound():
@@ -68,30 +76,30 @@ def test_wasserstein_extreme_pair_attains_the_bound():
         one_hot[-1] = 1.0
         uniform = np.full(n, 1.0 / n)
         want = (2.0 / n) * (1.0 - 1.0 / n)
-        assert math.isclose(cd.wasserstein(one_hot, uniform), want, abs_tol=1e-15)
+        D, _ = columns([one_hot, uniform])
+        assert math.isclose(D[0, 1], want, abs_tol=1e-15)
 
 
 def test_variance_matches_loop_and_equality_cases():
     rng = np.random.default_rng(2)
-    for _ in range(30):
-        n = int(rng.integers(2, 10))
-        p = rng.dirichlet(np.ones(n))
-        assert math.isclose(cd.intra_volatility_variance(p),
-                            reference.intra_variance(p), abs_tol=1e-15)
-    assert cd.intra_volatility_variance(np.full(5, 0.2)) == 0.0
-    one_hot = np.array([0.0, 0.0, 0.0, 1.0])
-    assert math.isclose(cd.intra_volatility_variance(one_hot), 1.0 - 1.0 / 4,
-                        abs_tol=1e-15)
+    for n in range(2, 10):
+        P = rng.dirichlet(np.ones(n), size=4)
+        _, values = columns(P)
+        for p, v in zip(P, values):
+            assert math.isclose(v, reference.intra_variance(p), abs_tol=1e-15)
+    _, values = columns([np.full(5, 0.2), [0.0, 0.0, 0.0, 0.0, 1.0]])
+    assert values[0] == 0.0
+    assert math.isclose(values[1], 1.0 - 1.0 / 5, abs_tol=1e-15)
 
 
 def test_variance_never_exceeds_either_bound():
     rng = np.random.default_rng(3)
-    for _ in range(200):
+    for _ in range(40):
         n = int(rng.integers(2, 9))
-        p = rng.dirichlet(np.full(n, rng.uniform(0.05, 3.0)))
-        v = cd.intra_volatility_variance(p)
-        assert v <= 1.0 - 1.0 / n + 1e-12          # attainable maximum
-        assert v <= 1.0 - 1.0 / n**2 + 1e-12       # published envelope
+        P = rng.dirichlet(np.full(n, rng.uniform(0.05, 3.0)), size=5)
+        _, values = columns(P)
+        assert np.all(values <= 1.0 - 1.0 / n + 1e-12)     # attainable maximum
+        assert np.all(values <= 1.0 - 1.0 / n**2 + 1e-12)  # published envelope
 
 
 def test_dispersion_matrix_entries_are_pairwise_distances(small_vol):
@@ -99,14 +107,14 @@ def test_dispersion_matrix_entries_are_pairwise_distances(small_vol):
     n_dates = len(dm.dates)
     assert dm.matrix.shape == (n_dates, n_dates)
     assert dm.excluded_dates == ()
+    assert small_vol.n_assets == 6  # 720 matchings per pair
+    sig = small_vol.sigmas
     idx = [0, 7, n_dates - 1]
-    S = small_vol.window_days
     for a in idx:
         for b in idx:
-            pa = cd.volatility_distribution(small_vol, S + a)
-            pb = cd.volatility_distribution(small_vol, S + b)
-            assert math.isclose(dm.matrix[a, b], cd.wasserstein(pa, pb),
-                                abs_tol=1e-12)
+            want = reference.wasserstein_by_matching(sig[:, a] / sig[:, a].sum(),
+                                                     sig[:, b] / sig[:, b].sum())
+            assert math.isclose(dm.matrix[a, b], want, abs_tol=1e-12)
 
 
 def test_dispersion_matrix_excludes_all_zero_days():
@@ -123,11 +131,10 @@ def test_dispersion_matrix_excludes_all_zero_days():
 
 def test_variance_series_matches_pointwise(small_vol):
     series = cd.variance_series(small_vol)
-    S = small_vol.window_days
+    sig = small_vol.sigmas
     for k in (0, 13, len(series.values) - 1):
-        p = cd.volatility_distribution(small_vol, S + k)
-        assert math.isclose(series.values[k], cd.intra_volatility_variance(p),
-                            abs_tol=1e-15)
+        want = reference.intra_variance(sig[:, k] / sig[:, k].sum())
+        assert math.isclose(series.values[k], want, abs_tol=1e-15)
 
 
 def line_distance_matrix(rng, n):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cryptodynamics as cd
+from cryptodynamics.inconsistency import _affinity, _window_feature_tracks
 
 import reference
 from test_correlation import make_returns
@@ -30,57 +33,33 @@ def test_rolling_volatility_window_validation():
 
 
 def test_distance_matrices_match_loop_oracle(small_panel, small_returns, small_vol):
+    # inconsistency_norms takes each window's distances |f_i - f_j| from
+    # these per-window features
     S = 30
-    T = small_returns.n_days
-    for t in (S, 100, T):
-        dm, dr, ds = cd.distance_matrices(small_panel, small_returns,
-                                          small_vol, t, S)
-        n = small_panel.n_assets
-        caps = small_panel.market_caps
-        closes = small_panel.closes
-        cap_mean = [caps[i, t - S + 1:t + 1].mean() for i in range(n)]
-        rets = np.diff(np.log(closes), axis=1)
-        ret_sum = [rets[i, t - S:t].sum() for i in range(n)]
-        sig = [rets[i, t - S:t].std() for i in range(n)]
+    features = _window_feature_tracks(small_panel, small_returns, small_vol, S)
+    n = small_panel.n_assets
+    rets = np.diff(np.log(small_panel.closes), axis=1)
+    for t in (S, 100, small_returns.n_days):
+        cap_mean, ret_sum, sig = (f[:, t - S] for f in features)
         for i in range(n):
-            for j in range(n):
-                assert math.isclose(dm[i, j], abs(cap_mean[i] - cap_mean[j]),
-                                    rel_tol=1e-12, abs_tol=1e-12)
-                assert math.isclose(dr[i, j], abs(ret_sum[i] - ret_sum[j]),
-                                    rel_tol=1e-12, abs_tol=1e-12)
-                assert math.isclose(ds[i, j], abs(sig[i] - sig[j]),
-                                    rel_tol=1e-9, abs_tol=1e-14)
-
-
-def test_distance_matrices_reject_bad_t(small_panel, small_returns, small_vol):
-    with pytest.raises(cd.InputError):
-        cd.distance_matrices(small_panel, small_returns, small_vol, 29, 30)
-    with pytest.raises(cd.InputError):
-        cd.distance_matrices(small_panel, small_returns, small_vol,
-                             small_returns.n_days + 1, 30)
+            assert math.isclose(cap_mean[i],
+                                small_panel.market_caps[i, t - S + 1:t + 1].mean(),
+                                rel_tol=1e-12)
+            assert math.isclose(ret_sum[i], rets[i, t - S:t].sum(),
+                                rel_tol=1e-12, abs_tol=1e-14)
+            assert math.isclose(sig[i], rets[i, t - S:t].std(), rel_tol=1e-9)
 
 
 def test_to_affinity_normalizes_to_unit_diagonal():
-    D = np.array([[0.0, 2.0, 4.0],
-                  [2.0, 0.0, 1.0],
-                  [4.0, 1.0, 0.0]])
-    A = cd.to_affinity(D)
-    np.testing.assert_allclose(A.matrix, 1.0 - D / 4.0, atol=1e-15)
-    assert np.all(np.diag(A.matrix) == 1.0)
+    feature = np.array([0.0, 2.0, 4.0, 3.0])
+    D = np.abs(feature[:, None] - feature[None, :])
+    A = _affinity(feature)
+    np.testing.assert_array_equal(A, 1.0 - D / 4.0)
+    assert np.all(np.diag(A) == 1.0)
 
 
 def test_to_affinity_all_zero_distances_give_all_ones():
-    A = cd.to_affinity(np.zeros((4, 4)))
-    np.testing.assert_array_equal(A.matrix, np.ones((4, 4)))
-
-
-def test_to_affinity_validation():
-    with pytest.raises(cd.InputError):
-        cd.to_affinity(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(cd.InputError):
-        cd.to_affinity(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(cd.InputError):
-        cd.to_affinity(np.zeros((2, 3)))
+    np.testing.assert_array_equal(_affinity(np.full(4, 2.5)), np.ones((4, 4)))
 
 
 def test_inconsistency_matches_loop_oracle(small_panel, small_returns, small_vol):
@@ -134,8 +113,38 @@ def test_returns_must_derive_from_panel(small_panel, small_vol):
         cd.inconsistency_norms(small_panel, other, small_vol, 30)
 
 
-def test_affinity_matrix_validation_catches_out_of_range():
+def test_inconsistency_series_rejects_out_of_range():
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
     with pytest.raises(cd.InputError):
-        cd.AffinityMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]))
+        cd.InconsistencySeries(dates, [0.2, 1.5], [0.1, 0.1])
     with pytest.raises(cd.InputError):
-        cd.AffinityMatrix(np.array([[0.9, 0.5], [0.5, 1.0]]))
+        cd.InconsistencySeries(dates, [0.2, 0.3], [-0.1, 0.1])
+
+
+panel_shapes = st.tuples(st.integers(2, 6), st.integers(2, 8), st.integers(1, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=panel_shapes, tie=st.sampled_from(["none", "caps", "closes"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(4, 5, 6), tie="caps", seed=0)    # only A^M is all ones
+@example(shape=(3, 4, 5), tie="closes", seed=1)  # A^R and A^Sigma are all ones
+def test_inconsistency_with_ties_matches_loop_oracle(shape, tie, seed):
+    n, S, W = shape
+    rng = np.random.default_rng(seed)
+    n_days = S + W  # one price base day, then S + W - 1 return days
+    closes = 10.0 * np.exp(np.cumsum(0.03 * rng.standard_normal((n, n_days)), axis=1))
+    caps = closes * rng.uniform(1.0, 50.0, (n, 1))
+    if tie == "caps":  # equal market caps, distinct prices
+        caps = np.tile(caps[0], (n, 1))
+    elif tie == "closes":  # equal prices, distinct caps
+        closes = np.tile(closes[0], (n, 1))
+    dates = tuple(dt.date(2021, 1, 1) + dt.timedelta(days=k) for k in range(n_days))
+    assets = tuple(cd.AssetMeta(f"A{i}", f"asset {i}") for i in range(n))
+    panel = cd.PricePanel(dates, assets, closes, caps)
+    r = cd.log_returns(panel)
+    inc = cd.inconsistency_norms(panel, r, cd.rolling_volatility(r, S), S)
+    for t in range(S, r.n_days + 1):
+        want_mr, want_ms = reference.inconsistency_at(closes, caps, t, S)
+        assert math.isclose(inc.nu_MR[t - S], want_mr, abs_tol=1e-10)
+        assert math.isclose(inc.nu_MSigma[t - S], want_ms, abs_tol=1e-10)

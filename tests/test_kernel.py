@@ -109,6 +109,49 @@ def test_zero_variance_names_lowest_asset_and_its_first_window():
         )
 
 
+def near_constant_panel(n, S, W, kind):
+    """Random returns with asset A1 constant at 0.25 up to a tiny change.
+
+    "spike" moves A1 by 1e-12 on return day S only, which every window
+    holds while W <= S; "noise" adds 1e-12-sized noise on every day.
+    """
+    rng = np.random.default_rng(10)
+    X = 0.02 * rng.standard_normal((n, S + W - 1))
+    X[1] = 0.25
+    if kind == "spike":
+        X[1, S - 1] += 1e-12
+    else:
+        X[1] += 1e-12 * rng.standard_normal(S + W - 1)
+    return X
+
+
+@pytest.mark.parametrize("n, S", [(4, 9), (8, 5)])  # stack route, Gram route
+@pytest.mark.parametrize("kind", ["spike", "noise"])
+def test_near_constant_asset_matches_reference(n, S, kind):
+    X = near_constant_panel(n, S, S, kind)
+    r = make_returns(X)
+    with chunked(n, S, 3):
+        nu = cd.rolling_norm_series(r, S).raw
+        lam = cd.lambda1_series(r, S).lambda1
+    assert np.all((nu >= 0.0) & (nu <= 1.0))
+    assert np.all((lam >= 1.0 / n) & (lam <= 1.0))
+    stack = reference.correlation_stack(X, S)
+    want_nu = [reference.abs_entry_mean(m) for m in stack]
+    np.testing.assert_allclose(nu, want_nu, rtol=0.0, atol=1e-12)
+    want_lam = np.linalg.eigvalsh(stack)[:, -1] / n
+    np.testing.assert_allclose(lam, want_lam, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, S", [(4, 9), (8, 5)])
+def test_exactly_constant_window_still_raises(n, S):
+    X = near_constant_panel(n, S, S + 1, "spike")  # the last window misses the move
+    r = make_returns(X)
+    for fn in (cd.rolling_norm_series, cd.lambda1_series):
+        with pytest.raises(cd.DegenerateDataError, match=(
+                rf"asset 'A1' has zero variance on return days \[{S + 1}:{2 * S}\]")):
+            fn(r, S)
+
+
 def test_zero_variance_does_not_stop_volatility():
     X = np.random.default_rng(8).standard_normal((2, 20))
     X[0, 3:10] = 1.0

@@ -5,46 +5,47 @@ import numpy as np
 import pytest
 
 import cryptodynamics as cd
-from cryptodynamics.correlation import window_chunks
-from cryptodynamics.spectral import operator_norm_power_iteration
+from cryptodynamics.correlation import chunk_spectra
 
+import reference
 from test_correlation import make_returns
 
 
-def random_correlation(rng, n, s=None):
-    X = rng.standard_normal((n, s or 4 * n))
-    return cd.correlation_matrix(make_returns(X), 1, s or 4 * n)
+def spectra_and_stack(seed, n, S, W=12):
+    """Production spectra of random returns and the reference stack."""
+    X = np.random.default_rng(seed).standard_normal((n, S + W - 1))
+    series = cd.lambda1_series(make_returns(X), S, keep_spectra=True)
+    return series, reference.correlation_stack(X, S)
 
 
 def test_spectrum_sorted_sums_to_n():
-    rng = np.random.default_rng(0)
-    for n in (2, 5, 9):
-        m = random_correlation(rng, n)
-        spec = cd.eigen_spectrum(m)
-        assert spec.shape == (n,)
-        assert np.all(np.diff(spec) <= 0.0)
-        assert np.all(spec >= 0.0)
-        assert math.isclose(spec.sum(), n, abs_tol=1e-9)  # trace identity
+    for n, S in ((2, 8), (5, 20), (9, 36), (9, 4)):
+        spectra = spectra_and_stack(n, n, S)[0].spectra
+        assert spectra.shape[1] == n
+        assert np.all(np.diff(spectra, axis=1) <= 0.0)
+        assert np.all(spectra >= 0.0)
+        np.testing.assert_allclose(spectra.sum(axis=1), n, rtol=0.0,
+                                   atol=1e-9)  # trace identity
 
 
 def test_spectrum_matches_numpy_reference():
-    rng = np.random.default_rng(1)
-    m = random_correlation(rng, 6)
-    want = np.sort(np.linalg.eigvalsh(m.matrix))[::-1]
-    np.testing.assert_allclose(cd.eigen_spectrum(m), np.clip(want, 0.0, None),
-                               rtol=0.0, atol=1e-12)
+    for S in (24, 4):  # stack route, Gram route
+        series, stack = spectra_and_stack(1, 6, S)
+        want = np.clip(np.linalg.eigvalsh(stack)[:, ::-1], 0.0, None)
+        np.testing.assert_allclose(series.spectra, want, rtol=0.0, atol=1e-12)
 
 
 def test_large_negative_eigenvalue_is_an_error():
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    bad = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # eigenvalues 3 and -1
     with pytest.raises(cd.NumericalError):
-        cd.eigen_spectrum(bad)
+        chunk_spectra(np.zeros((1, 2, 3)), bad, (dt.date(2020, 1, 1),))
 
 
 def test_tiny_negative_eigenvalues_are_clamped():
-    almost = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
-    spec = cd.eigen_spectrum(almost)
-    assert spec[-1] == 0.0
+    almost = np.array([[[1.0, 1.0], [1.0, 1.0 - 1e-12]]])
+    assert np.linalg.eigvalsh(almost)[0, 0] < 0.0
+    spectrum = chunk_spectra(np.zeros((1, 2, 3)), almost, (dt.date(2020, 1, 1),))
+    assert spectrum[0, 0] == 0.0
 
 
 def test_lambda1_series_matches_per_window_spectra(small_returns):
@@ -57,7 +58,7 @@ def test_lambda1_series_matches_per_window_spectra(small_returns):
     assert np.all(series.lambda1 <= 1.0 + 1e-12)
     for t in (S, 101, small_returns.n_days):
         m = cd.correlation_matrix(small_returns, t - S + 1, t)
-        lam1 = cd.eigen_spectrum(m)[0] / n
+        lam1 = np.linalg.eigvalsh(m.matrix)[-1] / n
         assert math.isclose(series.lambda1[t - S], lam1, abs_tol=1e-12)
 
 
@@ -75,29 +76,28 @@ def test_power_iteration_agrees_with_eigensolver():
     rng = np.random.default_rng(2)
     for seed in range(20):
         n = int(rng.integers(2, 12))
-        m = random_correlation(np.random.default_rng(seed + 10), n)
-        top = operator_norm_power_iteration(m.matrix)
-        want = float(np.linalg.eigvalsh(m.matrix)[-1])
+        X = np.random.default_rng(seed + 10).standard_normal((n, 4 * n))
+        m = reference.pearson_matrix(X)
+        top = reference.power_iteration(m)
+        want = float(np.linalg.eigvalsh(m)[-1])
         assert abs(top - want) < 1e-10 * n
 
 
 def test_power_iteration_handles_identity_like_cases():
-    assert operator_norm_power_iteration(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
-    assert operator_norm_power_iteration(np.array([[2.5]])) == 2.5
-    assert operator_norm_power_iteration(np.zeros((3, 3))) == 0.0
+    assert reference.power_iteration(np.eye(4)) == pytest.approx(1.0, abs=1e-12)
+    assert reference.power_iteration(np.array([[2.5]])) == 2.5
+    assert reference.power_iteration(np.zeros((3, 3))) == 0.0
 
 
 def test_identity_verification_runs_on_every_window(small_returns):
-    stack = np.concatenate([s for *_, s in window_chunks(small_returns, 30)])
-    for w in range(0, stack.shape[0], 25):
-        lam1, opnorm, diff = cd.verify_operator_norm_identity(stack[w])
-        assert diff < 1e-8
-        assert 0.0 < lam1 <= 1.0 + 1e-12 and 0.0 < opnorm <= 1.0 + 1e-12
-
-
-def test_identity_violation_raises():
-    with pytest.raises(cd.NumericalError):
-        cd.verify_operator_norm_identity(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    S = 30
+    series = cd.lambda1_series(small_returns, S)
+    stack = reference.correlation_stack(small_returns.returns, S)
+    n = small_returns.n_assets
+    for w in range(stack.shape[0]):
+        opnorm = reference.power_iteration(stack[w]) / n
+        assert abs(series.lambda1[w] - opnorm) < 1e-8
+        assert 0.0 < opnorm <= 1.0 + 1e-12
 
 
 def test_market_size_is_windowed_mean_of_cap_totals(small_panel):
