@@ -6,7 +6,10 @@ reported rather than imputed. Panels are immutable once built; every
 downstream module can rely on their invariants.
 
 CSV schema: first column ``date`` (ISO-8601), one column per ticker,
-header row required, UTF-8, ``.`` decimal point.
+header row required, UTF-8 (a byte-order mark is accepted), ``.`` decimal
+point. The loader reads each file in one pass: every row is checked for
+structure, only the rows inside the requested range are converted to
+float64, and the drop checks run as masks over those (T, N) blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,13 +182,17 @@ def _coerce_date(value):
         raise InputError(f"bad date {value!r}: {exc}") from None
 
 
-def _read_table(path):
-    """Read one CSV into (sorted dates, header tickers, {date: {ticker: value}}).
+def _read_range(path, start, end):
+    """Read one CSV in one pass, converting only the rows dated in [start, end].
 
-    Missing cells come back as None; unparseable cells raise ParseError with
-    their 1-based row number and column name.
+    Every row's structure is checked: its date parses and is not a
+    duplicate, and it has one cell per header column. Returns the header
+    tickers and {date: (values, missing)} for the rows in range, where
+    ``values`` is a float64 array (NaN at missing cells) and ``missing``
+    marks the blank cells. Errors raise ParseError with the 1-based row
+    number and the column name.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -199,31 +205,47 @@ def _read_table(path):
             raise ParseError(path, 1, "", "blank ticker column in header")
         if len(set(tickers)) != len(tickers):
             raise ParseError(path, 1, "", "duplicate ticker column in header")
+        seen = set()
         rows = {}
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             try:
                 date = dt.date.fromisoformat(row[0].strip())
             except ValueError as exc:
                 raise ParseError(path, lineno, "date", str(exc)) from None
-            if date in rows:
+            if date in seen:
                 raise ParseError(path, lineno, "date", f"duplicate date {date}")
+            seen.add(date)
             if len(row) != len(tickers) + 1:
                 raise ParseError(path, lineno, "date",
                                  f"expected {len(tickers) + 1} cells, got {len(row)}")
-            values = {}
-            for ticker, cell in zip(tickers, row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    values[ticker] = None
-                    continue
-                try:
-                    values[ticker] = float(cell)
-                except ValueError:
-                    raise ParseError(path, lineno, ticker, f"not a number: {cell!r}") from None
-            rows[date] = values
-    return sorted(rows), tickers, rows
+            if start <= date <= end:
+                rows[date] = _convert_row(path, lineno, tickers, row[1:])
+    return tickers, rows
+
+
+def _convert_row(path, lineno, tickers, cells):
+    """(float64 values, missing-cell mask) of one row's value cells."""
+    try:
+        # float() accepts surrounding whitespace; whatever it rejects goes
+        # through the cell-by-cell path, which strips with str.strip().
+        values = np.fromiter(map(float, cells), float, len(cells))
+        return values, np.zeros(len(cells), dtype=bool)
+    except ValueError:
+        pass
+    values, missing = [], []
+    for ticker, cell in zip(tickers, cells):
+        cell = cell.strip()
+        missing.append(not cell)
+        if not cell:
+            values.append(np.nan)
+            continue
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ParseError(path, lineno, ticker, f"not a number: {cell!r}") from None
+    return np.array(values), np.array(missing)
 
 
 def _check_contiguous(dates_present, start, end):
@@ -232,11 +254,23 @@ def _check_contiguous(dates_present, start, end):
     while day <= end:
         wanted.append(day)
         day += _DAY
-    present = set(dates_present)
-    missing = [d for d in wanted if d not in present]
+    missing = [d for d in wanted if d not in dates_present]
     if missing:
         raise GapError(missing)
     return wanted
+
+
+def _block(rows, days, columns):
+    """(T, len(columns)) values and missing mask of the rows, in day order."""
+    values = np.stack([rows[d][0] for d in days])
+    missing = np.stack([rows[d][1] for d in days])
+    return values[:, columns], missing[:, columns]
+
+
+# Drop reasons in priority order: on an asset's first failing day, the
+# first reason that applies is the one reported.
+_REASONS = ("missing value", "non-finite value", "non-positive close",
+            "negative market cap")
 
 
 def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
@@ -244,53 +278,55 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
 
     Assets survive only if both files give a usable value on every day of
     [start, end]: a finite positive close and a finite non-negative market
-    cap. Each dropped asset is reported with the first day that failed.
-    Missing whole days raise GapError instead.
+    cap. Each dropped asset is reported with the first day that failed and,
+    if several checks fail that day, the first of: missing value,
+    non-finite value, non-positive close, negative market cap. An asset
+    without a market-cap column is dropped as of ``start``. Drops come in
+    price-header order. Missing whole days raise GapError instead.
+
+    Each file is read in one pass. Every row is checked for structure, but
+    only rows inside [start, end] are converted to numbers, so a malformed
+    cell outside the range is never read. The checks then run as masks
+    over the kept (T, N) blocks.
     """
     start = _coerce_date(start)
     end = _coerce_date(end)
     if end < start:
         raise InputError(f"date range end {end} before start {start}")
 
-    _, price_tickers, price_rows = _read_table(price_csv_path)
-    _, cap_tickers, cap_rows = _read_table(marketcap_csv_path)
+    price_tickers, price_rows = _read_range(price_csv_path, start, end)
+    cap_tickers, cap_rows = _read_range(marketcap_csv_path, start, end)
 
-    days = _check_contiguous([d for d in price_rows if start <= d <= end], start, end)
-    _check_contiguous([d for d in cap_rows if start <= d <= end], start, end)
+    days = _check_contiguous(price_rows, start, end)
+    _check_contiguous(cap_rows, start, end)
 
-    cap_set = set(cap_tickers)
+    price_column = {t: k for k, t in enumerate(price_tickers)}
+    cap_column = {t: k for k, t in enumerate(cap_tickers)}
+    paired = [t for t in price_tickers if t in cap_column]
+    close, close_missing = _block(price_rows, days, [price_column[t] for t in paired])
+    cap, cap_missing = _block(cap_rows, days, [cap_column[t] for t in paired])
+    fault = np.select([close_missing | cap_missing,
+                       ~(np.isfinite(close) & np.isfinite(cap)),
+                       close <= 0,
+                       cap < 0], [1, 2, 3, 4])
+    first = (fault > 0).argmax(axis=0)
+    code = fault[first, np.arange(len(paired))]
+
+    verdict = dict(zip(paired, zip(code.tolist(), first.tolist())))
     drops = []
-    kept = []
     for ticker in price_tickers:
-        if ticker not in cap_set:
+        if ticker not in verdict:
             drops.append(DropRecord(ticker, "missing market-cap column", start))
-            continue
-        bad = None
-        for day in days:
-            close = price_rows[day][ticker]
-            cap = cap_rows[day][ticker]
-            if close is None or cap is None:
-                bad = DropRecord(ticker, "missing value", day)
-            elif not (math.isfinite(close) and math.isfinite(cap)):
-                bad = DropRecord(ticker, "non-finite value", day)
-            elif close <= 0:
-                bad = DropRecord(ticker, "non-positive close", day)
-            elif cap < 0:
-                bad = DropRecord(ticker, "negative market cap", day)
-            if bad is not None:
-                break
-        if bad is not None:
-            drops.append(bad)
-        else:
-            kept.append(ticker)
+        elif verdict[ticker][0]:
+            reason, day = verdict[ticker]
+            drops.append(DropRecord(ticker, _REASONS[reason - 1], days[day]))
 
+    ok = code == 0
+    kept = [t for t, good in zip(paired, ok) if good]
     if not kept:
         raise EmptyPanelError("no asset survived alignment over the requested range")
-
-    closes = np.array([[price_rows[d][t] for d in days] for t in kept], dtype=float)
-    caps = np.array([[cap_rows[d][t] for d in days] for t in kept], dtype=float)
     assets = tuple(AssetMeta(t, TICKER_NAMES.get(t, t)) for t in kept)
-    panel = PricePanel(tuple(days), assets, closes, caps)
+    panel = PricePanel(tuple(days), assets, close[:, ok].T, cap[:, ok].T)
     return panel, drops
 
 

@@ -5,6 +5,8 @@ explicit window slicing, distances recomputed from scratch. Nothing in
 this module imports the package under test.
 """
 
+import csv
+import datetime as dt
 import itertools
 import math
 
@@ -249,3 +251,73 @@ def intra_variance(p):
     p = [float(v) for v in p]
     n = len(p)
     return sum((v - 1.0 / n) ** 2 for v in p)
+
+
+def _read_table(path):
+    """{date: {ticker: float or None}} and the header tickers of one CSV.
+
+    Every cell of every row is converted; a blank cell is None. Structural
+    faults and unparseable cells anywhere in the file raise ValueError.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header[0].strip().lower() != "date":
+            raise ValueError("first column must be 'date'")
+        tickers = [h.strip() for h in header[1:]]
+        rows = {}
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            date = dt.date.fromisoformat(row[0].strip())
+            if date in rows:
+                raise ValueError(f"duplicate date {date}")
+            if len(row) != len(tickers) + 1:
+                raise ValueError(f"expected {len(tickers) + 1} cells, got {len(row)}")
+            values = {}
+            for ticker, cell in zip(tickers, row[1:]):
+                cell = cell.strip()
+                values[ticker] = float(cell) if cell else None
+            rows[date] = values
+    return tickers, rows
+
+
+def load_reference(price_path, cap_path, start, end):
+    """The drop-and-report load, one asset and one day at a time.
+
+    Returns (days, kept tickers, closes, caps, drops): closes and caps are
+    lists of per-asset lists over the days of [start, end], and drops are
+    (ticker, reason, date) tuples in price-header order. An asset's first
+    failing day is reported with the first reason that applies: missing,
+    non-finite, non-positive close, negative cap.
+    """
+    price_tickers, price_rows = _read_table(price_path)
+    cap_tickers, cap_rows = _read_table(cap_path)
+    days = [start + dt.timedelta(days=k) for k in range((end - start).days + 1)]
+    if any(d not in price_rows or d not in cap_rows for d in days):
+        raise ValueError("a day of the range is missing")
+    drops, kept = [], []
+    for ticker in price_tickers:
+        if ticker not in cap_tickers:
+            drops.append((ticker, "missing market-cap column", start))
+            continue
+        bad = None
+        for day in days:
+            close = price_rows[day][ticker]
+            cap = cap_rows[day][ticker]
+            if close is None or cap is None:
+                bad = "missing value"
+            elif not (math.isfinite(close) and math.isfinite(cap)):
+                bad = "non-finite value"
+            elif close <= 0:
+                bad = "non-positive close"
+            elif cap < 0:
+                bad = "negative market cap"
+            if bad is not None:
+                drops.append((ticker, bad, day))
+                break
+        if bad is None:
+            kept.append(ticker)
+    closes = [[price_rows[d][t] for d in days] for t in kept]
+    caps = [[cap_rows[d][t] for d in days] for t in kept]
+    return days, kept, closes, caps, drops

@@ -1,11 +1,18 @@
 import datetime as dt
 import json
+import pathlib
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cryptodynamics as cd
 from cryptodynamics.panel import write_drop_report
+
+import reference
 
 PRICE = """date,AAA,BBB,CCC
 2020-01-01,10.0,5.0,1.0
@@ -173,6 +180,64 @@ def test_parse_error_names_row_and_column(tmp_path):
     assert exc.value.column == "BBB"
 
 
+def test_malformed_cell_outside_the_range_is_not_read(tmp_path):
+    price = PRICE.replace("11.0,4.5", "11.0,oops")
+    p, c = files(tmp_path, price)
+    panel = cd.load_panel(p, c, JAN3, JAN3)
+    np.testing.assert_array_equal(panel.closes[:, 0], [10.5, 4.8, 1.2])
+    with pytest.raises(cd.ParseError) as exc:
+        cd.load_panel(p, c, dt.date(2020, 1, 2), JAN3)
+    assert (exc.value.row, exc.value.column) == (3, "BBB")
+
+
+@pytest.mark.parametrize("bad_row", [
+    "2020-13-01,1.0,1.0,1.0",       # the date does not parse
+    "2020-01-01,1.0,1.0,1.0",       # a duplicate of row 2
+    "2020-01-04,1.0,1.0",           # one cell short
+], ids=["bad-date", "duplicate-date", "cell-count"])
+def test_row_structure_is_checked_outside_the_range(tmp_path, bad_row):
+    p, c = files(tmp_path, PRICE + bad_row + "\n")
+    with pytest.raises(cd.ParseError) as exc:
+        cd.load_panel(p, c, JAN3, JAN3)
+    assert exc.value.row == 5
+    assert exc.value.column == "date"
+
+
+def test_byte_order_mark_is_accepted(tmp_path):
+    plain = cd.load_panel(*files(tmp_path), JAN1, JAN3)
+    bom = tmp_path / "bom"
+    bom.mkdir()
+    p, c = files(bom)
+    p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    panel = cd.load_panel(p, c, JAN1, JAN3)
+    assert panel.tickers == plain.tickers
+    np.testing.assert_array_equal(panel.closes, plain.closes)
+    np.testing.assert_array_equal(panel.market_caps, plain.market_caps)
+
+
+def test_reason_priority_on_a_day_with_several_faults(tmp_path):
+    # On 2020-01-02 AAA is missing, non-finite and negative-cap at once, BBB
+    # non-finite, non-positive and negative-cap, CCC non-positive and
+    # negative-cap, DDD negative-cap. On 2020-01-03 each of them misses its
+    # close, the top-priority reason, which must not win over the earlier day.
+    price = ("date,AAA,BBB,CCC,DDD,EEE\n"
+             "2020-01-01,1.0,1.0,1.0,1.0,1.0\n"
+             "2020-01-02,,-inf,0.0,1.0,1.0\n"
+             "2020-01-03,,,,,1.0\n")
+    cap = ("date,EEE,DDD,CCC,BBB,AAA\n"
+           "2020-01-01,1.0,1.0,1.0,1.0,1.0\n"
+           "2020-01-02,1.0,-5.0,-5.0,-5.0,-inf\n"
+           "2020-01-03,1.0,1.0,1.0,1.0,1.0\n")
+    p, c = files(tmp_path, price, cap)
+    panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
+    day2 = dt.date(2020, 1, 2)
+    expected = [("AAA", "missing value", day2), ("BBB", "non-finite value", day2),
+                ("CCC", "non-positive close", day2), ("DDD", "negative market cap", day2)]
+    assert [(d.ticker, d.reason, d.first_missing_date) for d in drops] == expected
+    assert reference.load_reference(p, c, JAN1, JAN3)[4] == expected
+    assert panel.tickers == ["EEE"]
+
+
 def test_duplicate_date_rejected(tmp_path):
     price = PRICE + "2020-01-03,1.0,1.0,1.0\n"
     p, c = files(tmp_path, price)
@@ -231,3 +296,77 @@ def test_period_partition_rejects_overlap():
             cd.Period("a", JAN1, dt.date(2020, 1, 5)),
             cd.Period("b", dt.date(2020, 1, 5), dt.date(2020, 1, 9)),
         ))
+
+
+# Cells the differential test draws: usable numbers, padded numbers, and
+# every kind of value that drops an asset. Nothing unparseable, since the
+# reference converts every cell of the file.
+_NUMBER = st.floats(min_value=1e-6, max_value=1e9).map(repr)
+_CLOSE_CELL = st.one_of(_NUMBER, _NUMBER.map(lambda v: f" {v} "),
+                        st.sampled_from(["", " ", "nan", "inf", "-inf", "0", "0.0", "-1.5"]))
+_CAP_CELL = st.one_of(_NUMBER, st.sampled_from(["", "nan", "-inf", "0", "-0.0", "-2.5"]))
+
+
+@st.composite
+def _files(draw):
+    n = draw(st.integers(1, 5))
+    days = draw(st.integers(3, 12))
+    first = draw(st.integers(1, days - 2))
+    last = draw(st.integers(first, days - 2))
+    tickers = [f"T{i}" for i in range(n)]
+    cap_tickers = draw(st.permutations(tickers))
+    if n > 1 and draw(st.booleans()):
+        cap_tickers = cap_tickers[:-1]
+    dates = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(days)]
+
+    def table(header, cell):
+        rows = [",".join([d.isoformat()] + [draw(cell) for _ in header]) for d in dates]
+        rows = draw(st.permutations(rows))
+        if draw(st.booleans()):
+            rows.insert(draw(st.integers(0, len(rows))), " , ")
+        return "\n".join([",".join(["date"] + list(header))] + rows) + "\n"
+
+    return (table(tickers, _CLOSE_CELL), table(cap_tickers, _CAP_CELL),
+            dates[first], dates[last])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_files())
+def test_loader_matches_the_cell_by_cell_reference(drawn):
+    price, cap, start, end = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        p, c = files(pathlib.Path(tmp), price, cap)
+        days, kept, closes, caps, ref_drops = reference.load_reference(p, c, start, end)
+        if not kept:
+            with pytest.raises(cd.EmptyPanelError):
+                cd.load_panel_with_report(p, c, start, end)
+            return
+        panel, drops = cd.load_panel_with_report(p, c, start, end)
+    assert [(d.ticker, d.reason, d.first_missing_date) for d in drops] == ref_drops
+    assert panel.dates == tuple(days)
+    assert panel.tickers == kept
+    assert panel.closes.tobytes() == np.array(closes).tobytes()
+    assert panel.market_caps.tobytes() == np.array(caps).tobytes()
+
+
+def test_rows_outside_the_range_cost_no_memory(tmp_path):
+    # 1,500 days x 100 assets, of which the last 150 days are loaded. A
+    # loader that holds every cell of both files as Python floats peaks at
+    # about 17 MiB here, and one that holds every row as a float64 array at
+    # about 2.7 MiB; converting only the kept rows peaks at about 1 MiB.
+    rng = np.random.default_rng(0)
+    n, t = 100, 1500
+    dates = tuple(JAN1 + dt.timedelta(days=k) for k in range(t))
+    assets = tuple(cd.AssetMeta(f"A{i}", f"A{i}") for i in range(n))
+    panel = cd.PricePanel(dates, assets, np.exp(rng.standard_normal((n, t))),
+                          np.exp(rng.standard_normal((n, t))))
+    p, c = tmp_path / "price.csv", tmp_path / "marketcap.csv"
+    cd.write_panel(panel, p, c)
+    tracemalloc.start()
+    try:
+        loaded = cd.load_panel(p, c, dates[-150], dates[-1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.closes, panel.closes[:, -150:])
+    assert peak < 2 * 2**20
