@@ -13,9 +13,16 @@ variance, then Z, then the stack. ``rolling_statistics`` is the one loop
 over those chunks: it takes ν(t), λ₁ (solving the S×S Gram matrices
 ZᵀZ/S instead of the stack when S < N) and σ from the same pass, so
 memory is O(c·N·max(N, S) + W·N) rather than the O(W·N²) of a full
-stack. ``rolling_norm_series`` (here), ``spectral.lambda1_series`` and
-``inconsistency.rolling_volatility`` wrap its results, or take a result
-computed once for several of them.
+stack. A chunk holds one (c, N, S) array, into which the windows are
+centred and which is then scaled in place into Z, plus its stack or Gram
+matrices. Neither
+is symmetrised: numpy computes A·Aᵀ and Aᵀ·A by BLAS ``syrk`` and copies
+one triangle onto the other (its no-BLAS loop sums each entry and its
+mirror in the same order), so the products are exactly symmetric and
+0.5·(A + Aᵀ) would return them unchanged. ``correlation_matrix`` relies
+on the same. ``rolling_norm_series`` (here), ``spectral.lambda1_series``
+and ``inconsistency.rolling_volatility`` wrap its results, or take a
+result computed once for several of them.
 
 ``period_entry_stats`` describes each named period by the density of its
 correlation entries: a Gaussian kernel-density estimate with Silverman's
@@ -196,17 +203,19 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
             f"asset {ticker!r} has zero variance on return days [{a}:{b}]"
         )
     Z = centered / np.sqrt(var)[:, None]
-    m = (Z @ Z.T) / S
-    m = 0.5 * (m + m.T)
+    m = Z @ Z.T
+    m /= S
     np.fill_diagonal(m, 1.0)
     return CorrelationMatrix((a, b), m)
 
 
 def _moments(X, S, lo, hi):
-    """Centered returns (N, hi−lo, S) and population variances (N, hi−lo) of windows lo..hi−1."""
+    """Centered returns (hi−lo, N, S) and population variances (N, hi−lo) of windows lo..hi−1."""
     windows = sliding_window_view(X[:, lo:hi + S - 1], S, axis=1)
-    centered = windows - windows.mean(axis=2)[:, :, None]
-    return centered, np.einsum("nws,nws->nw", centered, centered) / S
+    centered = np.empty((hi - lo, X.shape[0], S))
+    np.subtract(windows.transpose(1, 0, 2), windows.mean(axis=2).T[:, :, None],
+                out=centered)
+    return centered, np.einsum("wns,wns->nw", centered, centered) / S
 
 
 def _raise_dead(returns, S, lo, step):
@@ -259,12 +268,11 @@ def window_chunks(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
         if standardize:
             if np.any(var <= 0.0):
                 _raise_dead(returns, S, lo, step)
-            centered /= np.sqrt(var)[:, :, None]
-            Z = np.ascontiguousarray(centered.transpose(1, 0, 2))
-            del centered
+            Z = centered
+            Z /= np.sqrt(var).T[:, :, None]
             if stacks:
-                stack = Z @ Z.transpose(0, 2, 1) / S
-                stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+                stack = Z @ Z.transpose(0, 2, 1)
+                stack /= S
                 stack[:, idx, idx] = 1.0
         yield slice(lo, hi), var, Z, stack
 
@@ -279,14 +287,14 @@ def chunk_spectra(Z, stack, dates):
     """Ascending, zero-clamped eigenvalues (c, N) of one kernel chunk's windows.
 
     With S >= N these come from the (c, N, N) ``stack``. With S < N they
-    come from the symmetrised S×S Gram matrices ZᵀZ/S, whose nonzero
+    come from the S×S Gram matrices ZᵀZ/S, whose nonzero
     spectrum is the correlation matrix's; the N−S missing eigenvalues are
     zeros. ``dates`` dates the chunk's windows for the error message.
     """
     _, n, S = Z.shape
     if S < n:
-        gram = Z.transpose(0, 2, 1) @ Z / S
-        stack = 0.5 * (gram + gram.transpose(0, 2, 1))
+        stack = Z.transpose(0, 2, 1) @ Z
+        stack /= S
     try:
         values = np.linalg.eigvalsh(stack)  # ascending, per window
     except np.linalg.LinAlgError as exc:
@@ -336,10 +344,11 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
             if sigma:
                 parts["sigma"].append(np.sqrt(var))
     except MemoryError:
-        # Per chunk: centred returns, Z, and a stack (or Gram) with two temporaries.
+        # Per chunk: one (c, N, S) array, centred then scaled into Z, and a
+        # stack (or Gram matrices); plus the (N, W) results.
         W = returns.n_days - S + 1
         side = n if stacks else (S if eig else 0)
-        need = 8 * (chunk_windows(n, S) * (2 * n * S + 3 * side * side) + W * n)
+        need = 8 * (min(chunk_windows(n, S), W) * (n * S + side * side) + W * n)
         raise MemoryError(
             f"estimated kernel working set {need / 2**20:.1f} MiB "
             f"(N={n}, S={S}, W={W})"

@@ -7,10 +7,16 @@ the pairwise L1-Wasserstein distance between days, computed by the
 sorted-vector quantile formula — exact for equal-size point-mass
 measures. ``variance_series`` and ``dispersion_matrix`` are the one path
 to each: both normalize every day at once and leave out, and report,
-the days whose volatilities are all zero. The day-by-day distance matrix
-feeds agglomerative hierarchical clustering by
+the days whose volatilities are all zero. The day-by-day distances feed
+agglomerative hierarchical clustering by
 ``scipy.cluster.hierarchy.linkage``; tied distances merge in the order
 scipy picks, which is deterministic.
+
+This is the one layer whose memory grows as W² in the number of days,
+so the distances stay in the condensed form that ``linkage`` reads: the
+W(W−1)/2 upper-triangle entries in row-major order. A square matrix
+would need symmetry and a zero diagonal checked, and a condensed copy
+made for ``linkage``; in condensed form the two hold by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, squareform
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError
 from .inconsistency import VolatilityPanel
@@ -28,30 +34,35 @@ LINKAGES = ("average", "complete", "single")
 
 @dataclass(frozen=True)
 class DispersionMatrix:
-    """Pairwise Wasserstein distances between the valid dates' p-vectors."""
+    """Pairwise Wasserstein distances between the valid dates' p-vectors.
+
+    ``distances`` is condensed: the W(W−1)/2 entries above the diagonal of
+    the W×W distance matrix in row-major order, as ``scipy.spatial.distance``
+    ``pdist`` returns them (``squareform`` expands them).
+    """
 
     dates: tuple
-    matrix: np.ndarray
+    distances: np.ndarray
     n_assets: int
     excluded_dates: tuple = ()
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        m = np.ascontiguousarray(self.matrix, dtype=float)
+        d = np.ascontiguousarray(self.distances, dtype=float)
         w = len(dates)
         n = int(self.n_assets)
-        if m.shape != (w, w):
-            raise InputError(f"matrix shape {m.shape} does not match {w} dates")
-        if np.any(np.diag(m) != 0.0):
-            raise InputError("dispersion matrix diagonal must be zero")
-        if not np.array_equal(m, m.T):
-            raise InputError("dispersion matrix must be symmetric")
+        if d.shape != (w * (w - 1) // 2,):
+            raise InputError(
+                f"distances shape {d.shape} is not the condensed form for {w} dates"
+            )
+        if not np.all(np.isfinite(d)):
+            raise InputError("dispersion distances must be finite")
         bound = (2.0 / n) * (1.0 - 1.0 / n) + 1e-12
-        if np.any(m < 0.0) or np.any(m > bound):
+        if np.any(d < 0.0) or np.any(d > bound):
             raise InputError(f"entries must lie in [0, (2/{n})(1 - 1/{n})]")
-        m.flags.writeable = False
+        d.flags.writeable = False
         object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "distances", d)
         object.__setattr__(self, "n_assets", n)
         object.__setattr__(self, "excluded_dates", tuple(self.excluded_dates))
 
@@ -117,18 +128,29 @@ def _distributions(vol):
     return dates, P, excluded
 
 
+def _out_of_memory(w):
+    """MemoryError naming the condensed distances' size, twice for ``linkage``'s copy."""
+    need = 2 * 8 * (w * (w - 1) // 2)
+    return MemoryError(f"estimated dispersion working set {need / 2**20:.1f} MiB (W={w})")
+
+
 def dispersion_matrix(vol: VolatilityPanel) -> DispersionMatrix:
     """All-pairs Wasserstein distances between daily volatility spreads.
 
     Dates whose volatilities are all zero have no distribution and are
-    excluded (and reported on the result).
+    excluded (and reported on the result). The distances come back
+    condensed; running out of memory raises MemoryError with the estimated
+    working set.
     """
     dates, P, excluded = _distributions(vol)
     if len(dates) < 2:
         raise InputError(f"need at least 2 valid dates, have {len(dates)}")
-    sorted_rows = np.sort(P, axis=1)
-    matrix = cdist(sorted_rows, sorted_rows, "cityblock") / vol.n_assets
-    return DispersionMatrix(dates, matrix, vol.n_assets, excluded)
+    try:
+        distances = pdist(np.sort(P, axis=1), "cityblock")
+    except MemoryError:
+        raise _out_of_memory(len(dates)) from None
+    distances /= vol.n_assets
+    return DispersionMatrix(dates, distances, vol.n_assets, excluded)
 
 
 def variance_series(vol: VolatilityPanel) -> VarianceSeries:
@@ -139,28 +161,37 @@ def variance_series(vol: VolatilityPanel) -> VarianceSeries:
 
 
 def hierarchical_cluster(D, linkage="average") -> Dendrogram:
-    """Agglomerative clustering of a distance matrix by scipy's ``linkage``.
+    """Agglomerative clustering of distances by scipy's ``linkage``.
 
-    Single, complete and (size-weighted) average linkage give monotone
-    merge heights, so the result is a valid dendrogram. Tied distances
-    merge in scipy's deterministic order.
+    ``D`` is a ``DispersionMatrix``, whose condensed distances go to
+    ``linkage`` as they are, or a square W×W array, which must be
+    symmetric with a zero diagonal. Single, complete and (size-weighted)
+    average linkage give monotone merge heights, so the result is a valid
+    dendrogram. Tied distances merge in scipy's deterministic order.
     """
     if linkage not in LINKAGES:
         raise InputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
-    base = D.matrix if isinstance(D, DispersionMatrix) else np.asarray(D, float)
-    w = base.shape[0]
-    if base.shape != (w, w):
-        raise InputError(f"distance matrix must be square, got {base.shape}")
-    if not np.array_equal(base, base.T) or np.any(np.diag(base) != 0.0):
-        raise InputError("distance matrix must be symmetric with zero diagonal")
-    if not np.all(np.isfinite(base)):
-        raise InputError("distance matrix must be finite")
+    if isinstance(D, DispersionMatrix):
+        w, condensed = len(D.dates), D.distances
+    else:
+        base = np.asarray(D, float)
+        w = base.shape[0]
+        if base.shape != (w, w):
+            raise InputError(f"distance matrix must be square, got {base.shape}")
+        if not np.array_equal(base, base.T) or np.any(np.diag(base) != 0.0):
+            raise InputError("distance matrix must be symmetric with zero diagonal")
+        if not np.all(np.isfinite(base)):
+            raise InputError("distance matrix must be finite")
+        condensed = squareform(base, checks=False)
     if w == 1:
         return Dendrogram(1, ())
     # imported here so that commands which never cluster skip its import cost
     from scipy.cluster.hierarchy import linkage as scipy_linkage
 
-    Z = scipy_linkage(squareform(base, checks=False), method=linkage)
+    try:
+        Z = scipy_linkage(condensed, method=linkage)
+    except MemoryError:
+        raise _out_of_memory(w) from None
     return Dendrogram(w, tuple(
         Merge(step, int(a), int(b), float(height), int(size))
         for step, (a, b, height, size) in enumerate(Z)

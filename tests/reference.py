@@ -173,6 +173,13 @@ def wasserstein_by_matching(p, q):
     return best
 
 
+def sorted_l1_distances(P):
+    """Condensed Wasserstein distances: mean |sorted p − sorted q| over pairs of rows."""
+    rows = [sorted(float(v) for v in p) for p in P]
+    return [sum(abs(a - b) for a, b in zip(rows[i], rows[j])) / len(rows[i])
+            for i in range(len(rows)) for j in range(i + 1, len(rows))]
+
+
 def agglomerate(D, linkage):
     """Naive agglomeration recomputing every cluster distance from scratch.
 

@@ -223,8 +223,27 @@ def test_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path, monkeypatch, 
     monkeypatch.setattr(correlation, "chunk_norms", exhausted)
     assert run("all", small_dataset_dir, tmp_path / "out") == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: estimated kernel working set ")
-    assert "(N=6, S=30, W=184)" in err
+    # one chunk of all 184 windows: a (c, 6, 30) array and a (c, 6, 6) stack,
+    # plus the (6, 184) results
+    need = 8 * (184 * (6 * 30 + 6 * 6) + 184 * 6) / 2**20
+    assert err == (f"error: out of memory: estimated kernel working set {need:.1f} MiB "
+                   "(N=6, S=30, W=184)\n")
+
+
+@pytest.mark.parametrize("target", ["cryptodynamics.dispersion.pdist",
+                                    "scipy.cluster.hierarchy.linkage"])
+def test_dispersion_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path,
+                                                 monkeypatch, capsys, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, exhausted)
+    out = tmp_path / "out"
+    assert run("all", small_dataset_dir, out) == 3
+    w = len((out / "variance_series.csv").read_text().splitlines()) - 1
+    need = 8 * w * (w - 1) / 2**20  # W(W-1)/2 doubles, twice
+    assert capsys.readouterr().err == (
+        f"error: out of memory: estimated dispersion working set {need:.1f} MiB (W={w})\n")
 
 
 @pytest.mark.parametrize("module", ["cryptodynamics", "cryptodynamics.cli"])

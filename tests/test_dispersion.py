@@ -1,6 +1,7 @@
 import datetime as dt
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def make_vol(sigmas, S=20):
 def columns(P):
     """Distance matrix and variances of probability vectors, one per row of P."""
     vol = make_vol(np.asarray(P, dtype=float).T)
-    return cd.dispersion_matrix(vol).matrix, cd.variance_series(vol).values
+    return squareform(cd.dispersion_matrix(vol).distances), cd.variance_series(vol).values
 
 
 def test_distribution_normalizes_and_dates(small_vol):
@@ -105,8 +106,9 @@ def test_variance_never_exceeds_either_bound():
 def test_dispersion_matrix_entries_are_pairwise_distances(small_vol):
     dm = cd.dispersion_matrix(small_vol)
     n_dates = len(dm.dates)
-    assert dm.matrix.shape == (n_dates, n_dates)
+    assert dm.distances.shape == (n_dates * (n_dates - 1) // 2,)
     assert dm.excluded_dates == ()
+    D = squareform(dm.distances)
     assert small_vol.n_assets == 6  # 720 matchings per pair
     sig = small_vol.sigmas
     idx = [0, 7, n_dates - 1]
@@ -114,7 +116,7 @@ def test_dispersion_matrix_entries_are_pairwise_distances(small_vol):
         for b in idx:
             want = reference.wasserstein_by_matching(sig[:, a] / sig[:, a].sum(),
                                                      sig[:, b] / sig[:, b].sum())
-            assert math.isclose(dm.matrix[a, b], want, abs_tol=1e-12)
+            assert math.isclose(D[a, b], want, abs_tol=1e-12)
 
 
 def test_dispersion_matrix_excludes_all_zero_days():
@@ -305,10 +307,51 @@ def test_dendrogram_tree_shape():
 
 
 def test_dispersion_matrix_validation():
-    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
-    bad_diag = np.array([[0.1, 0.0], [0.0, 0.0]])
-    with pytest.raises(cd.InputError):
-        cd.DispersionMatrix(dates, bad_diag, 4, ())
-    asym = np.array([[0.0, 0.2], [0.1, 0.0]])
-    with pytest.raises(cd.InputError):
-        cd.DispersionMatrix(dates, asym, 4, ())
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 3))
+    good = cd.DispersionMatrix(dates, [0.1, 0.2, 0.375], 4, ())  # bound (2/4)(3/4)
+    assert not good.distances.flags.writeable
+    for bad in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], np.zeros((3, 3)),
+                [0.1, -0.01, 0.2], [0.1, 0.38, 0.2],
+                [0.1, np.nan, 0.2], [0.1, np.inf, 0.2]):
+        with pytest.raises(cd.InputError):
+            cd.DispersionMatrix(dates, bad, 4, ())
+    with pytest.raises(cd.InputError, match="must be finite"):
+        cd.DispersionMatrix(dates, [0.1, np.nan, 0.2], 4, ())
+
+
+def test_distances_match_sorted_row_oracle():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 7):
+        sig = rng.uniform(0.0, 1.0, (n, 9))
+        sig[:, 4] = 0.0  # excluded, so condensed order skips a date
+        vol = make_vol(sig)
+        dm = cd.dispersion_matrix(vol)
+        P = [sig[:, k] / sig[:, k].sum() for k in range(9) if k != 4]
+        np.testing.assert_allclose(dm.distances, reference.sorted_l1_distances(P),
+                                   rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("method", ["single", "complete", "average"])
+@pytest.mark.parametrize("w", [2, 3, 40])
+def test_clustering_condensed_equals_square(method, w):
+    rng = np.random.default_rng(w)
+    dm = cd.dispersion_matrix(make_vol(rng.uniform(0.0, 1.0, (5, w))))
+    got = cd.hierarchical_cluster(dm, method)
+    assert got.n_leaves == w
+    assert got == cd.hierarchical_cluster(squareform(dm.distances), method)
+
+
+def test_dispersion_layer_memory_is_condensed():
+    # The layer holds one condensed array of W(W-1)/2 doubles; a square
+    # W x W matrix alone would take 8 W^2 bytes. tracemalloc counts numpy's
+    # arrays, not the copy linkage makes in compiled code.
+    w, n = 1500, 20
+    vol = make_vol(np.random.default_rng(12).uniform(0.1, 1.0, (n, w)))
+    tracemalloc.start()
+    try:
+        dendro = cd.hierarchical_cluster(cd.dispersion_matrix(vol), "average")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dendro.n_leaves == w
+    assert peak < 0.75 * w * w * 8

@@ -59,6 +59,33 @@ def test_kernel_matches_per_window_oracles(n, S, W, c, seed):
                                rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), S=st.integers(2, 12), W=st.integers(1, 30),
+       c=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(n=4, S=9, W=12, c=4, seed=3)   # stack route
+@example(n=7, S=2, W=9, c=2, seed=4)    # Gram route
+def test_products_are_exactly_symmetric(n, S, W, c, seed):
+    # The kernel never symmetrises A·Aᵀ or Aᵀ·A, so both must come out of
+    # the matrix product symmetric bit for bit.
+    X = np.random.default_rng(seed).standard_normal((n, S + W - 1))
+    r = make_returns(X)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        solved.append(a.copy())
+        return eigvalsh(a)
+
+    with chunked(n, S, c), mock.patch.object(np.linalg, "eigvalsh", recording):
+        stacks = [chunk[3] for chunk in correlation.window_chunks(r, S)]
+        cd.lambda1_series(r, S)
+    assert len(stacks) == len(solved) == -(-W // c)
+    assert all(m.shape[1:] == (min(n, S),) * 2 for m in solved)
+    single = cd.correlation_matrix(r, W, W + S - 1).matrix
+    for m in stacks + solved + [single[None]]:
+        np.testing.assert_array_equal(m, m.transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("n, S", [(4, 9), (8, 5)])  # stack route, Gram route
 def test_shared_pass_equals_separate_passes(n, S):
     X = np.random.default_rng(4).standard_normal((n, 60))
