@@ -20,12 +20,8 @@ from .errors import (
     SchemaError,
     TransportError,
 )
-from .panel import (
-    PeriodPartition,
-    default_periods,
-    load_panel_with_report,
-    write_drop_report,
-)
+from .exports import write_drop_report
+from .panel import PeriodPartition, default_periods, load_panel_with_report
 from .turning_points import find_turning_points
 
 

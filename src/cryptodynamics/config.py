@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dispersion import LINKAGES
 from .errors import ConfigError
-from .panel import TICKER_NAMES
+from .panel import DEFAULT_TICKERS
 from .turning_points import TurningPointParams
 
 
@@ -62,7 +62,7 @@ class RunConfig:
     exclude_diagonal: bool = False
     linkage: str = "average"
     url_template: str = ""
-    tickers: tuple = tuple(TICKER_NAMES)
+    tickers: tuple = DEFAULT_TICKERS
 
     def __post_init__(self):
         object.__setattr__(self, "data_dir", Path(self.data_dir))

@@ -221,27 +221,3 @@ def cut_clusters(dendro: Dendrogram, k: int) -> np.ndarray:
 def two_cluster_cut(dendro: Dendrogram) -> np.ndarray:
     """The two subtrees of the final merge, as flat labels."""
     return cut_clusters(dendro, 2)
-
-
-def dendrogram_to_tree(dendro: Dendrogram, dates=None) -> dict:
-    """Nested-dict rendering of the merge history (for JSON export)."""
-    if dates is not None and len(dates) != dendro.n_leaves:
-        raise InputError("dates length must match leaf count")
-
-    def leaf(i):
-        node = {"leaf": int(i)}
-        if dates is not None:
-            node["date"] = dates[i].isoformat()
-        return node
-
-    nodes = {i: leaf(i) for i in range(dendro.n_leaves)}
-    for merge in dendro.merges:
-        nodes[dendro.n_leaves + merge.step] = {
-            "height": merge.height,
-            "size": merge.size,
-            "children": [nodes.pop(merge.cluster_a), nodes.pop(merge.cluster_b)],
-        }
-    remaining = list(nodes.values())
-    if len(remaining) != 1:
-        raise InputError("merge history does not form a single tree")
-    return remaining[0]

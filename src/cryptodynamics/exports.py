@@ -1,9 +1,11 @@
 """CSV/JSON writers for every analysis product.
 
-CSV floats are printed with ``%.12g`` (12 significant digits); JSON
-floats are written at full precision (``repr``). Dates are ISO-8601, and
-no file carries timestamps or environment-dependent content, so
-identical inputs always serialize to byte-identical files.
+CSV floats are printed with ``%.12g`` (12 significant digits). Every
+JSON file goes through ``write_json``, one ``json.dump(indent=2,
+sort_keys=True)`` writer, so JSON floats are written at full precision
+(``repr``). Dates are ISO-8601, and no file carries timestamps or
+environment-dependent content, so identical inputs always serialize to
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import json
 import re
 
-from .dispersion import Dendrogram, VarianceSeries, dendrogram_to_tree
+from .dispersion import Dendrogram, VarianceSeries
+from .errors import InputError
 from .inconsistency import InconsistencySeries
 from .spectral import MarketSizeSeries, SpectralSeries
 
@@ -33,41 +36,17 @@ def write_csv(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, without recursion.
-
-    ``json`` recurses once per nesting level, so it cannot encode a
-    dendrogram a few hundred merges deep. This walks the containers with
-    an explicit stack; keys, scalars and empty containers go through
-    ``json.dumps``, so the text is the same.
-    """
-    parts, todo = [], [(obj, 0)]  # (value, depth), or (text, None) to copy
-    while todo:
-        value, depth = todo.pop()
-        if depth is None:
-            parts.append(value)
-        elif not isinstance(value, (dict, list, tuple)) or not value:
-            parts.append(json.dumps(value))
-        else:
-            keyed = isinstance(value, dict)
-            items = sorted(value.items()) if keyed else list(enumerate(value))
-            inner = "\n" + "  " * (depth + 1)
-            parts.append("{" if keyed else "[")
-            todo.append(("\n" + "  " * depth + ("}" if keyed else "]"), None))
-            for k in range(len(items) - 1, -1, -1):
-                key, item = items[k]
-                todo.append((item, depth + 1))
-                todo.append(((inner if k == 0 else "," + inner)
-                             + (json.dumps(key) + ": " if keyed else ""), None))
-    return "".join(parts)
-
-
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(obj) + "\n")
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def write_norm_series(series, csv_path, json_path=None):
+def write_drop_report(drops, path):
+    write_json(path, [d.to_dict() for d in drops])
+
+
+def write_norm_series(series, csv_path, json_path):
     smoothed = series.smoothed
     rows = (
         (d.isoformat(), fmt(r), "" if smoothed is None else fmt(s))
@@ -75,24 +54,22 @@ def write_norm_series(series, csv_path, json_path=None):
                            series.raw if smoothed is None else smoothed)
     )
     write_csv(csv_path, ("date", "raw", "smoothed"), rows)
-    if json_path is not None:
-        write_json(json_path, {
-            "dates": [d.isoformat() for d in series.dates],
-            "raw": [float(v) for v in series.raw],
-            "smoothed": None if smoothed is None else [float(v) for v in smoothed],
-        })
+    write_json(json_path, {
+        "dates": [d.isoformat() for d in series.dates],
+        "raw": [float(v) for v in series.raw],
+        "smoothed": None if smoothed is None else [float(v) for v in smoothed],
+    })
 
 
-def write_period_stats(stats, csv_path, json_path=None):
+def write_period_stats(stats, csv_path, json_path):
     write_csv(csv_path, ("period", "mean", "std"),
               ((s.label, fmt(s.mean), fmt(s.std)) for s in stats))
-    if json_path is not None:
-        write_json(json_path, [
-            {"period": s.label, "start": s.start.isoformat(),
-             "end": s.end.isoformat(), "n_days": s.n_days,
-             "mean": float(s.mean), "std": float(s.std)}
-            for s in stats
-        ])
+    write_json(json_path, [
+        {"period": s.label, "start": s.start.isoformat(),
+         "end": s.end.isoformat(), "n_days": s.n_days,
+         "mean": float(s.mean), "std": float(s.std)}
+        for s in stats
+    ])
 
 
 def write_density_curves(stats, out_dir):
@@ -143,8 +120,19 @@ def write_dendrogram_csv(dendro: Dendrogram, path):
                 fmt(m.height), str(m.size)) for m in dendro.merges))
 
 
-def write_dendrogram_json(dendro: Dendrogram, path, dates=None):
-    write_json(path, dendrogram_to_tree(dendro, dates))
+def write_dendrogram_json(dendro: Dendrogram, path, dates):
+    """The leaf dates, and the merges as rows of a scipy linkage matrix.
+
+    Row k is ``[cluster_a, cluster_b, height, size]`` and creates cluster
+    ``n_leaves + k``; leaf i is the day ``dates[i]``.
+    """
+    if len(dates) != dendro.n_leaves:
+        raise InputError("dates length must match leaf count")
+    write_json(path, {
+        "dates": [d.isoformat() for d in dates],
+        "merges": [[m.cluster_a, m.cluster_b, m.height, m.size] for m in dendro.merges],
+        "n_leaves": dendro.n_leaves,
+    })
 
 
 def write_cluster_cut(dates, labels, path):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,30 +24,21 @@ from .errors import EmptyPanelError, GapError, InputError, ParseError
 
 _DAY = dt.timedelta(days=1)
 
-# Display names for tickers commonly seen in daily crypto panels; loaders
-# fall back to the ticker itself for anything not listed here.
-TICKER_NAMES = {
-    "BTC": "Bitcoin", "ETH": "Ethereum", "BNB": "Binance Coin", "ADA": "Cardano",
-    "XRP": "XRP", "DOGE": "Dogecoin", "BCH": "Bitcoin Cash", "LTC": "Litecoin",
-    "LINK": "Chainlink", "ETC": "Ethereum Classic", "XLM": "Stellar", "THETA": "Theta",
-    "VET": "VeChain", "FIL": "Filecoin", "TRX": "Tron", "SMR": "Monero",
-    "EOS": "EOS", "CRO": "Crypto.com", "MKR": "Maker", "BSV": "Bitcoin SV",
-    "NEO": "NEO", "XTZ": "Tezos", "MIOTA": "IOTA", "DCR": "Decred",
-    "HT": "Huobi Token", "XEM": "NEM", "WAVES": "WAVES", "CEL": "Celsius",
-    "DASH": "Dash", "ZEC": "Zcash", "MANA": "Decentraland", "ENJ": "Enjin Coin",
-    "HOT": "Holo", "QNT": "Quant", "KCS": "KuCoin", "NEXO": "Nexo",
-    "BAT": "Basic Attention Token", "ZIL": "Zilliqa", "BTG": "Bitcoin Gold",
-    "BNT": "Bancor", "ONT": "Ontology", "ZEN": "Horizen", "SC": "Siacoin",
-    "DGB": "Digibyte", "QTUM": "QTUM", "CHSB": "SwissBorg", "ZRX": "0x",
-    "RVN": "Ravencoin", "OMG": "OMG Network", "NANO": "Nano", "ICX": "ICON",
-    "FTM": "Fantom",
-}
+# Default tickers, in column order: what `fetch` requests unless told
+# otherwise, and the names of the simulated market's assets.
+DEFAULT_TICKERS = (
+    "BTC", "ETH", "BNB", "ADA", "XRP", "DOGE", "BCH", "LTC", "LINK", "ETC",
+    "XLM", "THETA", "VET", "FIL", "TRX", "SMR", "EOS", "CRO", "MKR", "BSV",
+    "NEO", "XTZ", "MIOTA", "DCR", "HT", "XEM", "WAVES", "CEL", "DASH", "ZEC",
+    "MANA", "ENJ", "HOT", "QNT", "KCS", "NEXO", "BAT", "ZIL", "BTG", "BNT",
+    "ONT", "ZEN", "SC", "DGB", "QTUM", "CHSB", "ZRX", "RVN", "OMG", "NANO",
+    "ICX", "FTM",
+)
 
 
 @dataclass(frozen=True)
 class AssetMeta:
     ticker: str
-    name: str
 
     def __post_init__(self):
         if not self.ticker:
@@ -325,7 +315,7 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
     kept = [t for t, good in zip(paired, ok) if good]
     if not kept:
         raise EmptyPanelError("no asset survived alignment over the requested range")
-    assets = tuple(AssetMeta(t, TICKER_NAMES.get(t, t)) for t in kept)
+    assets = tuple(AssetMeta(t) for t in kept)
     panel = PricePanel(tuple(days), assets, close[:, ok].T, cap[:, ok].T)
     return panel, drops
 
@@ -349,9 +339,3 @@ def write_panel(panel: PricePanel, price_csv_path, marketcap_csv_path):
             writer.writerow(["date"] + panel.tickers)
             for j, day in enumerate(panel.dates):
                 writer.writerow([day.isoformat()] + [repr(float(v)) for v in matrix[:, j]])
-
-
-def write_drop_report(drops, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([d.to_dict() for d in drops], fh, indent=2, sort_keys=True)
-        fh.write("\n")

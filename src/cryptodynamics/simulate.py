@@ -34,10 +34,10 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .panel import (
+    DEFAULT_TICKERS,
     AssetMeta,
     PeriodPartition,
     PricePanel,
-    TICKER_NAMES,
     default_periods,
     write_panel,
 )
@@ -163,7 +163,7 @@ def _noise_block(rng, n, length, drift, scales):
 
 
 def _tickers(n):
-    base = list(TICKER_NAMES)
+    base = list(DEFAULT_TICKERS)
     if n <= len(base):
         return base[:n]
     return base + [f"X{k:03d}" for k in range(n - len(base))]
@@ -242,7 +242,7 @@ def simulated_market(seed=DEFAULT_SEED, n_assets=DEFAULT_N_ASSETS,
     caps = supply[:, None] * closes
 
     tickers = _tickers(n)
-    assets = tuple(AssetMeta(t, TICKER_NAMES.get(t, t)) for t in tickers)
+    assets = tuple(AssetMeta(t) for t in tickers)
     return PricePanel(dates, assets, closes, caps)
 
 

@@ -36,7 +36,6 @@ class SpectralSeries:
     dates: tuple
     lambda1: np.ndarray
     n_assets: int
-    full_spectrum_available: bool = False
     spectra: np.ndarray | None = None
 
     def __post_init__(self):
@@ -50,7 +49,7 @@ class SpectralSeries:
         if np.any(lam < 1.0 / n - 1e-9) or np.any(lam > 1.0 + 1e-9):
             raise InputError(f"lambda1 values must lie in [1/{n}, 1]")
         spectra = self.spectra
-        if self.full_spectrum_available:
+        if spectra is not None:
             spectra = np.ascontiguousarray(spectra, dtype=float)
             if spectra.shape != (len(dates), n):
                 raise InputError("spectra shape must be (len(dates), n_assets)")
@@ -61,8 +60,6 @@ class SpectralSeries:
             if np.any(np.abs(spectra.sum(axis=1) - n) > 1e-8):
                 raise InputError("stored spectra must sum to n_assets")
             spectra.flags.writeable = False
-        elif spectra is not None:
-            raise InputError("spectra given but full_spectrum_available is false")
         lam.flags.writeable = False
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "lambda1", lam)
@@ -102,7 +99,7 @@ def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
                                    ("spectra",) if keep_spectra else ("lambda1",))
     n = returns.n_assets
     return SpectralSeries(returns.dates[int(window_days) - 1:], stats["lambda1"] / n,
-                          n, keep_spectra, stats["spectra"] if keep_spectra else None)
+                          n, stats["spectra"] if keep_spectra else None)
 
 
 def rolling_market_size(panel: PricePanel,

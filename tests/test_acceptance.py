@@ -100,7 +100,7 @@ def test_4_inconsistency_ordering(sim_panel, sim_returns, capsys):
     rng = np.random.default_rng(4)
     path = 50.0 * np.exp(np.cumsum(0.02 * rng.standard_normal(200)))
     days = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(200))
-    assets = tuple(cd.AssetMeta(f"A{k}", f"A{k}") for k in range(4))
+    assets = tuple(cd.AssetMeta(f"A{k}") for k in range(4))
     clones = cd.PricePanel(days, assets, np.tile(path, (4, 1)),
                            np.tile(7.0 * path, (4, 1)))
     cret = cd.log_returns(clones)

@@ -90,10 +90,10 @@ def test_dispersion_command(small_dataset_dir, tmp_path):
     out = tmp_path / "out"
     assert run("dispersion", small_dataset_dir, out, "--linkage", "single") == 0
     assert "cluster.linkage = single\n" in (out / "resolved_config.txt").read_text()
-    tree = json.loads((out / "dendrogram.json").read_text())
+    dendro = json.loads((out / "dendrogram.json").read_text())
     n_windows = len((out / "variance_series.csv").read_text().splitlines()) - 1
-    assert tree["size"] == n_windows  # root of the merge tree spans every window
-    assert len(tree["children"]) == 2
+    assert dendro["n_leaves"] == len(dendro["dates"]) == n_windows
+    assert dendro["merges"][-1][3] == n_windows  # the last merge spans every window
     cut_lines = (out / "two_cluster_cut.csv").read_text().splitlines()
     assert cut_lines[0] == "date,cluster"
     assert {line.split(",")[1] for line in cut_lines[1:]} == {"0", "1"}

@@ -19,13 +19,13 @@ def make_returns(X):
     X = np.asarray(X, dtype=float)
     n, t = X.shape
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k + 1) for k in range(t))
-    assets = tuple(cd.AssetMeta(f"A{i}", f"asset {i}") for i in range(n))
+    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(n))
     return cd.ReturnsPanel(dates, assets, X)
 
 
 def test_log_returns_by_hand():
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(3))
-    assets = (cd.AssetMeta("AAA", "A"),)
+    assets = (cd.AssetMeta("AAA"),)
     closes = np.array([[1.0, math.e, math.e**3]])
     panel = cd.PricePanel(dates, assets, closes, np.ones((1, 3)))
     r = cd.log_returns(panel)

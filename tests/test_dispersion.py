@@ -1,5 +1,6 @@
 import datetime as dt
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from scipy.spatial.distance import squareform
 
 import cryptodynamics as cd
 from cryptodynamics.dispersion import _distributions
+from cryptodynamics.exports import write_dendrogram_json
 
 import reference
 
@@ -283,27 +285,21 @@ def test_two_cluster_cut_separates_planted_regimes():
     assert set(labels[25:]) == {1}
 
 
-def test_dendrogram_tree_shape():
+def test_dendrogram_tree_shape(tmp_path):
     D = np.array([[0.0, 1.0, 4.0],
                   [1.0, 0.0, 3.0],
                   [4.0, 3.0, 0.0]])
     dendro = cd.hierarchical_cluster(D, "single")
     dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 3))
-    from cryptodynamics.dispersion import dendrogram_to_tree
-    tree = dendrogram_to_tree(dendro, dates)
-    assert tree["size"] == 3
-    leaves = []
-
-    def walk(node):
-        if "leaf" in node:
-            leaves.append(node["leaf"])
-        else:
-            for child in node["children"]:
-                walk(child)
-
-    walk(tree)
-    assert sorted(leaves) == [0, 1, 2]
-    assert tree["height"] == 3.0  # single linkage: min(4, 3)
+    path = tmp_path / "dendrogram.json"
+    write_dendrogram_json(dendro, path, dates)
+    data = json.loads(path.read_text())
+    assert data == {
+        "dates": ["2020-01-01", "2020-01-02", "2020-01-03"],
+        "merges": [[0, 1, 1.0, 2],
+                   [2, 3, 3.0, 3]],  # single linkage: min(4, 3)
+        "n_leaves": 3,
+    }
 
 
 def test_dispersion_matrix_validation():

@@ -89,7 +89,7 @@ def test_identical_assets_give_exactly_zero_norms():
     path = 100.0 * np.exp(np.cumsum(rng.standard_normal(n_days) * 0.01))
     closes = np.tile(path, (5, 1))
     caps = np.tile(path * 7.0, (5, 1))
-    assets = tuple(cd.AssetMeta(f"A{i}", f"asset {i}") for i in range(5))
+    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(5))
     panel = cd.PricePanel(dates, assets, closes, caps)
     r = cd.log_returns(panel)
     vol = cd.rolling_volatility(r, 20)
@@ -140,7 +140,7 @@ def test_inconsistency_with_ties_matches_loop_oracle(shape, tie, seed):
     elif tie == "closes":  # equal prices, distinct caps
         closes = np.tile(closes[0], (n, 1))
     dates = tuple(dt.date(2021, 1, 1) + dt.timedelta(days=k) for k in range(n_days))
-    assets = tuple(cd.AssetMeta(f"A{i}", f"asset {i}") for i in range(n))
+    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(n))
     panel = cd.PricePanel(dates, assets, closes, caps)
     r = cd.log_returns(panel)
     inc = cd.inconsistency_norms(panel, r, cd.rolling_volatility(r, S), S)

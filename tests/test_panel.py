@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cryptodynamics as cd
-from cryptodynamics.panel import write_drop_report
+from cryptodynamics.exports import write_drop_report
 
 import reference
 
@@ -259,24 +259,27 @@ def test_drop_report_serialization(tmp_path):
     data = json.loads(out.read_text())
     assert data == [{"ticker": "ZZZ", "reason": "missing value",
                      "first_missing_date": "2020-01-01"}]
+    # every JSON output is indented by 2 with sorted keys
+    assert out.read_text() == ('[\n  {\n    "first_missing_date": "2020-01-01",\n'
+                               '    "reason": "missing value",\n    "ticker": "ZZZ"\n  }\n]\n')
 
 
 def test_panel_rejects_gapped_dates():
     dates = (JAN1, dt.date(2020, 1, 3))
-    assets = (cd.AssetMeta("AAA", "A"),)
+    assets = (cd.AssetMeta("AAA"),)
     with pytest.raises(cd.GapError):
         cd.PricePanel(dates, assets, np.ones((1, 2)), np.ones((1, 2)))
 
 
 def test_panel_rejects_duplicate_tickers():
-    assets = (cd.AssetMeta("AAA", "A"), cd.AssetMeta("AAA", "B"))
+    assets = (cd.AssetMeta("AAA"), cd.AssetMeta("AAA"))
     dates = (JAN1,)
     with pytest.raises(cd.InputError):
         cd.PricePanel(dates, assets, np.ones((2, 1)), np.ones((2, 1)))
 
 
 def test_panel_rejects_non_positive_close():
-    assets = (cd.AssetMeta("AAA", "A"),)
+    assets = (cd.AssetMeta("AAA"),)
     with pytest.raises(cd.InputError):
         cd.PricePanel((JAN1,), assets, np.zeros((1, 1)), np.ones((1, 1)))
 
@@ -357,7 +360,7 @@ def test_rows_outside_the_range_cost_no_memory(tmp_path):
     rng = np.random.default_rng(0)
     n, t = 100, 1500
     dates = tuple(JAN1 + dt.timedelta(days=k) for k in range(t))
-    assets = tuple(cd.AssetMeta(f"A{i}", f"A{i}") for i in range(n))
+    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(n))
     panel = cd.PricePanel(dates, assets, np.exp(rng.standard_normal((n, t))),
                           np.exp(rng.standard_normal((n, t))))
     p, c = tmp_path / "price.csv", tmp_path / "marketcap.csv"

@@ -64,13 +64,26 @@ def test_lambda1_series_matches_per_window_spectra(small_returns):
 
 def test_lambda1_series_can_keep_full_spectra(small_returns):
     series = cd.lambda1_series(small_returns, 30, keep_spectra=True)
-    assert series.full_spectrum_available
+    assert series.spectra is not None
     assert series.spectra.shape == (len(series.dates), small_returns.n_assets)
     np.testing.assert_allclose(series.spectra.sum(axis=1),
                                small_returns.n_assets, rtol=0.0, atol=1e-8)
     np.testing.assert_allclose(series.spectra[:, 0] / small_returns.n_assets,
                                series.lambda1, rtol=0.0, atol=1e-15)
 
+
+
+@pytest.mark.parametrize("spectra, message", [
+    ([[2.0, 0.0, 0.0]], "shape"),
+    ([[2.0, 1.5, -0.5], [2.0, 1.0, 0.0]], "non-negative"),
+    ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0]], "non-increasing"),
+    ([[2.0, 1.0, 0.5], [2.0, 1.0, 0.0]], "sum"),
+])
+def test_given_spectra_are_checked(spectra, message):
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    cd.SpectralSeries(dates, [2 / 3, 2 / 3], 3, [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]])
+    with pytest.raises(cd.InputError, match=message):
+        cd.SpectralSeries(dates, [2 / 3, 2 / 3], 3, spectra)
 
 def test_power_iteration_agrees_with_eigensolver():
     rng = np.random.default_rng(2)
