@@ -133,13 +133,15 @@ class NormSeries:
         raw = np.ascontiguousarray(self.raw, dtype=float)
         if raw.shape != (len(dates),):
             raise InputError("raw series length must match dates")
-        if np.any(raw < -1e-9) or np.any(raw > 1.0 + 1e-9):
-            raise InputError("raw norm values must lie in [0, 1]")
+        if not np.all((raw >= -1e-9) & (raw <= 1.0 + 1e-9)):
+            raise InputError("raw norm values must be finite and lie in [0, 1]")
         smoothed = self.smoothed
         if smoothed is not None:
             smoothed = np.ascontiguousarray(smoothed, dtype=float)
             if smoothed.shape != raw.shape:
                 raise InputError("smoothed series length must match raw")
+            if not np.all(np.isfinite(smoothed)):
+                raise InputError("smoothed norm values must be finite")
             smoothed.flags.writeable = False
         raw.flags.writeable = False
         object.__setattr__(self, "dates", dates)

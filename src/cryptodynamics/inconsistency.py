@@ -12,10 +12,29 @@ Conventions: D^M averages the cap differences over the window (1/S
 factor); D^R is the plain sum of return differences (no 1/S — a
 total-return discrepancy); D^Σ compares the window volatilities directly.
 
-``inconsistency_norms`` is the one path: it takes the three per-window
-features for every window at once, then builds each window's affinities
-straight from them. The volatilities come from ``rolling_volatility``, a
-wrapper of the chunked window kernel in ``correlation``.
+``inconsistency_norms`` is the one path. It takes the three (N, W)
+feature tracks of all W windows and never forms an N×N matrix. With
+D = |fᵢ − fⱼ|, max(D) is the feature's range, so A = 1 − |sᵢ − sⱼ| for
+the min-max scaled feature s = (f − min f)/(max f − min f); a window of
+equal values scales to all zeros, which is the all-ones affinity. For
+u = mᵢ − mⱼ (scaled caps) and v = xᵢ − xⱼ (scaled returns or volatilities)
+
+    |A^M − A^X| = ||u| − |v|| = |u + v| + |u − v| − |u| − |v|,
+
+and u ± v are gaps of the one coordinate m ± x. Each of the four sums
+over all pairs is then a sorted pair sum, P(z) = Σᵢⱼ |zᵢ − zⱼ| =
+2·Σₖ (2k − N + 1)·z₍ₖ₎ over z sorted ascending, so
+
+    ν = (P(m + x) + P(m − x) − P(m) − P(x)) / N²
+
+costs O(N log N) per window instead of O(N²). Subtracting the minimum
+before dividing by the range matters: caps near 1e12 with a spread of a
+few thousand would otherwise lose about seven digits to the offset. The
+windows go through in blocks of about ``_BLOCK_BYTES`` per (windows, N)
+array, so beside the feature tracks the temporaries stay small.
+
+The volatilities come from ``rolling_volatility``, a wrapper of the
+chunked window kernel in ``correlation``.
 """
 
 from __future__ import annotations
@@ -28,6 +47,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics
 from .errors import InputError
 from .panel import PricePanel
+
+# Bytes of one (windows, N) array of a block of windows. A block holds three
+# such arrays; whole (W, N) temporaries would stay in the allocator's heap
+# after this layer and raise the peak RSS of the layers that run later.
+_BLOCK_BYTES = 64 << 10
 
 
 @dataclass(frozen=True)
@@ -78,8 +102,8 @@ class InconsistencySeries:
         if mr.shape != (len(dates),) or ms.shape != (len(dates),):
             raise InputError("norm series lengths must match dates")
         for name, series in (("nu_MR", mr), ("nu_MSigma", ms)):
-            if np.any(series < -1e-12) or np.any(series > 1.0 + 1e-12):
-                raise InputError(f"{name} values must lie in [0, 1]")
+            if not np.all((series >= -1e-12) & (series <= 1.0 + 1e-12)):
+                raise InputError(f"{name} values must be finite and lie in [0, 1]")
         mr.flags.writeable = False
         ms.flags.writeable = False
         object.__setattr__(self, "dates", dates)
@@ -120,20 +144,32 @@ def _window_feature_tracks(panel, returns, vol, window_days):
     return cap_means, ret_sums, vol.sigmas
 
 
-def _affinity(feature):
-    """A = 1 − D/max(D) for D = |fᵢ − fⱼ|; an all-zero D maps to all ones.
+def _unit_scaled(feature):
+    """(W, N) copy of an (N, W) feature block, each window mapped onto [0, 1].
 
-    The all-ones convention is the limit of vanishing distances: assets
-    that cannot be told apart are maximally similar.
+    The window minimum is subtracted before the division by the range; a
+    window whose values are all equal maps to zeros.
     """
-    d = np.abs(feature[:, None] - feature[None, :])
-    top = d.max()
-    return np.ones_like(d) if top == 0.0 else 1.0 - d / top
+    scaled = np.array(feature.T, order="C")
+    lo = scaled.min(axis=1, keepdims=True)
+    span = scaled.max(axis=1, keepdims=True) - lo
+    scaled -= lo
+    scaled /= np.where(span > 0.0, span, 1.0)
+    return scaled
 
 
-def _nu(signed_matrix):
-    n = signed_matrix.shape[0]
-    return float(np.abs(signed_matrix).sum() / (n * n))
+def _pair_sums(z):
+    """Σᵢⱼ |zᵢ − zⱼ| over the N entries of each row of a (W, N) array.
+
+    Sorts and then overwrites ``z``. Sorted ascending, z₍ₖ₎ is the larger
+    entry of its k pairs with a lower index and the smaller of its
+    N − 1 − k pairs with a higher one, so each row costs one sort and one
+    (pairwise-summed) weighted sum.
+    """
+    n = z.shape[1]
+    z.sort(axis=1)
+    z *= 2.0 * np.arange(n) - (n - 1)
+    return 2.0 * z.sum(axis=1)
 
 
 def inconsistency_norms(panel: PricePanel, returns: ReturnsPanel,
@@ -142,13 +178,22 @@ def inconsistency_norms(panel: PricePanel, returns: ReturnsPanel,
     """ν^{INC} series for size-vs-returns and size-vs-volatility, t = S..T."""
     S = int(window_days)
     cap_means, ret_sums, sigmas = _window_feature_tracks(panel, returns, vol, S)
-    n_windows = cap_means.shape[1]
-    nu_mr = np.empty(n_windows)
-    nu_ms = np.empty(n_windows)
-    for w in range(n_windows):
-        a_m = _affinity(cap_means[:, w])
-        a_r = _affinity(ret_sums[:, w])
-        a_s = _affinity(sigmas[:, w])
-        nu_mr[w] = _nu(a_m - a_r)
-        nu_ms[w] = _nu(a_m - a_s)
-    return InconsistencySeries(vol.dates, nu_mr, nu_ms)
+    n, n_windows = cap_means.shape
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    norms = np.empty((2, n_windows))
+    for start in range(0, n_windows, step):
+        block = slice(start, start + step)
+        m = _unit_scaled(cap_means[:, block])
+        scratch = m.copy()
+        p_m = _pair_sums(scratch)
+        for k, feature in enumerate((ret_sums, sigmas)):
+            x = _unit_scaled(feature[:, block])
+            total = _pair_sums(np.add(m, x, out=scratch))
+            total += _pair_sums(np.subtract(m, x, out=scratch))
+            total -= p_m
+            total -= _pair_sums(x)
+            norms[k, block] = total
+    # rounding can leave a few ulps below zero where the rankings agree
+    np.maximum(norms, 0.0, out=norms)
+    norms /= n * n
+    return InconsistencySeries(vol.dates, norms[0], norms[1])

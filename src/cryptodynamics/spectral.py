@@ -46,15 +46,15 @@ class SpectralSeries:
             raise InputError("lambda1 length must match dates")
         if n < 1:
             raise InputError("n_assets must be >= 1")
-        if np.any(lam < 1.0 / n - 1e-9) or np.any(lam > 1.0 + 1e-9):
-            raise InputError(f"lambda1 values must lie in [1/{n}, 1]")
+        if not np.all((lam >= 1.0 / n - 1e-9) & (lam <= 1.0 + 1e-9)):
+            raise InputError(f"lambda1 values must be finite and lie in [1/{n}, 1]")
         spectra = self.spectra
         if spectra is not None:
             spectra = np.ascontiguousarray(spectra, dtype=float)
             if spectra.shape != (len(dates), n):
                 raise InputError("spectra shape must be (len(dates), n_assets)")
-            if np.any(spectra < 0.0):
-                raise InputError("stored spectra must be non-negative")
+            if not np.all(spectra >= 0.0):
+                raise InputError("stored spectra must be finite and non-negative")
             if np.any(np.diff(spectra, axis=1) > 0.0):
                 raise InputError("stored spectra must be non-increasing")
             if np.any(np.abs(spectra.sum(axis=1) - n) > 1e-8):

@@ -9,6 +9,7 @@ import csv
 import datetime as dt
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -252,6 +253,49 @@ def inconsistency_at(closes, caps, t, S):
     nu_mr = sum(abs(a_m[i][j] - a_r[i][j]) for i in range(n) for j in range(n)) / n**2
     nu_ms = sum(abs(a_m[i][j] - a_s[i][j]) for i in range(n) for j in range(n)) / n**2
     return nu_mr, nu_ms
+
+
+def affinity(feature):
+    """A = 1 − D/max(D) for D = |fᵢ − fⱼ|; an all-zero D maps to all ones.
+
+    The all-ones convention is the limit of vanishing distances: assets
+    that cannot be told apart are maximally similar.
+    """
+    d = np.abs(feature[:, None] - feature[None, :])
+    top = d.max()
+    return np.ones_like(d) if top == 0.0 else 1.0 - d / top
+
+
+def affinity_gap_norms(cap_means, feature):
+    """mean |A^M − A^X| per window of (N, W) feature tracks.
+
+    One pair of N×N affinity matrices per window, built and reduced in a
+    plain loop.
+    """
+    n, n_windows = cap_means.shape
+    out = np.empty(n_windows)
+    for w in range(n_windows):
+        gap = affinity(cap_means[:, w]) - affinity(feature[:, w])
+        out[w] = np.abs(gap).sum() / (n * n)
+    return out
+
+
+def affinity_gap_norm_exact(cap_mean, feature):
+    """mean |A^M − A^X| of one window in exact rational arithmetic.
+
+    The float inputs are taken as exact rationals; only the result is
+    rounded.
+    """
+    def affinity_rows(values):
+        f = [Fraction(float(v)) for v in values]
+        top = max(f) - min(f)
+        return [[1 - abs(a - b) / top if top else Fraction(1) for b in f] for a in f]
+
+    a_m, a_x = affinity_rows(cap_mean), affinity_rows(feature)
+    n = len(a_m)
+    total = sum(abs(p - q) for row_m, row_x in zip(a_m, a_x)
+                for p, q in zip(row_m, row_x))
+    return float(total / (n * n))
 
 
 def intra_variance(p):

@@ -195,6 +195,15 @@ def test_period_stats_density_integrates_to_one(small_returns):
         assert math.isclose(mass, 1.0, abs_tol=5e-3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_norm_series_rejects_non_finite(bad):
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    with pytest.raises(cd.InputError, match="finite"):
+        cd.NormSeries(dates, [bad, 0.5])
+    with pytest.raises(cd.InputError, match="finite"):
+        cd.NormSeries(dates, [0.5, 0.5], [0.5, bad])
+
+
 def test_period_stats_zero_variance_pool_has_no_density():
     # a single-asset panel pools only the diagonal 1.0 entry
     rng = np.random.default_rng(9)

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cryptodynamics as cd
-from cryptodynamics.inconsistency import _affinity, _window_feature_tracks
+from cryptodynamics import inconsistency
+from cryptodynamics.inconsistency import _window_feature_tracks
 
 import reference
 from test_correlation import make_returns
@@ -53,13 +55,14 @@ def test_distance_matrices_match_loop_oracle(small_panel, small_returns, small_v
 def test_to_affinity_normalizes_to_unit_diagonal():
     feature = np.array([0.0, 2.0, 4.0, 3.0])
     D = np.abs(feature[:, None] - feature[None, :])
-    A = _affinity(feature)
+    A = reference.affinity(feature)
     np.testing.assert_array_equal(A, 1.0 - D / 4.0)
     assert np.all(np.diag(A) == 1.0)
 
 
 def test_to_affinity_all_zero_distances_give_all_ones():
-    np.testing.assert_array_equal(_affinity(np.full(4, 2.5)), np.ones((4, 4)))
+    np.testing.assert_array_equal(reference.affinity(np.full(4, 2.5)),
+                                  np.ones((4, 4)))
 
 
 def test_inconsistency_matches_loop_oracle(small_panel, small_returns, small_vol):
@@ -121,7 +124,76 @@ def test_inconsistency_series_rejects_out_of_range():
         cd.InconsistencySeries(dates, [0.2, 0.3], [-0.1, 0.1])
 
 
-panel_shapes = st.tuples(st.integers(2, 6), st.integers(2, 8), st.integers(1, 12))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inconsistency_series_rejects_non_finite(bad):
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    with pytest.raises(cd.InputError, match="finite"):
+        cd.InconsistencySeries(dates, [bad, 0.1], [0.1, 0.1])
+    with pytest.raises(cd.InputError, match="finite"):
+        cd.InconsistencySeries(dates, [0.1, 0.1], [0.1, bad])
+
+
+def make_panel(closes, caps):
+    n, n_days = closes.shape
+    dates = tuple(dt.date(2021, 1, 1) + dt.timedelta(days=k) for k in range(n_days))
+    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(n))
+    return cd.PricePanel(dates, assets, closes, caps)
+
+
+def test_large_cap_offset_keeps_full_precision():
+    # caps near 1e12 that differ by at most 1e3: scaling by the range
+    # without first subtracting the window minimum loses about 7 digits
+    rng = np.random.default_rng(11)
+    n, S, W = 8, 5, 6
+    closes = 10.0 * np.exp(np.cumsum(0.03 * rng.standard_normal((n, S + W)), axis=1))
+    caps = 1e12 + rng.uniform(0.0, 1e3, (n, S + W))
+    panel = make_panel(closes, caps)
+    r = cd.log_returns(panel)
+    vol = cd.rolling_volatility(r, S)
+    inc = cd.inconsistency_norms(panel, r, vol, S)
+    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, r, vol, S)
+    for w in range(W):
+        want_mr = reference.affinity_gap_norm_exact(cap_means[:, w], ret_sums[:, w])
+        want_ms = reference.affinity_gap_norm_exact(cap_means[:, w], sigmas[:, w])
+        assert math.isclose(inc.nu_MR[w], want_mr, abs_tol=1e-14)
+        assert math.isclose(inc.nu_MSigma[w], want_ms, abs_tol=1e-14)
+
+
+def test_window_blocks_do_not_change_the_norms(small_panel, small_returns, small_vol,
+                                               monkeypatch):
+    # blocks of 7 windows, the last one partial, against a single block
+    whole = cd.inconsistency_norms(small_panel, small_returns, small_vol, 30)
+    monkeypatch.setattr(inconsistency, "_BLOCK_BYTES", 7 * 8 * small_panel.n_assets)
+    blocked = cd.inconsistency_norms(small_panel, small_returns, small_vol, 30)
+    assert len(whole.dates) % 7 != 0
+    np.testing.assert_array_equal(blocked.nu_MR, whole.nu_MR)
+    np.testing.assert_array_equal(blocked.nu_MSigma, whole.nu_MSigma)
+    cap_means, ret_sums, sigmas = _window_feature_tracks(small_panel, small_returns,
+                                                         small_vol, 30)
+    for got, feature in ((blocked.nu_MR, ret_sums), (blocked.nu_MSigma, sigmas)):
+        np.testing.assert_allclose(got, reference.affinity_gap_norms(cap_means, feature),
+                                   rtol=0.0, atol=1e-14)
+
+
+def test_memory_stays_linear_in_assets():
+    # N = 1000: one N×N float matrix is 7.6 MiB, while the (N, W) feature
+    # tracks and a block's temporaries take well under 1 MiB
+    rng = np.random.default_rng(12)
+    n, S, W = 1000, 10, 20
+    closes = 10.0 * np.exp(np.cumsum(0.03 * rng.standard_normal((n, S + W)), axis=1))
+    panel = make_panel(closes, closes * rng.uniform(1.0, 50.0, (n, 1)))
+    r = cd.log_returns(panel)
+    vol = cd.rolling_volatility(r, S)
+    tracemalloc.start()
+    try:
+        cd.inconsistency_norms(panel, r, vol, S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+panel_shapes = st.tuples(st.integers(1, 40), st.integers(2, 12), st.integers(1, 12))
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,6 +201,8 @@ panel_shapes = st.tuples(st.integers(2, 6), st.integers(2, 8), st.integers(1, 12
        seed=st.integers(0, 2**32 - 1))
 @example(shape=(4, 5, 6), tie="caps", seed=0)    # only A^M is all ones
 @example(shape=(3, 4, 5), tie="closes", seed=1)  # A^R and A^Sigma are all ones
+@example(shape=(1, 3, 4), tie="none", seed=2)    # one asset: every matrix is [[1]]
+@example(shape=(40, 12, 12), tie="none", seed=3)
 def test_inconsistency_with_ties_matches_loop_oracle(shape, tie, seed):
     n, S, W = shape
     rng = np.random.default_rng(seed)
@@ -139,11 +213,17 @@ def test_inconsistency_with_ties_matches_loop_oracle(shape, tie, seed):
         caps = np.tile(caps[0], (n, 1))
     elif tie == "closes":  # equal prices, distinct caps
         closes = np.tile(closes[0], (n, 1))
-    dates = tuple(dt.date(2021, 1, 1) + dt.timedelta(days=k) for k in range(n_days))
-    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(n))
-    panel = cd.PricePanel(dates, assets, closes, caps)
+    panel = make_panel(closes, caps)
     r = cd.log_returns(panel)
-    inc = cd.inconsistency_norms(panel, r, cd.rolling_volatility(r, S), S)
+    vol = cd.rolling_volatility(r, S)
+    inc = cd.inconsistency_norms(panel, r, vol, S)
+    assert np.all(inc.nu_MR >= 0.0) and np.all(inc.nu_MSigma >= 0.0)
+    # the same per-window features through one N×N matrix pair per window
+    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, r, vol, S)
+    for got, feature in ((inc.nu_MR, ret_sums), (inc.nu_MSigma, sigmas)):
+        np.testing.assert_allclose(got, reference.affinity_gap_norms(cap_means, feature),
+                                   rtol=0.0, atol=1e-14)
+    # and straight from the raw panel, in plain Python
     for t in range(S, r.n_days + 1):
         want_mr, want_ms = reference.inconsistency_at(closes, caps, t, S)
         assert math.isclose(inc.nu_MR[t - S], want_mr, abs_tol=1e-10)

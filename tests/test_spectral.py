@@ -78,12 +78,21 @@ def test_lambda1_series_can_keep_full_spectra(small_returns):
     ([[2.0, 1.5, -0.5], [2.0, 1.0, 0.0]], "non-negative"),
     ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0]], "non-increasing"),
     ([[2.0, 1.0, 0.5], [2.0, 1.0, 0.0]], "sum"),
+    ([[2.0, 1.0, math.nan], [2.0, 1.0, 0.0]], "finite"),
 ])
 def test_given_spectra_are_checked(spectra, message):
     dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
     cd.SpectralSeries(dates, [2 / 3, 2 / 3], 3, [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]])
     with pytest.raises(cd.InputError, match=message):
         cd.SpectralSeries(dates, [2 / 3, 2 / 3], 3, spectra)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spectral_series_rejects_non_finite_lambda1(bad):
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    with pytest.raises(cd.InputError, match="finite"):
+        cd.SpectralSeries(dates, [bad, 0.5], 2)
+
 
 def test_power_iteration_agrees_with_eigensolver():
     rng = np.random.default_rng(2)
