@@ -5,24 +5,34 @@ trailing window of S return days, standardized with the *population*
 standard deviation (divisor S) so that the matrix form (1/S)·Z Zᵀ of the
 standardized returns agrees with the entrywise Pearson formula exactly.
 
-Every rolling statistic comes from one kernel, ``window_chunks``. It walks
-the W = T−S+1 windows in chunks of c windows, c sized so that a chunk's
-(c, N, N) stack, or its (c, N, S) standardized returns Z, takes about
-``_CHUNK_BYTES``. Per chunk it computes each window's two-pass mean and
-variance, then Z, then the stack. ``rolling_statistics`` is the one loop
-over those chunks: it takes ν(t), λ₁ (solving the S×S Gram matrices
+Every rolling statistic comes from one kernel, ``rolling_statistics``.
+``window_chunks`` splits the W = T−S+1 windows into chunks of c windows,
+c sized so that the chunks in flight, one per worker, hold about
+``_CHUNK_BYTES`` of (c, N, N) stacks or of (c, N, S) standardized returns
+Z between them. ``fill_chunk`` computes each window's two-pass mean and
+variance, then Z, then the stack, into buffers its caller allocated.
+``rolling_statistics`` takes ν(t), λ₁ (solving the S×S Gram matrices
 ZᵀZ/S instead of the stack when S < N) and σ from the same pass, so
-memory is O(c·N·max(N, S) + W·N) rather than the O(W·N²) of a full
-stack. A chunk holds one (c, N, S) array, into which the windows are
-centred and which is then scaled in place into Z, plus its stack or Gram
-matrices. Neither
-is symmetrised: numpy computes A·Aᵀ and Aᵀ·A by BLAS ``syrk`` and copies
-one triangle onto the other (its no-BLAS loop sums each entry and its
-mirror in the same order), so the products are exactly symmetric and
-0.5·(A + Aᵀ) would return them unchanged. ``correlation_matrix`` relies
-on the same. ``rolling_norm_series`` (here), ``spectral.lambda1_series``
-and ``inconsistency.rolling_volatility`` wrap its results, or take a
-result computed once for several of them.
+memory is O(c·N·max(N, S) + W·N) per worker rather than the O(W·N²) of a
+full stack. A worker holds one (c, N, S) array, into which the windows
+are centred and which is then scaled in place into Z, plus its stack
+and/or Gram matrices; ν takes |stack| in place, after the eigensolver.
+Neither product is symmetrised: numpy computes A·Aᵀ and Aᵀ·A by BLAS
+``syrk`` and copies one triangle onto the other (its no-BLAS loop sums
+each entry and its mirror in the same order), so the products are
+exactly symmetric and 0.5·(A + Aᵀ) would return them unchanged.
+``correlation_matrix`` relies on the same. ``rolling_norm_series``
+(here), ``spectral.lambda1_series`` and
+``inconsistency.rolling_volatility`` wrap its results, or take a result
+computed once for several of them.
+
+A pass runs its chunks on one thread per CPU the process may use, the
+calling thread among them, and holds numpy's OpenBLAS at one thread
+meanwhile, restoring the previous count after. At these matrix sizes
+BLAS threads buy nothing, and threads of both kinds would fight over the
+cores. Where no OpenBLAS thread setter is found the pass runs on the
+calling thread and leaves BLAS alone. No window's arithmetic depends on
+its chunk or its thread, so the results do not depend on the CPU count.
 
 ``period_entry_stats`` describes each named period by the density of its
 correlation entries: a Gaussian kernel-density estimate with Silverman's
@@ -37,13 +47,16 @@ day ``t`` runs 1..T, where return t is ln(close(t)/close(t−1)).
 
 from __future__ import annotations
 
+import ctypes
 import datetime as dt
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
 from .panel import PeriodPartition, PricePanel
@@ -51,9 +64,16 @@ from .panel import PeriodPartition, PricePanel
 DEFAULT_WINDOW_DAYS = 90
 DEFAULT_SG_WINDOW = 31
 DEFAULT_SG_DEGREE = 3
-# Bytes of (c, N, N) stack, or of (c, N, S) Z, that one kernel chunk holds;
-# also the size of one (grid block, centres) array of the period KDE.
+# Bytes of (c, N, N) stack, or of (c, N, S) Z, that the kernel's chunks in
+# flight hold together, one per worker; also the size of one (grid block,
+# centres) array of the period KDE.
 _CHUNK_BYTES = 4 << 20
+# (prefix, suffix) of the OpenBLAS thread-count calls: numpy >= 2 wheels,
+# numpy 1.2x wheels, then an OpenBLAS linked without symbol renaming.
+_OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
+# Held for a whole kernel pass, so that concurrent passes cannot
+# interleave the hold and restore of the OpenBLAS thread count.
+_PASS_LOCK = threading.Lock()
 # Eigenvalues below minus this are an error; those above it are clamped to 0.
 NEGATIVE_EIGENVALUE_TOL = 1e-10
 STATISTICS = ("norm", "lambda1", "spectra", "sigma")
@@ -211,13 +231,15 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
     return CorrelationMatrix((a, b), m)
 
 
-def _moments(X, S, lo, hi):
-    """Centered returns (hi−lo, N, S) and population variances (N, hi−lo) of windows lo..hi−1."""
+def _moments(X, S, lo, hi, centered):
+    """Centre windows lo..hi−1 into ``centered`` (hi−lo, N, S).
+
+    Returns their population variances (N, hi−lo).
+    """
     windows = sliding_window_view(X[:, lo:hi + S - 1], S, axis=1)
-    centered = np.empty((hi - lo, X.shape[0], S))
     np.subtract(windows.transpose(1, 0, 2), windows.mean(axis=2).T[:, :, None],
                 out=centered)
-    return centered, np.einsum("wns,wns->nw", centered, centered) / S
+    return np.einsum("wns,wns->nw", centered, centered) / S
 
 
 def _raise_dead(returns, S, lo, step):
@@ -229,7 +251,8 @@ def _raise_dead(returns, S, lo, step):
     W = returns.n_days - S + 1
     dead = []
     for a in range(lo, W, step):
-        _, var = _moments(returns.returns, S, a, min(a + step, W))
+        hi = min(a + step, W)
+        var = _moments(returns.returns, S, a, hi, np.empty((hi - a, returns.n_assets, S)))
         dead.extend((int(i), a + int(w)) for i, w in np.argwhere(var <= 0.0))
     i, w = min(dead)
     t = w + S
@@ -239,20 +262,12 @@ def _raise_dead(returns, S, lo, step):
     )
 
 
-def chunk_windows(n_assets, window_days):
-    """Windows per kernel chunk: about _CHUNK_BYTES of stack or of Z."""
-    return max(1, _CHUNK_BYTES // (8 * n_assets * max(n_assets, int(window_days))))
+def window_chunks(returns: ReturnsPanel, window_days, workers):
+    """The trailing S-day windows, dated t = S..T, as row slices of one chunk each.
 
-
-def window_chunks(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
-                  standardize=True, stacks=True):
-    """Walk the trailing S-day windows, dated t = S..T, in fixed-size chunks.
-
-    Yields ``(rows, var, Z, stack)`` per chunk: ``rows`` is the slice of
-    window indices it covers, ``var`` the (N, c) population variances,
-    ``Z`` the (c, N, S) standardized returns and ``stack`` the (c, N, N)
-    correlation matrices. ``Z`` is None unless ``standardize`` (which also
-    rejects constant assets), ``stack`` is None unless ``stacks`` too.
+    Window w (0-based) covers return days [w+1, w+S]. All chunks but the
+    last hold c windows, c sized so that ``workers`` chunks share
+    ``_CHUNK_BYTES`` of (c, N, N) stack or of (c, N, S) Z.
     """
     S = int(window_days)
     if S < 2:
@@ -261,44 +276,56 @@ def window_chunks(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     if T < S:
         raise InputError(f"need at least {S} return days, have {T}")
     W = T - S + 1
-    step = chunk_windows(returns.n_assets, S)
-    idx = np.arange(returns.n_assets)
-    for lo in range(0, W, step):
-        hi = min(lo + step, W)
-        centered, var = _moments(returns.returns, S, lo, hi)
-        Z = stack = None
-        if standardize:
-            if np.any(var <= 0.0):
-                _raise_dead(returns, S, lo, step)
-            Z = centered
-            Z /= np.sqrt(var).T[:, :, None]
-            if stacks:
-                stack = Z @ Z.transpose(0, 2, 1)
-                stack /= S
-                stack[:, idx, idx] = 1.0
-        yield slice(lo, hi), var, Z, stack
+    n = returns.n_assets
+    step = max(1, _CHUNK_BYTES // (8 * n * max(n, S) * workers))
+    return [slice(lo, min(lo + step, W)) for lo in range(0, W, step)]
+
+
+def fill_chunk(returns: ReturnsPanel, window_days, rows, centered, stack=None, gram=None):
+    """Compute one chunk of windows into the caller's buffers; return its variances.
+
+    ``rows`` is a slice of window indices and ``centered`` a (c, N, S)
+    buffer for them, which receives the centred returns. Given a ``stack``
+    (c, N, N) or a ``gram`` (c, S, S) buffer, the function rejects constant
+    assets, scales ``centered`` in place into the standardized returns Z
+    and fills ``stack`` with the correlation matrices ZZᵀ/S and ``gram``
+    with the Gram matrices ZᵀZ/S. Returns the (N, c) population variances.
+    """
+    S = int(window_days)
+    var = _moments(returns.returns, S, rows.start, rows.stop, centered)
+    if stack is None and gram is None:
+        return var
+    if np.any(var <= 0.0):
+        _raise_dead(returns, S, rows.start, rows.stop - rows.start)
+    Z = centered
+    Z /= np.sqrt(var).T[:, :, None]
+    if stack is not None:
+        np.matmul(Z, Z.transpose(0, 2, 1), out=stack)
+        stack /= S
+        idx = np.arange(returns.n_assets)
+        stack[:, idx, idx] = 1.0
+    if gram is not None:
+        np.matmul(Z.transpose(0, 2, 1), Z, out=gram)
+        gram /= S
+    return var
 
 
 def chunk_norms(stack):
-    """ν of each matrix in a (c, N, N) stack."""
+    """ν of each matrix in a (c, N, N) stack, which is left holding |stack|."""
     n = stack.shape[1]
-    return np.abs(stack).sum(axis=(1, 2)) / (n * n)
+    return np.abs(stack, out=stack).sum(axis=(1, 2)) / (n * n)
 
 
-def chunk_spectra(Z, stack, dates):
+def chunk_spectra(matrices, n_assets, dates):
     """Ascending, zero-clamped eigenvalues (c, N) of one kernel chunk's windows.
 
-    With S >= N these come from the (c, N, N) ``stack``. With S < N they
-    come from the S×S Gram matrices ZᵀZ/S, whose nonzero
-    spectrum is the correlation matrix's; the N−S missing eigenvalues are
-    zeros. ``dates`` dates the chunk's windows for the error message.
+    ``matrices`` are the (c, N, N) correlation matrices or, with S < N,
+    the S×S Gram matrices ZᵀZ/S, whose nonzero spectrum is the
+    correlation matrix's; the N−S missing eigenvalues are zeros. ``dates``
+    dates the chunk's windows for the error message.
     """
-    _, n, S = Z.shape
-    if S < n:
-        stack = Z.transpose(0, 2, 1) @ Z
-        stack /= S
     try:
-        values = np.linalg.eigvalsh(stack)  # ascending, per window
+        values = np.linalg.eigvalsh(matrices)  # ascending, per window
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from None
     if values.min() < -NEGATIVE_EIGENVALUE_TOL:
@@ -308,9 +335,77 @@ def chunk_spectra(Z, stack, dates):
             f"-{NEGATIVE_EIGENVALUE_TOL}"
         )
     values = np.clip(values, 0.0, None)
-    if S < n:
-        values = np.pad(values, ((0, 0), (n - S, 0)))
+    missing = n_assets - matrices.shape[1]
+    if missing:
+        values = np.pad(values, ((0, 0), (missing, 0)))
     return values
+
+
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS or Windows
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` for the thread count of numpy's OpenBLAS, or None.
+
+    ``dlsym`` on numpy's linalg extension also searches the libraries it
+    links, so this finds the OpenBLAS bundled in numpy's wheels. Other
+    BLAS libraries (MKL, Accelerate, BLIS) and Windows give None.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in _OPENBLAS_SYMBOLS:
+        try:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+def _map_chunks(work, chunks, buffers):
+    """Call ``work(rows, bufs)`` for every chunk, on one thread per buffer set.
+
+    The calling thread is one of the threads. Chunks are claimed in window
+    order and none is claimed once one has failed, so every chunk before
+    the first failure runs and the earliest failing chunk's error is raised.
+    """
+    todo = iter(chunks)
+    claim = threading.Lock()
+    failed = []
+
+    def drain(bufs):
+        while True:
+            with claim:
+                rows = None if failed else next(todo, None)
+            if rows is None:
+                return
+            try:
+                work(rows, bufs)
+            except BaseException as exc:  # re-raised below, earliest chunk first
+                with claim:
+                    failed.append((rows.start, exc))
+
+    helpers = [threading.Thread(target=drain, args=(bufs,)) for bufs in buffers[1:]]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain(buffers[0])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
 
 
 def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
@@ -323,6 +418,11 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     and "sigma" the population volatilities (N, W). Returns a dict keyed by
     those names. ν and λ₁ share each chunk's stack when S >= N. Running
     out of memory raises MemoryError with the estimated working set.
+
+    The chunks run on one thread per CPU, with numpy's OpenBLAS held at
+    one thread for the pass; without a way to set OpenBLAS threads the
+    pass runs on the calling thread alone. The results are the same
+    either way.
     """
     wanted = set(wanted)
     if not wanted or not wanted <= set(STATISTICS):
@@ -330,33 +430,55 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     S, n = int(window_days), returns.n_assets
     norm, sigma, spectra = "norm" in wanted, "sigma" in wanted, "spectra" in wanted
     eig = spectra or "lambda1" in wanted
-    stacks = norm or (eig and S >= n)
+    blas = _openblas_threads()
+    workers = _cpu_count() if blas else 1
+    chunks = window_chunks(returns, S, workers)
+    workers = min(workers, len(chunks))
+    W, c = chunks[-1].stop, chunks[0].stop
     dates = returns.dates[S - 1:]
-    parts = {key: [] for key in STATISTICS}
+    # Per worker: the (c, N, S) centred returns, scaled into Z, and the
+    # stack and/or the Gram matrices. The calling thread allocates them
+    # all, so that no worker thread's heap keeps a freed chunk.
+    shapes = [(n, S), (n, n) if norm or (eig and S >= n) else None,
+              (S, S) if eig and S < n else None]
+
+    def work(rows, bufs):
+        centered, stack, gram = (b if b is None else b[:rows.stop - rows.start]
+                                 for b in bufs)
+        var = fill_chunk(returns, S, rows, centered, stack, gram)
+        if sigma:
+            np.sqrt(var, out=out["sigma"][:, rows])
+        if eig:
+            values = chunk_spectra(stack if gram is None else gram, n, dates[rows])
+            out["lambda1"][rows] = values[:, -1]
+            if spectra:
+                out["spectra"][rows] = values[:, ::-1]
+        if norm:  # after the eigensolver: this overwrites the stack
+            out["norm"][rows] = chunk_norms(stack)
+
     try:
-        for rows, var, Z, stack in window_chunks(returns, S, standardize=norm or eig,
-                                                 stacks=stacks):
-            if norm:
-                parts["norm"].append(chunk_norms(stack))
-            if eig:
-                values = chunk_spectra(Z, stack, dates[rows])
-                parts["lambda1"].append(values[:, -1])
-                if spectra:
-                    parts["spectra"].append(values[:, ::-1])
-            if sigma:
-                parts["sigma"].append(np.sqrt(var))
+        buffers = [[shape if shape is None else np.empty((c,) + shape)
+                    for shape in shapes] for _ in range(workers)]
+        sizes = {"norm": W, "lambda1": W, "spectra": (W, n), "sigma": (n, W)}
+        out = {key: np.empty(sizes[key]) for key in STATISTICS
+               if key in wanted or key == "lambda1" and eig}
+        get, put = blas or (lambda: None, lambda count: None)
+        with _PASS_LOCK:
+            before = get()
+            put(1)
+            try:
+                _map_chunks(work, chunks, buffers)
+            finally:
+                put(before)
     except MemoryError:
-        # Per chunk: one (c, N, S) array, centred then scaled into Z, and a
-        # stack (or Gram matrices); plus the (N, W) results.
-        W = returns.n_days - S + 1
-        side = n if stacks else (S if eig else 0)
-        need = 8 * (min(chunk_windows(n, S), W) * (n * S + side * side) + W * n)
+        # Every worker's buffers, plus the (N, W) results.
+        per_window = sum(a * b for a, b in filter(None, shapes))
+        need = 8 * (workers * c * per_window + W * n)
         raise MemoryError(
             f"estimated kernel working set {need / 2**20:.1f} MiB "
             f"(N={n}, S={S}, W={W})"
         ) from None
-    return {key: np.concatenate(chunks, axis=1 if key == "sigma" else 0)
-            for key, chunks in parts.items() if chunks}
+    return out
 
 
 def rolling_norm_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
@@ -373,14 +495,28 @@ def rolling_norm_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     return NormSeries(returns.dates[int(window_days) - 1:], stats["norm"])
 
 
+def _fit_weights(x, degree):
+    """Weights whose dot product with y is the least-squares polynomial fit at x = 0.
+
+    The fit is of degree ``degree`` to the points (x, y); x is scaled to
+    [-1, 1] first, which leaves the value at 0 unchanged and keeps the
+    Vandermonde matrix well conditioned.
+    """
+    x = x / max(1.0, float(np.abs(x).max()))
+    return np.linalg.pinv(np.vander(x, degree + 1, increasing=True))[0]
+
+
 def smooth_series(raw, sg_window=DEFAULT_SG_WINDOW, sg_degree=DEFAULT_SG_DEGREE):
-    """Savitzky-Golay smoothing by explicit per-point least-squares polynomial fits.
+    """Savitzky-Golay smoothing: a least-squares polynomial fit around every point.
 
     Each output value is the degree-``sg_degree`` polynomial least-squares
     fit over the window of ``sg_window`` points centered on that index,
     evaluated at the index itself. Edge windows are truncated rather than
     padded, so the output has the input's length and no boundary artifacts
-    from invented data.
+    from invented data. A fit's value is linear in y, so every interior
+    point is one correlation with the same weights, and each of the
+    2·(sg_window // 2) edge points has weights of its own, fitted with
+    degree at most its truncated window's length minus one.
 
     Parameters
     ----------
@@ -402,13 +538,13 @@ def smooth_series(raw, sg_window=DEFAULT_SG_WINDOW, sg_degree=DEFAULT_SG_DEGREE)
         raise ConfigError(f"series length {n} shorter than sg_window {w}")
     half = w // 2
     out = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n - 1, i + half)
-        x = np.arange(lo, hi + 1, dtype=float) - i  # centered for conditioning
-        deg = min(d, hi - lo)
-        coeffs = npoly.polyfit(x, y[lo:hi + 1], deg)
-        out[i] = coeffs[0]  # value of the fit at x = 0
+    out[half:n - half] = np.correlate(y, _fit_weights(np.arange(-half, half + 1.0), d),
+                                      "valid")
+    for i in range(half):
+        # Point i fits y[0 .. i+half]; point n−1−i is its mirror image.
+        weights = _fit_weights(np.arange(-i, half + 1.0), min(d, i + half))
+        out[i] = weights @ y[:i + half + 1]
+        out[n - 1 - i] = weights[::-1] @ y[n - 1 - i - half:]
     return out
 
 

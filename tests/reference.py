@@ -97,6 +97,27 @@ def rolling_std(X, S):
     return out
 
 
+def savgol_by_polyfit(raw, window, degree):
+    """Savitzky-Golay smoothing by one polynomial fit per point.
+
+    Each value is the degree-``degree`` least-squares fit over the
+    ``window`` points centred on it, truncated at the edges, evaluated at
+    the point itself; the degree drops to the truncated window's length
+    minus one where that is lower.
+    """
+    y = np.asarray(raw, dtype=float)
+    n = y.size
+    half = window // 2
+    out = np.empty(n)
+    for i in range(n):
+        lo = max(0, i - half)
+        hi = min(n - 1, i + half)
+        x = np.arange(lo, hi + 1, dtype=float) - i  # centered for conditioning
+        coeffs = np.polynomial.polynomial.polyfit(x, y[lo:hi + 1], min(degree, hi - lo))
+        out[i] = coeffs[0]  # value of the fit at x = 0
+    return out
+
+
 def turning_points(y, l=17, delta=0.2, epsilon=0.01):
     """Full turning-point extraction; returns a list of (index, kind).
 

@@ -192,16 +192,19 @@ def test_all_builds_each_window_stack_once(small_dataset_dir, tmp_path, monkeypa
     from cryptodynamics import correlation
 
     passes, stacked = [], []
-    kernel = correlation.window_chunks
+    walk, fill = correlation.window_chunks, correlation.fill_chunk
 
-    def counting(returns, days, *args, **kwargs):
+    def counting_walk(returns, days, *args):
         passes.append(days)
-        for chunk in kernel(returns, days, *args, **kwargs):
-            if chunk[3] is not None:
-                stacked.extend(range(chunk[0].start, chunk[0].stop))
-            yield chunk
+        return walk(returns, days, *args)
 
-    monkeypatch.setattr(correlation, "window_chunks", counting)
+    def counting_fill(returns, days, rows, centered, stack=None, gram=None):
+        if stack is not None:
+            stacked.extend(range(rows.start, rows.stop))
+        return fill(returns, days, rows, centered, stack, gram)
+
+    monkeypatch.setattr(correlation, "window_chunks", counting_walk)
+    monkeypatch.setattr(correlation, "fill_chunk", counting_fill)
     out = tmp_path / "out"
     assert run("all", small_dataset_dir, out) == 0
     n_windows = len((out / "norm_series.csv").read_text().splitlines()) - 1
@@ -223,11 +226,22 @@ def test_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path, monkeypatch, 
     monkeypatch.setattr(correlation, "chunk_norms", exhausted)
     assert run("all", small_dataset_dir, tmp_path / "out") == 3
     err = capsys.readouterr().err
-    # one chunk of all 184 windows: a (c, 6, 30) array and a (c, 6, 6) stack,
-    # plus the (6, 184) results
+    # one chunk of all 184 windows, so one worker: a (c, 6, 30) array and a
+    # (c, 6, 6) stack, plus the (6, 184) results
     need = 8 * (184 * (6 * 30 + 6 * 6) + 184 * 6) / 2**20
     assert err == (f"error: out of memory: estimated kernel working set {need:.1f} MiB "
                    "(N=6, S=30, W=184)\n")
+
+    # Chunks of 46 windows on two workers (one without an OpenBLAS setter):
+    # the estimate counts every worker's buffers.
+    workers = 2 if correlation._openblas_threads() else 1
+    monkeypatch.setattr(correlation, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(correlation, "_CHUNK_BYTES", 8 * 6 * 30 * 46 * workers)
+    assert run("all", small_dataset_dir, tmp_path / "out2") == 3
+    need = 8 * (workers * 46 * (6 * 30 + 6 * 6) + 184 * 6) / 2**20
+    assert capsys.readouterr().err == (
+        f"error: out of memory: estimated kernel working set {need:.1f} MiB "
+        "(N=6, S=30, W=184)\n")
 
 
 @pytest.mark.parametrize("target", ["cryptodynamics.dispersion.pdist",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
 import cryptodynamics as cd
-from cryptodynamics.correlation import chunk_norms, window_chunks
+from cryptodynamics.correlation import chunk_norms, fill_chunk, window_chunks
 
 import reference
 from conftest import SMALL_PERIODS, SMALL_PHASES
@@ -95,7 +95,12 @@ def test_rolling_stack_agrees_with_individual_windows():
     X = rng.standard_normal((4, 70))
     r = make_returns(X)
     S = 20
-    stack = np.concatenate([s for _, _, _, s in window_chunks(r, S)])
+    stacks = []
+    for rows in window_chunks(r, S, 2):
+        m = rows.stop - rows.start
+        stacks.append(np.empty((m, 4, 4)))
+        fill_chunk(r, S, rows, np.empty((m, 4, S)), stacks[-1])
+    stack = np.concatenate(stacks)
     assert stack.shape[0] == 70 - S + 1
     np.testing.assert_allclose(stack, reference.correlation_stack(X, S),
                                rtol=0.0, atol=1e-13)
@@ -126,6 +131,19 @@ def test_smoothing_matches_scipy_on_interior_points():
         half = window // 2
         np.testing.assert_allclose(ours[half:-half], scipys[half:-half],
                                    rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(half=st.integers(0, 20), degree=st.integers(0, 5), extra=st.integers(0, 60),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_smoothing_matches_per_point_polyfit(half, degree, extra, scale, seed):
+    window = 2 * half + 1
+    degree = min(degree, window - 1)
+    y = scale * np.cumsum(np.random.default_rng(seed).standard_normal(window + extra))
+    ours = cd.smooth_series(y, window, degree)
+    want = reference.savgol_by_polyfit(y, window, degree)
+    # Both are sums of a few dozen weighted values, rounded differently.
+    np.testing.assert_allclose(ours, want, rtol=0.0, atol=1e-12 * np.abs(y).max())
 
 
 def test_smoothing_reproduces_low_degree_polynomials_everywhere():

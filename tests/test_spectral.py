@@ -38,13 +38,13 @@ def test_spectrum_matches_numpy_reference():
 def test_large_negative_eigenvalue_is_an_error():
     bad = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # eigenvalues 3 and -1
     with pytest.raises(cd.NumericalError):
-        chunk_spectra(np.zeros((1, 2, 3)), bad, (dt.date(2020, 1, 1),))
+        chunk_spectra(bad, 2, (dt.date(2020, 1, 1),))
 
 
 def test_tiny_negative_eigenvalues_are_clamped():
     almost = np.array([[[1.0, 1.0], [1.0, 1.0 - 1e-12]]])
     assert np.linalg.eigvalsh(almost)[0, 0] < 0.0
-    spectrum = chunk_spectra(np.zeros((1, 2, 3)), almost, (dt.date(2020, 1, 1),))
+    spectrum = chunk_spectra(almost, 2, (dt.date(2020, 1, 1),))
     assert spectrum[0, 0] == 0.0
 
 
