@@ -27,19 +27,24 @@ exactly symmetric and 0.5·(A + Aᵀ) would return them unchanged.
 computed once for several of them.
 
 A pass runs its chunks on one thread per CPU the process may use, the
-calling thread among them, and holds numpy's OpenBLAS at one thread
-meanwhile, restoring the previous count after. At these matrix sizes
-BLAS threads buy nothing, and threads of both kinds would fight over the
-cores. Where no OpenBLAS thread setter is found the pass runs on the
-calling thread and leaves BLAS alone. No window's arithmetic depends on
-its chunk or its thread, so the results do not depend on the CPU count.
+calling thread among them (``_map_chunks``), and holds numpy's OpenBLAS
+at one thread meanwhile, restoring the previous count after
+(``_blas_held``). At these matrix sizes BLAS threads buy nothing, and
+threads of both kinds would fight over the cores. Where no OpenBLAS
+thread setter is found the pass runs on the calling thread and leaves
+BLAS alone. No window's arithmetic depends on its chunk or its thread,
+so the results do not depend on the CPU count.
 
 ``period_entry_stats`` describes each named period by the density of its
 correlation entries: a Gaussian kernel-density estimate with Silverman's
 bandwidth, computed in numpy rather than by ``scipy.stats``, whose import
 would dominate the start-up of every run. Equal entries share one kernel
-weighted by their count, and the grid is evaluated in blocks of about
-``_CHUNK_BYTES``.
+weighted by their count, and each grid point sums only the centres
+within ``_KDE_REACH`` bandwidths, whose kernels are normal doubles. The
+grid blocks of all periods run like the kernel's chunks: on the same
+threads, in buffers the calling thread allocates that share
+``_CHUNK_BYTES``, under one hold of OpenBLAS for the whole call, with
+values that do not depend on the worker count.
 
 Day indices follow the return-series convention used throughout: return
 day ``t`` runs 1..T, where return t is ln(close(t)/close(t−1)).
@@ -47,11 +52,13 @@ day ``t`` runs 1..T, where return t is ln(close(t)/close(t−1)).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import datetime as dt
 import functools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -65,14 +72,18 @@ DEFAULT_WINDOW_DAYS = 90
 DEFAULT_SG_WINDOW = 31
 DEFAULT_SG_DEGREE = 3
 # Bytes of (c, N, N) stack, or of (c, N, S) Z, that the kernel's chunks in
-# flight hold together, one per worker; also the size of one (grid block,
-# centres) array of the period KDE.
+# flight hold together, one per worker; also the 8-byte (grid point,
+# centre) terms that the period KDE's blocks in flight cover together.
 _CHUNK_BYTES = 4 << 20
+# Bandwidths beyond which a kernel term exp(-u²/2) falls below the smallest
+# normal double, 2.2e-308; numpy's exp takes a slow path there, so the
+# period KDE leaves those terms out. About 37.64.
+_KDE_REACH = math.sqrt(-2.0 * math.log(sys.float_info.min))
 # (prefix, suffix) of the OpenBLAS thread-count calls: numpy >= 2 wheels,
 # numpy 1.2x wheels, then an OpenBLAS linked without symbol renaming.
 _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", ""))
-# Held for a whole kernel pass, so that concurrent passes cannot
-# interleave the hold and restore of the OpenBLAS thread count.
+# Held for a whole kernel pass or period KDE, so that concurrent passes
+# cannot interleave the hold and restore of the OpenBLAS thread count.
 _PASS_LOCK = threading.Lock()
 # Eigenvalues below minus this are an error; those above it are clamped to 0.
 NEGATIVE_EIGENVALUE_TOL = 1e-10
@@ -373,28 +384,53 @@ def _openblas_threads():
     return None
 
 
-def _map_chunks(work, chunks, buffers):
-    """Call ``work(rows, bufs)`` for every chunk, on one thread per buffer set.
+def _worker_count():
+    """Threads a pass runs on: one per CPU, or one without an OpenBLAS setter."""
+    return _cpu_count() if _openblas_threads() else 1
 
-    The calling thread is one of the threads. Chunks are claimed in window
+
+@contextlib.contextmanager
+def _blas_held():
+    """Hold numpy's OpenBLAS at one thread; restore the previous count on exit.
+
+    The count comes back also when the body raises. ``_PASS_LOCK`` keeps
+    concurrent holders from interleaving the hold and the restore; it is
+    not reentrant, so a hold must never nest. Without an OpenBLAS thread
+    setter BLAS is left alone.
+    """
+    get, put = _openblas_threads() or (lambda: None, lambda count: None)
+    with _PASS_LOCK:
+        before = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(before)
+
+
+def _map_chunks(work, chunks, buffers):
+    """Call ``work(chunk, bufs)`` for every chunk, on one thread per buffer set.
+
+    The calling thread is one of the threads. Chunks are claimed in list
     order and none is claimed once one has failed, so every chunk before
     the first failure runs and the earliest failing chunk's error is raised.
     """
-    todo = iter(chunks)
+    todo = iter(enumerate(chunks))
     claim = threading.Lock()
     failed = []
 
     def drain(bufs):
         while True:
             with claim:
-                rows = None if failed else next(todo, None)
-            if rows is None:
+                item = None if failed else next(todo, None)
+            if item is None:
                 return
+            index, chunk = item
             try:
-                work(rows, bufs)
+                work(chunk, bufs)
             except BaseException as exc:  # re-raised below, earliest chunk first
                 with claim:
-                    failed.append((rows.start, exc))
+                    failed.append((index, exc))
 
     helpers = [threading.Thread(target=drain, args=(bufs,)) for bufs in buffers[1:]]
     for thread in helpers:
@@ -430,8 +466,7 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     S, n = int(window_days), returns.n_assets
     norm, sigma, spectra = "norm" in wanted, "sigma" in wanted, "spectra" in wanted
     eig = spectra or "lambda1" in wanted
-    blas = _openblas_threads()
-    workers = _cpu_count() if blas else 1
+    workers = _worker_count()
     chunks = window_chunks(returns, S, workers)
     workers = min(workers, len(chunks))
     W, c = chunks[-1].stop, chunks[0].stop
@@ -462,14 +497,8 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
         sizes = {"norm": W, "lambda1": W, "spectra": (W, n), "sigma": (n, W)}
         out = {key: np.empty(sizes[key]) for key in STATISTICS
                if key in wanted or key == "lambda1" and eig}
-        get, put = blas or (lambda: None, lambda count: None)
-        with _PASS_LOCK:
-            before = get()
-            put(1)
-            try:
-                _map_chunks(work, chunks, buffers)
-            finally:
-                put(before)
+        with _blas_held():
+            _map_chunks(work, chunks, buffers)
     except MemoryError:
         # Every worker's buffers, plus the (N, W) results.
         per_window = sum(a * b for a, b in filter(None, shapes))
@@ -556,24 +585,68 @@ def _entry_pool(matrix, exclude_diagonal):
     return m[~np.eye(n, dtype=bool)]
 
 
-def _gaussian_density(pool, grid, bw):
-    """Gaussian kernel-density estimate of ``pool`` at each ``grid`` point.
+def _gaussian_densities(estimates):
+    """Gaussian kernel-density estimates, one per ``(pool, grid, bw)``.
 
     Equal entries share one kernel weighted by their count (a symmetric
-    matrix holds each off-diagonal entry twice). The grid is evaluated in
-    blocks whose (block, centres) temporary stays within ``_CHUNK_BYTES``.
+    matrix holds each off-diagonal entry twice). A grid point sums, in one
+    ``ndarray.dot``, the kernels of the centres within ``_KDE_REACH``
+    bandwidths of it, a window of the sorted centres found by
+    ``searchsorted``. A skipped term is at most about 2.2e-308 before
+    weighting, so a density differs from the dense sum over every centre
+    only where that whole sum is below about 1e-285.
+
+    The grid points of all estimates are cut into blocks, which run on the
+    kernel's threads (``_map_chunks``). Each worker fills a buffer that
+    the calling thread allocated, and the buffers share ``_CHUNK_BYTES``:
+    a block's (point, centre) terms span its first point's window to its
+    last point's. Where every point's window is that span, the block is
+    exponentiated at once; otherwise each point exponentiates its own
+    window only, since numpy's ``exp`` is slow where its result would be
+    subnormal or zero. No point's arithmetic depends on its block or its
+    thread, so the values do not depend on the worker count. Call this
+    with OpenBLAS held at one thread (``_blas_held``), or a long ``dot``
+    may split its sum over BLAS threads.
     """
-    centres, counts = np.unique(pool, return_counts=True)
-    step = max(1, _CHUNK_BYTES // (8 * centres.size))
-    density = np.empty(grid.size)
-    for lo in range(0, grid.size, step):
-        # exp(-½((g − c)/bw)²) in place: one temporary per block
-        u = grid[lo:lo + step, None] - centres
+    terms = []
+    for pool, grid, bw in estimates:
+        centres, counts = np.unique(pool, return_counts=True)
+        terms.append((grid, centres, counts.astype(float), bw,
+                      np.searchsorted(centres, grid - _KDE_REACH * bw),
+                      np.searchsorted(centres, grid + _KDE_REACH * bw, side="right"),
+                      pool.size * bw * math.sqrt(2.0 * math.pi), np.empty(grid.size)))
+    if not terms:
+        return []
+    widest = max(t[1].size for t in terms)
+    workers = _worker_count()
+    step = max(1, _CHUNK_BYTES // (8 * widest * workers))
+    blocks = [(t, slice(lo, min(lo + step, t[0].size)))
+              for t in terms for lo in range(0, t[0].size, step)]
+
+    def work(block, buf):
+        (grid, centres, counts, bw, window_lo, window_hi, norm, density), rows = block
+        starts, stops = window_lo[rows].tolist(), window_hi[rows].tolist()
+        lo, hi = starts[0], stops[-1]
+        u = buf[:len(starts) * (hi - lo)].reshape(len(starts), hi - lo)
+        # exp(-½((g − c)/bw)²) in place
+        np.subtract(grid[rows, None], centres[lo:hi], out=u)
         u /= bw
         u *= u
         u *= -0.5
-        density[lo:lo + step] = np.exp(u, out=u) @ counts
-    return density / (pool.size * bw * math.sqrt(2.0 * math.pi))
+        whole = starts[-1] == lo and stops[0] == hi  # every window is [lo, hi)
+        if whole:
+            np.exp(u, out=u)
+        sums = density[rows]
+        for k, (row, a, b) in enumerate(zip(u, starts, stops)):
+            window = row[a - lo:b - lo]
+            if not whole:
+                np.exp(window, out=window)
+            sums[k] = window.dot(counts[a:b])
+        sums /= norm
+
+    buffers = [np.empty(step * widest) for _ in range(min(workers, len(blocks)))]
+    _map_chunks(work, blocks, buffers)
+    return [t[-1] for t in terms]
 
 
 def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
@@ -589,39 +662,42 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
     same pool on ``density_points`` points spanning the pool's range
     widened by 3 bandwidths on each side. The bandwidth is Silverman's,
     (3n/4)^(−1/5) times the pool's sample standard deviation for a pool
-    of n entries. The estimate is computed in numpy: one kernel per
-    distinct entry weighted by its count, evaluated over blocks of grid
-    points so that memory stays bounded at large N.
+    of n entries. The estimates are computed in numpy by
+    ``_gaussian_densities``, all periods' grids together on one thread per
+    CPU. OpenBLAS is held at one thread for the whole call, the
+    correlation matrices included, so the results depend neither on the
+    CPU count nor on ``OPENBLAS_NUM_THREADS``.
     """
     first, last = returns.dates[0], returns.dates[-1]
-    results = []
-    for period in periods:
-        lo = max(period.start, first)
-        hi = min(period.end, last)
-        n_days = (hi - lo).days + 1
-        if n_days < 2:
-            raise InputError(
-                f"period {period.label!r} covers fewer than 2 return days "
-                f"of {first}..{last}"
-            )
-        a = (lo - first).days + 1
-        b = (hi - first).days + 1
-        m = correlation_matrix(returns, a, b)
-        pool = _entry_pool(m, exclude_diagonal)
-        if pool.size == 0:
-            raise InputError(
-                "cannot pool off-diagonal entries of a single-asset panel"
-            )
-        mean = float(pool.mean())
-        std = float(pool.std())
-        if std > 0.0:
-            bw = (0.75 * pool.size) ** -0.2 * float(pool.std(ddof=1))
-            grid = np.linspace(pool.min() - 3.0 * bw, pool.max() + 3.0 * bw,
-                               int(density_points))
-            density = _gaussian_density(pool, grid, bw)
-        else:
+    summaries, estimates = [], []
+    with _blas_held():
+        for period in periods:
+            lo = max(period.start, first)
+            hi = min(period.end, last)
+            n_days = (hi - lo).days + 1
+            if n_days < 2:
+                raise InputError(
+                    f"period {period.label!r} covers fewer than 2 return days "
+                    f"of {first}..{last}"
+                )
+            a = (lo - first).days + 1
+            b = (hi - first).days + 1
+            m = correlation_matrix(returns, a, b)
+            pool = _entry_pool(m, exclude_diagonal)
+            if pool.size == 0:
+                raise InputError(
+                    "cannot pool off-diagonal entries of a single-asset panel"
+                )
+            mean = float(pool.mean())
+            std = float(pool.std())
             grid = np.empty(0)
-            density = np.empty(0)
-        results.append(PeriodEntryStats(period.label, lo, hi, n_days,
-                                        mean, std, grid, density))
-    return results
+            if std > 0.0:
+                bw = (0.75 * pool.size) ** -0.2 * float(pool.std(ddof=1))
+                grid = np.linspace(pool.min() - 3.0 * bw, pool.max() + 3.0 * bw,
+                                   int(density_points))
+                estimates.append((pool, grid, bw))
+            summaries.append((period.label, lo, hi, n_days, mean, std, grid))
+        densities = iter(_gaussian_densities(estimates))
+    # A period without a grid (zero variance) has no density either.
+    return [PeriodEntryStats(*summary, next(densities) if summary[-1].size else np.empty(0))
+            for summary in summaries]

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputError
 
@@ -105,31 +105,36 @@ class TurningPointSequence:
         return [p.index for p in self.points]
 
 
+def _require_finite(values):
+    if not np.all(np.isfinite(values)):
+        raise InputError("turning points need a finite series")
+
+
 def min_adjust(series):
     """Shift a series so its global minimum becomes exactly 0."""
     values = np.asarray(series, dtype=float)
     if values.size == 0:
         raise InputError("cannot min-adjust an empty series")
+    _require_finite(values)
     return values - values.min()
 
 
 def _window_conditions(values, l):
     """Boolean masks: value equals the max / min of its clamped ±l window.
 
-    The filters replicate edge values, which coincides with truncating the
-    window at the array bounds because the replicated value already lies
-    inside the truncated window.
+    The windows run over the series padded with l copies of each edge
+    value, which coincides with truncating the window at the array bounds
+    because the replicated value already lies inside the truncated window.
     """
-    size = 2 * l + 1
-    is_max = values == maximum_filter1d(values, size=size, mode="nearest")
-    is_min = values == minimum_filter1d(values, size=size, mode="nearest")
-    return is_max, is_min
+    windows = sliding_window_view(np.pad(values, l, mode="edge"), 2 * l + 1)
+    return values == windows.max(axis=1), values == windows.min(axis=1)
 
 
 def detect_candidates(series, params: TurningPointParams = DEFAULT_PARAMS
                       ) -> TurningPointSequence:
     """Alternating window-extremum candidates of a min-adjusted series."""
     values = np.asarray(series, dtype=float)
+    _require_finite(values)
     n = values.size
     if n <= 2 * params.l:
         raise InputError(

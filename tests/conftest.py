@@ -95,4 +95,5 @@ def local_http():
         yield f"http://127.0.0.1:{server.server_address[1]}", routes
     finally:
         server.shutdown()
+        server.server_close()
         thread.join()

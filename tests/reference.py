@@ -118,6 +118,20 @@ def savgol_by_polyfit(raw, window, degree):
     return out
 
 
+def gaussian_density(pool, grid, bw):
+    """Gaussian kernel-density estimate of ``pool`` at every ``grid`` point.
+
+    The dense sum: every grid point against every distinct entry, each
+    kernel weighted by the entry's count, in one (grid, centres) array.
+    """
+    centres, counts = np.unique(pool, return_counts=True)
+    u = grid[:, None] - centres
+    u /= bw
+    u *= u
+    u *= -0.5
+    return np.exp(u) @ counts / (pool.size * bw * math.sqrt(2.0 * math.pi))
+
+
 def turning_points(y, l=17, delta=0.2, epsilon=0.01):
     """Full turning-point extraction; returns a list of (index, kind).
 

@@ -268,7 +268,7 @@ def test_import_loads_no_unused_heavy_modules(module):
     code = f"import sys, {module}; print('\\n'.join(sys.modules))"
     loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True).stdout.split()
-    assert [m for m in loaded if m.startswith("scipy.optimize")] == []
+    assert [m for m in loaded if m.startswith(("scipy.optimize", "scipy.ndimage"))] == []
     if module == "cryptodynamics.cli":
         assert [m for m in loaded if m.startswith(("scipy.stats", "requests"))
                 or m == "cryptodynamics.fetch"] == []

@@ -1,11 +1,16 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 import cryptodynamics as cd
 from cryptodynamics.turning_points import (
     DEFAULT_PARAMS,
+    _window_conditions,
     detect_candidates,
     min_adjust,
     refine,
@@ -37,6 +42,29 @@ def test_short_series_rejected():
     with pytest.raises(cd.InputError):
         cd.find_turning_points(np.arange(34.0))  # need > 2*17
     cd.find_turning_points(np.arange(36.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0]),
+                       min_size=1, max_size=120),
+       l=st.integers(1, 40))
+@example(values=[0.0, -0.0, 0.0], l=1)     # ties, with a negative zero
+@example(values=[3.0, 1.0, 2.0], l=40)    # every window clamped at both ends
+def test_window_conditions_match_scipy_filters(values, l):
+    y = np.asarray(values)
+    is_max, is_min = _window_conditions(y, l)
+    size = 2 * l + 1
+    np.testing.assert_array_equal(is_max, y == maximum_filter1d(y, size, mode="nearest"))
+    np.testing.assert_array_equal(is_min, y == minimum_filter1d(y, size, mode="nearest"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_series_rejected(bad):
+    y = np.arange(40.0)
+    y[20] = bad
+    for step in (detect_candidates, min_adjust, cd.find_turning_points):
+        with pytest.raises(cd.InputError, match="finite"):
+            step(y)
 
 
 def test_constant_series_has_no_turning_points():
