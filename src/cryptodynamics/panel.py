@@ -7,9 +7,12 @@ downstream module can rely on their invariants.
 
 CSV schema: first column ``date`` (ISO-8601), one column per ticker,
 header row required, UTF-8 (a byte-order mark is accepted), ``.`` decimal
-point. The loader reads each file in one pass: every row is checked for
-structure, only the rows inside the requested range are converted to
-float64, and the drop checks run as masks over those (T, N) blocks.
+point. The loader streams each file line by line. Every row is checked for
+structure, but only the rows inside the requested range are split into
+cells and converted, each straight into its day's row of a (T, N) float64
+block, so memory grows with range x N, not with the file. A line holding a
+``"`` is split by the csv module's rules; a quoted field may not run onto
+the next line. The drop checks run as masks over the (T, N) blocks.
 """
 
 from __future__ import annotations
@@ -164,6 +167,9 @@ def default_periods() -> PeriodPartition:
 
 
 def _coerce_date(value):
+    if isinstance(value, dt.datetime):
+        # A date subclass (so is a pandas Timestamp) that does not compare with dates.
+        raise InputError(f"bad date {value!r}: expected a date without a time")
     if isinstance(value, dt.date):
         return value
     try:
@@ -172,89 +178,96 @@ def _coerce_date(value):
         raise InputError(f"bad date {value!r}: {exc}") from None
 
 
+def _quoted_cells(path, lineno, line):
+    """The cells of a line holding a quote, by the csv module's rules.
+
+    The loader reads one line at a time, so a quoted field may not run onto
+    the next line: an odd number of quotes on a line is a ParseError.
+    """
+    if line.count('"') % 2:
+        raise ParseError(path, lineno, "", "quoted field runs onto the next line")
+    return next(csv.reader([line]))
+
+
 def _read_range(path, start, end):
-    """Read one CSV in one pass, converting only the rows dated in [start, end].
+    """Read one CSV line by line, converting only the rows dated in [start, end].
 
     Every row's structure is checked: its date parses and is not a
     duplicate, and it has one cell per header column. Returns the header
-    tickers and {date: (values, missing)} for the rows in range, where
-    ``values`` is a float64 array (NaN at missing cells) and ``missing``
-    marks the blank cells. Errors raise ParseError with the 1-based row
-    number and the column name.
+    tickers and three blocks over the days of [start, end]: the (T, N)
+    float64 values (NaN at blank cells), the (T, N) blank-cell mask and the
+    (T,) mask of days the file has a row for. Errors raise ParseError with
+    the 1-based row number and the column name.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "date", "empty file") from None
-        if not header or header[0].strip().lower() != "date":
-            raise ParseError(path, 1, header[0] if header else "", "first column must be 'date'")
+        line = fh.readline()
+        if not line:
+            raise ParseError(path, 1, "date", "empty file")
+        header = _quoted_cells(path, 1, line) if '"' in line else line.rstrip("\r\n").split(",")
+        if header[0].strip().lower() != "date":
+            raise ParseError(path, 1, header[0], "first column must be 'date'")
         tickers = [h.strip() for h in header[1:]]
         if any(not t for t in tickers):
             raise ParseError(path, 1, "", "blank ticker column in header")
         if len(set(tickers)) != len(tickers):
             raise ParseError(path, 1, "", "duplicate ticker column in header")
+        width = len(tickers) + 1
+        shape = ((end - start).days + 1, len(tickers))
+        # Untouched pages of np.empty are never resident, so a range far
+        # past the file costs only the rows it holds.
+        values = np.empty(shape)
+        missing = np.zeros(shape, dtype=bool)
+        present = np.zeros(shape[0], dtype=bool)
         seen = set()
-        rows = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
+        for lineno, line in enumerate(fh, start=2):
+            if '"' in line:
+                cells = _quoted_cells(path, lineno, line)
+                head, count = cells[0], len(cells)
+            else:
+                cells = None
+                head = line.partition(",")[0]
+                count = line.count(",") + 1
+            head = head.strip()
+            if not head and not "".join(cells or line.split(",")).strip():
                 continue
             try:
-                date = dt.date.fromisoformat(row[0].strip())
+                date = dt.date.fromisoformat(head)
             except ValueError as exc:
                 raise ParseError(path, lineno, "date", str(exc)) from None
             if date in seen:
                 raise ParseError(path, lineno, "date", f"duplicate date {date}")
             seen.add(date)
-            if len(row) != len(tickers) + 1:
-                raise ParseError(path, lineno, "date",
-                                 f"expected {len(tickers) + 1} cells, got {len(row)}")
+            if count != width:
+                raise ParseError(path, lineno, "date", f"expected {width} cells, got {count}")
             if start <= date <= end:
-                rows[date] = _convert_row(path, lineno, tickers, row[1:])
-    return tickers, rows
+                day = (date - start).days
+                present[day] = True
+                cells = cells or line.split(",")
+                _convert_row(path, lineno, tickers, cells[1:], values[day], missing[day])
+    return tickers, values, missing, present
 
 
-def _convert_row(path, lineno, tickers, cells):
-    """(float64 values, missing-cell mask) of one row's value cells."""
+def _convert_row(path, lineno, tickers, cells, values, missing):
+    """Write one row's value cells into ``values``; blank cells are NaN and marked in ``missing``."""
     try:
         # float() accepts surrounding whitespace; whatever it rejects goes
-        # through the cell-by-cell path, which strips with str.strip().
-        values = np.fromiter(map(float, cells), float, len(cells))
-        return values, np.zeros(len(cells), dtype=bool)
+        # through the slower paths, which strip with str.strip().
+        values[:] = np.fromiter(map(float, cells), float, len(cells))
+        return
     except ValueError:
         pass
-    values, missing = [], []
-    for ticker, cell in zip(tickers, cells):
-        cell = cell.strip()
-        missing.append(not cell)
-        if not cell:
-            values.append(np.nan)
-            continue
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ParseError(path, lineno, ticker, f"not a number: {cell!r}") from None
-    return np.array(values), np.array(missing)
-
-
-def _check_contiguous(dates_present, start, end):
-    wanted = []
-    day = start
-    while day <= end:
-        wanted.append(day)
-        day += _DAY
-    missing = [d for d in wanted if d not in dates_present]
-    if missing:
-        raise GapError(missing)
-    return wanted
-
-
-def _block(rows, days, columns):
-    """(T, len(columns)) values and missing mask of the rows, in day order."""
-    values = np.stack([rows[d][0] for d in days])
-    missing = np.stack([rows[d][1] for d in days])
-    return values[:, columns], missing[:, columns]
+    missing[:] = blank = [not cell.strip() for cell in cells]
+    filled = ["nan" if b else cell for b, cell in zip(blank, cells)]
+    try:
+        values[:] = np.fromiter(map(float, filled), float, len(cells))
+    except ValueError:
+        for ticker, cell in zip(tickers, cells):
+            cell = cell.strip()
+            try:
+                float(cell or "nan")
+            except ValueError:
+                raise ParseError(path, lineno, ticker, f"not a number: {cell!r}") from None
+        raise
 
 
 # Drop reasons in priority order: on an asset's first failing day, the
@@ -274,27 +287,31 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
     without a market-cap column is dropped as of ``start``. Drops come in
     price-header order. Missing whole days raise GapError instead.
 
-    Each file is read in one pass. Every row is checked for structure, but
+    Each file is streamed once. Every row is checked for structure, but
     only rows inside [start, end] are converted to numbers, so a malformed
     cell outside the range is never read. The checks then run as masks
-    over the kept (T, N) blocks.
+    over the kept (T, N) blocks. ``start`` and ``end`` are dates or ISO
+    date strings; a datetime is an InputError.
     """
     start = _coerce_date(start)
     end = _coerce_date(end)
     if end < start:
         raise InputError(f"date range end {end} before start {start}")
 
-    price_tickers, price_rows = _read_range(price_csv_path, start, end)
-    cap_tickers, cap_rows = _read_range(marketcap_csv_path, start, end)
-
-    days = _check_contiguous(price_rows, start, end)
-    _check_contiguous(cap_rows, start, end)
+    price_tickers, close, close_missing, close_present = _read_range(price_csv_path, start, end)
+    cap_tickers, cap, cap_missing, cap_present = _read_range(marketcap_csv_path, start, end)
+    for present in (close_present, cap_present):
+        if not present.all():
+            raise GapError([start + int(k) * _DAY for k in np.flatnonzero(~present)])
+    days = [start + k * _DAY for k in range(len(close_present))]
 
     price_column = {t: k for k, t in enumerate(price_tickers)}
     cap_column = {t: k for k, t in enumerate(cap_tickers)}
     paired = [t for t in price_tickers if t in cap_column]
-    close, close_missing = _block(price_rows, days, [price_column[t] for t in paired])
-    cap, cap_missing = _block(cap_rows, days, [cap_column[t] for t in paired])
+    columns = [price_column[t] for t in paired]
+    close, close_missing = close[:, columns], close_missing[:, columns]
+    columns = [cap_column[t] for t in paired]
+    cap, cap_missing = cap[:, columns], cap_missing[:, columns]
     fault = np.select([close_missing | cap_missing,
                        ~(np.isfinite(close) & np.isfinite(cap)),
                        close <= 0,
