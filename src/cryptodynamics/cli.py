@@ -1,8 +1,8 @@
 """Command-line front-end: fetch data, run the four analysis pipelines.
 
 Subcommands: fetch, correlation, spectral, inconsistency, dispersion, all.
-Exit codes: 0 success; 1 input or configuration problem; 2 numerical
-failure; 3 I/O, transport or resource failure.
+Exit codes: 0 success; 1 input or configuration problem, usage errors
+included; 2 numerical failure; 3 I/O, transport or resource failure.
 """
 
 from __future__ import annotations
@@ -45,8 +45,16 @@ def _add_common_flags(parser):
                         action="store_const", const=True, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, not argparse's 2 (numerical failure here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cryptodynamics",
         description="Rolling correlation, market-mode, inconsistency and "
                     "volatility-dispersion analytics for daily asset panels.",

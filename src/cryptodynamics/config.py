@@ -10,6 +10,7 @@ from the output directory alone.
 from __future__ import annotations
 
 import datetime as dt
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -82,6 +83,13 @@ class RunConfig:
         if self.linkage not in LINKAGES:
             raise ConfigError(f"cluster.linkage must be one of {LINKAGES}, "
                               f"got {self.linkage!r}")
+        # each ticker is a panel column and names its raw file <data>/raw/<ticker>.csv
+        repeated = sorted({t for t in self.tickers if self.tickers.count(t) > 1})
+        if repeated:
+            raise ConfigError(f"data.tickers repeats {', '.join(repeated)}")
+        pathlike = [t for t in self.tickers if "/" in t or os.sep in t]
+        if pathlike:
+            raise ConfigError(f"data.tickers holds a path separator: {', '.join(pathlike)}")
 
     def turning_point_params(self) -> TurningPointParams:
         return TurningPointParams(self.tp_l, self.tp_delta, self.tp_epsilon)

@@ -10,13 +10,15 @@ to each: both normalize every day at once and leave out, and report,
 the days whose volatilities are all zero. The day-by-day distances feed
 agglomerative hierarchical clustering by
 ``scipy.cluster.hierarchy.linkage``; tied distances merge in the order
-scipy picks, which is deterministic.
+scipy picks, which is deterministic, and the dendrogram is the linkage
+matrix scipy returns.
 
 This is the one layer whose memory grows as W² in the number of days,
 so the distances stay in the condensed form that ``linkage`` reads: the
-W(W−1)/2 upper-triangle entries in row-major order. A square matrix
-would need symmetry and a zero diagonal checked, and a condensed copy
-made for ``linkage``; in condensed form the two hold by construction.
+W(W−1)/2 upper-triangle entries in row-major order, and clustering
+takes nothing else. A square matrix would need symmetry and a zero
+diagonal checked, and a condensed copy made for ``linkage``; in condensed
+form the two hold by construction.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from .errors import InputError
 from .inconsistency import VolatilityPanel
@@ -67,36 +69,30 @@ class DispersionMatrix:
         object.__setattr__(self, "excluded_dates", tuple(self.excluded_dates))
 
 
-@dataclass(frozen=True)
-class Merge:
-    step: int
-    cluster_a: int
-    cluster_b: int
-    height: float
-    size: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dendrogram:
     """Agglomerative merge history over W leaves.
 
-    Cluster ids follow the usual convention: leaves are 0..W−1 and the
-    cluster created at step k (0-based) is W+k.
+    ``merges`` is the read-only (W−1, 4) float64 linkage matrix that
+    ``scipy.cluster.hierarchy.linkage`` returns: row k is ``[cluster_a,
+    cluster_b, height, size]`` and creates cluster W+k, where leaves are
+    0..W−1. Ids and sizes are whole numbers stored as floats.
     """
 
     n_leaves: int
-    merges: tuple
+    merges: np.ndarray
 
     def __post_init__(self):
-        merges = tuple(self.merges)
+        merges = np.asarray(self.merges, dtype=float)
         w = int(self.n_leaves)
         if w < 1:
             raise InputError("dendrogram needs at least one leaf")
-        if len(merges) != w - 1:
-            raise InputError(f"expected {w - 1} merges for {w} leaves, got {len(merges)}")
-        heights = [m.height for m in merges]
-        if any(b < a - 1e-12 for a, b in zip(heights, heights[1:])):
+        if merges.shape != (w - 1, 4):
+            raise InputError(f"expected a ({w - 1}, 4) linkage matrix for {w} leaves, "
+                             f"got shape {merges.shape}")
+        if np.any(np.diff(merges[:, 2]) < -1e-12):
             raise InputError("merge heights must be non-decreasing")
+        merges.flags.writeable = False
         object.__setattr__(self, "n_leaves", w)
         object.__setattr__(self, "merges", merges)
 
@@ -160,42 +156,26 @@ def variance_series(vol: VolatilityPanel) -> VarianceSeries:
     return VarianceSeries(dates, values, excluded)
 
 
-def hierarchical_cluster(D, linkage="average") -> Dendrogram:
-    """Agglomerative clustering of distances by scipy's ``linkage``.
+def hierarchical_cluster(D: DispersionMatrix, linkage="average") -> Dendrogram:
+    """Agglomerative clustering of the condensed distances by scipy's ``linkage``.
 
-    ``D`` is a ``DispersionMatrix``, whose condensed distances go to
-    ``linkage`` as they are, or a square W×W array, which must be
-    symmetric with a zero diagonal. Single, complete and (size-weighted)
-    average linkage give monotone merge heights, so the result is a valid
-    dendrogram. Tied distances merge in scipy's deterministic order.
+    Single, complete and (size-weighted) average linkage give monotone
+    merge heights, so the result is a valid dendrogram. Tied distances
+    merge in scipy's deterministic order.
     """
     if linkage not in LINKAGES:
         raise InputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
-    if isinstance(D, DispersionMatrix):
-        w, condensed = len(D.dates), D.distances
-    else:
-        base = np.asarray(D, float)
-        w = base.shape[0]
-        if base.shape != (w, w):
-            raise InputError(f"distance matrix must be square, got {base.shape}")
-        if not np.array_equal(base, base.T) or np.any(np.diag(base) != 0.0):
-            raise InputError("distance matrix must be symmetric with zero diagonal")
-        if not np.all(np.isfinite(base)):
-            raise InputError("distance matrix must be finite")
-        condensed = squareform(base, checks=False)
+    w = len(D.dates)
     if w == 1:
-        return Dendrogram(1, ())
+        return Dendrogram(1, np.empty((0, 4)))
     # imported here so that commands which never cluster skip its import cost
     from scipy.cluster.hierarchy import linkage as scipy_linkage
 
     try:
-        Z = scipy_linkage(condensed, method=linkage)
+        Z = scipy_linkage(D.distances, method=linkage)
     except MemoryError:
         raise _out_of_memory(w) from None
-    return Dendrogram(w, tuple(
-        Merge(step, int(a), int(b), float(height), int(size))
-        for step, (a, b, height, size) in enumerate(Z)
-    ))
+    return Dendrogram(w, Z)
 
 
 def cut_clusters(dendro: Dendrogram, k: int) -> np.ndarray:
@@ -208,9 +188,8 @@ def cut_clusters(dendro: Dendrogram, k: int) -> np.ndarray:
     if not 1 <= k <= w:
         raise InputError(f"k must lie in 1..{w}, got {k}")
     members = {i: [i] for i in range(w)}  # cluster id -> leaves
-    for merge in dendro.merges[: w - k]:
-        leaves = members.pop(merge.cluster_a) + members.pop(merge.cluster_b)
-        members[w + merge.step] = leaves
+    for step, (a, b) in enumerate(dendro.merges[: w - k, :2].tolist()):
+        members[w + step] = members.pop(int(a)) + members.pop(int(b))
     groups = sorted((min(leaves), leaves) for leaves in members.values())
     labels = np.empty(w, dtype=int)
     for label, (_, leaves) in enumerate(groups):

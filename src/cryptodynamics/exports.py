@@ -116,8 +116,8 @@ def write_variance_series(series: VarianceSeries, path):
 
 def write_dendrogram_csv(dendro: Dendrogram, path):
     write_csv(path, ("step", "cluster_a", "cluster_b", "height", "size"),
-              ((str(m.step), str(m.cluster_a), str(m.cluster_b),
-                fmt(m.height), str(m.size)) for m in dendro.merges))
+              ((str(step), str(int(a)), str(int(b)), fmt(height), str(int(size)))
+               for step, (a, b, height, size) in enumerate(dendro.merges.tolist())))
 
 
 def write_dendrogram_json(dendro: Dendrogram, path, dates):
@@ -130,7 +130,8 @@ def write_dendrogram_json(dendro: Dendrogram, path, dates):
         raise InputError("dates length must match leaf count")
     write_json(path, {
         "dates": [d.isoformat() for d in dates],
-        "merges": [[m.cluster_a, m.cluster_b, m.height, m.size] for m in dendro.merges],
+        "merges": [[int(a), int(b), height, int(size)]
+                   for a, b, height, size in dendro.merges.tolist()],
         "n_leaves": dendro.n_leaves,
     })
 

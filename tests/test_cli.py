@@ -135,10 +135,36 @@ def test_bad_date_is_exit_code_1(small_dataset_dir, tmp_path):
 
 
 def test_unknown_command_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    # argparse's own exit code 2 would read as a numerical failure
+    for argv in (["frobnicate"], [], ["all", "--correlation-days", "abc"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err
+    for argv in (["--help"], ["all", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0, argv
+        assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tickers", ["BTC,ETH,BTC", "BTC/USD"])
+def test_bad_tickers_fail_before_any_request(tmp_path, monkeypatch, capsys, tickers):
+    import requests
+
+    requested = []
+
+    def record(url, **kwargs):
+        requested.append(url)
+        raise requests.ConnectionError("no request should be made")
+
+    monkeypatch.setattr(requests, "get", record)
+    code = main(["fetch", "--data-dir", str(tmp_path / "data"),
+                 "--out-dir", str(tmp_path / "out"),
+                 "--url-template", "http://127.0.0.1:9/{ticker}", "--tickers", tickers])
+    assert code == 1
+    assert "data.tickers" in capsys.readouterr().err
+    assert requested == [] and list(tmp_path.iterdir()) == []
 
 
 def test_fetch_transport_failure_is_exit_code_3(tmp_path, capsys):
@@ -270,5 +296,6 @@ def test_import_loads_no_unused_heavy_modules(module):
                             capture_output=True, text=True).stdout.split()
     assert [m for m in loaded if m.startswith(("scipy.optimize", "scipy.ndimage"))] == []
     if module == "cryptodynamics.cli":
-        assert [m for m in loaded if m.startswith(("scipy.stats", "requests"))
+        # scipy.cluster is imported by the clustering call, not by the CLI
+        assert [m for m in loaded if m.startswith(("scipy.stats", "scipy.cluster", "requests"))
                 or m == "cryptodynamics.fetch"] == []

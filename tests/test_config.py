@@ -1,4 +1,5 @@
 import datetime as dt
+import os
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,22 @@ def test_invalid_values_rejected(kwargs):
 def test_unknown_flag_rejected():
     with pytest.raises(ConfigError):
         resolve_config(no_such_field=1)
+
+
+@pytest.mark.parametrize("tickers,message", [
+    (("BTC", "ETH", "BTC"), "repeats BTC"),
+    (("BTC", "BTC/USD"), "path separator: BTC/USD"),
+    (("ETH", f"BTC{os.sep}USD"), "path separator"),
+])
+def test_bad_tickers_rejected(tmp_path, tickers, message):
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(tickers=tickers)
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(tickers=parse_tickers(",".join(tickers)))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"data.tickers = {','.join(tickers)}\n")
+    with pytest.raises(ConfigError, match=message):
+        resolve_config(path)
 
 
 def test_parse_tickers():

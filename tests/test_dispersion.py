@@ -29,6 +29,20 @@ def columns(P):
     return squareform(cd.dispersion_matrix(vol).distances), cd.variance_series(vol).values
 
 
+def as_dispersion(D, n_assets=2):
+    """A DispersionMatrix holding the square distance matrix D times a power of two.
+
+    The factor brings every entry into [0, (2/n)(1 − 1/n)]. Scaling by a
+    power of two is exact, so ties stay ties and every linkage height is
+    the unscaled one times the same factor.
+    """
+    D = np.asarray(D, dtype=float)
+    bound = (2.0 / n_assets) * (1.0 - 1.0 / n_assets)
+    factor = 2.0 ** -np.frexp(D.max() / bound)[1]
+    dates = tuple(dt.date(2021, 3, 1) + dt.timedelta(days=k) for k in range(len(D)))
+    return cd.DispersionMatrix(dates, squareform(D, checks=False) * factor, n_assets)
+
+
 def test_distribution_normalizes_and_dates(small_vol):
     dates, P, excluded = _distributions(small_vol)
     assert dates == small_vol.dates and excluded == ()
@@ -154,24 +168,20 @@ def test_clustering_matches_scipy_linkage():
             pts = r.uniform(0.0, 1.0, (12, 3))
             D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
             np.fill_diagonal(D, 0.0)
-            dendro = cd.hierarchical_cluster(D, method)
-            Z = scipy_linkage(squareform(D, checks=False), method=method)
-            for step, merge in enumerate(dendro.merges):
-                a, b = sorted(int(v) for v in Z[step, :2])
-                assert {merge.cluster_a, merge.cluster_b} == {a, b}, (method, seed, step)
-                assert math.isclose(merge.height, float(Z[step, 2]), abs_tol=1e-12)
-                assert merge.size == int(Z[step, 3])
+            dm = as_dispersion(D)
+            np.testing.assert_array_equal(cd.hierarchical_cluster(dm, method).merges,
+                                          scipy_linkage(dm.distances, method=method))
 
 
 def test_clustering_matches_naive_recompute():
     rng = np.random.default_rng(5)
     for method in ("single", "complete", "average"):
         for _ in range(5):
-            D = line_distance_matrix(rng, 9)
-            dendro = cd.hierarchical_cluster(D, method)
-            want = reference.agglomerate(D, method)
-            got = [(m.cluster_a, m.cluster_b, m.height, m.size)
-                   for m in dendro.merges]
+            dm = as_dispersion(line_distance_matrix(rng, 9))
+            dendro = cd.hierarchical_cluster(dm, method)
+            want = reference.agglomerate(squareform(dm.distances), method)
+            got = dendro.merges.tolist()
+            assert len(got) == len(want) == 8
             for (ga, gb, gh, gs), (wa, wb, wh, ws) in zip(got, want):
                 assert {ga, gb} == {wa, wb}
                 assert math.isclose(gh, wh, abs_tol=1e-12)
@@ -179,30 +189,27 @@ def test_clustering_matches_naive_recompute():
 
 
 def test_clustering_tie_break_is_lowest_pair_first():
-    D = np.ones((4, 4)) - np.eye(4)  # all pairwise distances equal
-    dendro = cd.hierarchical_cluster(D, "single")
-    got = [(m.cluster_a, m.cluster_b, m.height, m.size) for m in dendro.merges]
-    assert got == [(0, 1, 1.0, 2), (2, 4, 1.0, 3), (3, 5, 1.0, 4)]
+    dm = as_dispersion(np.ones((4, 4)) - np.eye(4))  # all pairwise distances equal
+    dendro = cd.hierarchical_cluster(dm, "single")
+    h = dm.distances[0]
+    assert dendro.merges.tolist() == [[0, 1, h, 2], [2, 4, h, 3], [3, 5, h, 4]]
 
 
 def test_merge_heights_are_monotone():
     rng = np.random.default_rng(6)
     for method in ("single", "complete", "average"):
-        D = line_distance_matrix(rng, 15)
-        dendro = cd.hierarchical_cluster(D, method)
-        heights = [m.height for m in dendro.merges]
-        assert all(b >= a - 1e-12 for a, b in zip(heights, heights[1:]))
+        dendro = cd.hierarchical_cluster(as_dispersion(line_distance_matrix(rng, 15)), method)
+        assert np.all(np.diff(dendro.merges[:, 2]) >= -1e-12)
 
 
 def test_unknown_linkage_rejected():
     with pytest.raises(cd.InputError):
-        cd.hierarchical_cluster(np.zeros((3, 3)), "ward")
+        cd.hierarchical_cluster(as_dispersion(np.zeros((3, 3))), "ward")
 
 
 def test_cut_clusters_extremes_and_determinism():
     rng = np.random.default_rng(7)
-    D = line_distance_matrix(rng, 8)
-    dendro = cd.hierarchical_cluster(D, "average")
+    dendro = cd.hierarchical_cluster(as_dispersion(line_distance_matrix(rng, 8)), "average")
     np.testing.assert_array_equal(cd.cut_clusters(dendro, 1), np.zeros(8, int))
     np.testing.assert_array_equal(cd.cut_clusters(dendro, 8), np.arange(8))
     labels = cd.cut_clusters(dendro, 3)
@@ -220,8 +227,9 @@ def test_cut_matches_scipy_fcluster_partition():
         pts = rng.uniform(0.0, 1.0, (14, 2))
         D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
         np.fill_diagonal(D, 0.0)
-        dendro = cd.hierarchical_cluster(D, "average")
-        Z = scipy_linkage(squareform(D, checks=False), method="average")
+        dm = as_dispersion(D)
+        dendro = cd.hierarchical_cluster(dm, "average")
+        Z = scipy_linkage(dm.distances, method="average")
         for k in (2, 3, 5):
             ours = cd.cut_clusters(dendro, k)
             theirs = fcluster(Z, t=k, criterion="maxclust")
@@ -237,12 +245,11 @@ def test_cut_with_tied_heights_matches_naive_replay(method):
     rng = np.random.default_rng(9)
     for _ in range(4):
         x = np.round(rng.uniform(0.0, 1.0, 16), 1)  # many exactly tied distances
-        D = np.abs(x[:, None] - x[None, :])
         w = len(x)
-        dendro = cd.hierarchical_cluster(D, method)
-        heights = [m.height for m in dendro.merges]
+        dendro = cd.hierarchical_cluster(as_dispersion(np.abs(x[:, None] - x[None, :])), method)
+        heights = dendro.merges[:, 2]
         assert len(set(heights)) < len(heights) - 5  # the cuts fall inside ties
-        pairs = [(m.cluster_a, m.cluster_b) for m in dendro.merges]
+        pairs = [(int(a), int(b)) for a, b in dendro.merges[:, :2].tolist()]
         for k in range(1, w + 1):
             labels = cd.cut_clusters(dendro, k)
             assert set(labels.tolist()) == set(range(k)), (method, k)
@@ -254,22 +261,21 @@ def test_cut_with_tied_heights_matches_naive_replay(method):
 
 @pytest.mark.parametrize("method", ["single", "complete", "average"])
 def test_one_and_two_leaf_dendrograms(method):
-    one = cd.hierarchical_cluster(np.zeros((1, 1)), method)
-    assert one == cd.Dendrogram(1, ())
+    one = cd.hierarchical_cluster(as_dispersion(np.zeros((1, 1))), method)
+    assert one.n_leaves == 1 and one.merges.shape == (0, 4)
     np.testing.assert_array_equal(cd.cut_clusters(one, 1), [0])
     with pytest.raises(cd.InputError):
         cd.two_cluster_cut(one)
-    D = np.array([[0.0, 0.3], [0.3, 0.0]])
-    two = cd.hierarchical_cluster(D, method)
-    assert [(m.step, m.cluster_a, m.cluster_b, m.height, m.size)
-            for m in two.merges] == [(0, 0, 1, 0.3, 2)]
+    two = cd.hierarchical_cluster(as_dispersion([[0.0, 0.3], [0.3, 0.0]]), method)
+    assert two.merges.tolist() == [[0, 1, 0.3, 2]]
     np.testing.assert_array_equal(cd.two_cluster_cut(two), [0, 1])
 
 
 def test_non_finite_distances_rejected():
-    D = np.array([[0.0, np.inf], [np.inf, 0.0]])
-    with pytest.raises(cd.InputError):
-        cd.hierarchical_cluster(D)
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(cd.InputError, match="must be finite"):
+            cd.DispersionMatrix(dates, [bad], 2)
 
 
 def test_two_cluster_cut_separates_planted_regimes():
@@ -277,8 +283,7 @@ def test_two_cluster_cut_separates_planted_regimes():
     left = rng.uniform(0.0, 0.05, 25)
     right = rng.uniform(0.9, 1.0, 10)
     x = np.concatenate([left, right])
-    D = np.abs(x[:, None] - x[None, :])
-    dendro = cd.hierarchical_cluster(D, "average")
+    dendro = cd.hierarchical_cluster(as_dispersion(np.abs(x[:, None] - x[None, :])), "average")
     labels = cd.two_cluster_cut(dendro)
     np.testing.assert_array_equal(labels, cd.cut_clusters(dendro, 2))
     assert set(labels[:25]) == {0}
@@ -289,15 +294,15 @@ def test_dendrogram_tree_shape(tmp_path):
     D = np.array([[0.0, 1.0, 4.0],
                   [1.0, 0.0, 3.0],
                   [4.0, 3.0, 0.0]])
-    dendro = cd.hierarchical_cluster(D, "single")
+    dendro = cd.hierarchical_cluster(as_dispersion(D), "single")  # distances / 16
     dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 3))
     path = tmp_path / "dendrogram.json"
     write_dendrogram_json(dendro, path, dates)
     data = json.loads(path.read_text())
     assert data == {
         "dates": ["2020-01-01", "2020-01-02", "2020-01-03"],
-        "merges": [[0, 1, 1.0, 2],
-                   [2, 3, 3.0, 3]],  # single linkage: min(4, 3)
+        "merges": [[0, 1, 0.0625, 2],
+                   [2, 3, 0.1875, 3]],  # single linkage: min(4, 3) / 16
         "n_leaves": 3,
     }
 
@@ -329,12 +334,42 @@ def test_distances_match_sorted_row_oracle():
 
 @pytest.mark.parametrize("method", ["single", "complete", "average"])
 @pytest.mark.parametrize("w", [2, 3, 40])
-def test_clustering_condensed_equals_square(method, w):
+def test_clustering_is_scipy_linkage_bit_for_bit(method, w):
     rng = np.random.default_rng(w)
-    dm = cd.dispersion_matrix(make_vol(rng.uniform(0.0, 1.0, (5, w))))
-    got = cd.hierarchical_cluster(dm, method)
-    assert got.n_leaves == w
-    assert got == cd.hierarchical_cluster(squareform(dm.distances), method)
+    random = cd.dispersion_matrix(make_vol(rng.uniform(0.0, 1.0, (5, w))))
+    x = rng.integers(0, 11, w).astype(float)
+    tied = as_dispersion(np.abs(x[:, None] - x[None, :]))
+    if w == 40:
+        assert len(np.unique(tied.distances)) <= 11  # 780 distances, at most 11 values
+    for dm in (random, tied):
+        got = cd.hierarchical_cluster(dm, method)
+        assert got.n_leaves == w
+        np.testing.assert_array_equal(got.merges, scipy_linkage(dm.distances, method=method))
+
+
+def test_dendrogram_is_the_read_only_array_linkage_returned(monkeypatch):
+    import scipy.cluster.hierarchy as hierarchy
+
+    returned = []
+
+    def recording(*args, **kwargs):
+        returned.append(scipy_linkage(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(hierarchy, "linkage", recording)
+    dm = as_dispersion(line_distance_matrix(np.random.default_rng(13), 6))
+    dendro = cd.hierarchical_cluster(dm)
+    assert dendro.merges is returned[0]
+    assert dendro.merges.dtype == np.float64 and not dendro.merges.flags.writeable
+
+
+def test_dendrogram_validation():
+    good = [[0, 1, 0.1, 2], [2, 3, 0.2, 3]]
+    assert cd.Dendrogram(3, good).merges.shape == (2, 4)
+    for w, bad in ((0, np.empty((0, 4))), (3, good[:1]), (3, [row[:3] for row in good]),
+                   (3, [[0, 1, 0.2, 2], [2, 3, 0.1, 3]])):
+        with pytest.raises(cd.InputError):
+            cd.Dendrogram(w, bad)
 
 
 def test_dispersion_layer_memory_is_condensed():

@@ -9,7 +9,9 @@ from scipy.cluster.hierarchy import is_valid_linkage
 
 import cryptodynamics as cd
 from cryptodynamics import exports
-from cryptodynamics.dispersion import LINKAGES, Merge
+from cryptodynamics.dispersion import LINKAGES
+
+from test_dispersion import as_dispersion
 
 
 def days(w):
@@ -21,15 +23,15 @@ def days(w):
        seed=st.integers(0, 2**32 - 1))
 def test_dendrogram_json_is_the_linkage_matrix(tmp_path_factory, w, method, seed):
     x = np.random.default_rng(seed).uniform(0.0, 1.0, w)
-    dendro = cd.hierarchical_cluster(np.abs(x[:, None] - x[None, :]), method)
+    dendro = cd.hierarchical_cluster(as_dispersion(np.abs(x[:, None] - x[None, :])), method)
     path = tmp_path_factory.mktemp("dendrogram") / "dendrogram.json"
     exports.write_dendrogram_json(dendro, path, days(w))
     data = json.loads(path.read_text())
     assert data["n_leaves"] == w
     assert data["dates"] == [d.isoformat() for d in days(w)]
     # float equality: every height must survive the round trip bit for bit
-    assert data["merges"] == [[m.cluster_a, m.cluster_b, m.height, m.size]
-                              for m in dendro.merges]
+    assert data["merges"] == dendro.merges.tolist()
+    assert all(type(v) is int for a, b, _, size in data["merges"] for v in (a, b, size))
     if w > 1:
         assert is_valid_linkage(np.array(data["merges"], dtype=float))
 
@@ -38,8 +40,8 @@ def test_deep_dendrogram_writes_without_recursion(tmp_path):
     # a chain: each merge joins the previous cluster and the next leaf, the
     # deepest tree w leaves can form
     w = 1500
-    merges = [Merge(0, 0, 1, 0.0, 2)] + [
-        Merge(k, w + k - 1, k + 1, float(k), k + 2) for k in range(1, w - 1)]
+    merges = np.array([[0, 1, 0.0, 2]] + [
+        [w + k - 1, k + 1, float(k), k + 2] for k in range(1, w - 1)], dtype=float)
     path = tmp_path / "dendrogram.json"
     exports.write_dendrogram_json(cd.Dendrogram(w, merges), path, days(w))
     data = json.loads(path.read_text())
@@ -49,6 +51,17 @@ def test_deep_dendrogram_writes_without_recursion(tmp_path):
 
 
 def test_dendrogram_json_needs_one_date_per_leaf(tmp_path):
-    dendro = cd.hierarchical_cluster(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    dendro = cd.hierarchical_cluster(as_dispersion([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(cd.InputError, match="dates length"):
         exports.write_dendrogram_json(dendro, tmp_path / "d.json", days(3))
+
+
+def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path):
+    dendro = cd.Dendrogram(3, [[0, 1, 0.0625, 2], [2, 3, 1 / 3, 3]])
+    path = tmp_path / "dendrogram.csv"
+    exports.write_dendrogram_csv(dendro, path)
+    assert path.read_text().splitlines() == [
+        "step,cluster_a,cluster_b,height,size",
+        "0,0,1,0.0625,2",
+        "1,2,3,0.333333333333,3",
+    ]
