@@ -8,11 +8,12 @@ included; 2 numerical failure; 3 I/O, transport or resource failure.
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import sys
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import correlation, dispersion, exports, inconsistency, spectral
-from .config import parse_tickers, resolve_config, config_echo_text
+from .config import KEY_FIELDS, RunConfig, resolve_config, config_echo_text
 from .errors import (
     AnalysisError,
     InputError,
@@ -24,25 +25,23 @@ from .exports import write_drop_report
 from .panel import PeriodPartition, default_periods, load_panel_with_report
 from .turning_points import find_turning_points
 
+# Fields whose flag is not "--" plus the field name with dashes.
+_FLAG_NAMES = {"start": "--from", "end": "--to"}
+# Key parsers argparse applies itself, so that a bad value is a usage error;
+# the others raise ConfigError, which has to reach main's handler.
+_ARGPARSE_TYPES = (int, float, str, Path)
+
 
 def _add_common_flags(parser):
     parser.add_argument("--config", metavar="PATH", help="flat-keyed config file")
-    parser.add_argument("--data-dir", dest="data_dir", metavar="DIR")
-    parser.add_argument("--out-dir", dest="out_dir", metavar="DIR")
-    parser.add_argument("--from", dest="start", metavar="DATE",
-                        help="analysis range start (ISO)")
-    parser.add_argument("--to", dest="end", metavar="DATE",
-                        help="analysis range end (ISO)")
-    for flag, kind in (
-        ("--correlation-days", int), ("--spectral-days", int),
-        ("--inconsistency-days", int), ("--volatility-days", int),
-        ("--tp-l", int), ("--tp-delta", float), ("--tp-epsilon", float),
-        ("--sg-window", int), ("--sg-degree", int),
-        ("--linkage", str), ("--url-template", str), ("--tickers", str),
-    ):
-        parser.add_argument(flag, type=kind, dest=flag[2:].replace("-", "_"))
-    parser.add_argument("--exclude-diagonal", dest="exclude_diagonal",
-                        action="store_const", const=True, default=None)
+    for key, (field, parse) in KEY_FIELDS.items():
+        flag = _FLAG_NAMES.get(field, "--" + field.replace("_", "-"))
+        if isinstance(getattr(RunConfig, field), bool):
+            parser.add_argument(flag, dest=field, action="store_const", const=True,
+                                help=f"config key {key} = true")
+        else:
+            parser.add_argument(flag, dest=field, help=f"config key {key}",
+                                type=parse if parse in _ARGPARSE_TYPES else None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,32 +59,22 @@ def build_parser():
                     "volatility-dispersion analytics for daily asset panels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("fetch", "download per-ticker history and assemble the panel CSVs"),
-        ("correlation", "norm series, turning points, period stats, densities"),
-        ("spectral", "first-eigenvalue series, market size, their correlation"),
-        ("inconsistency", "size-vs-returns and size-vs-volatility norms"),
-        ("dispersion", "variance series, dispersion clustering, dendrogram"),
-        ("all", "run every analysis command on one shared panel"),
-    ):
+    blurbs = {"fetch": "download per-ticker history and assemble the panel CSVs",
+              **{name: analysis.blurb for name, analysis in _ANALYSES.items()},
+              "all": "run every analysis command on one shared panel"}
+    for name, blurb in blurbs.items():
         _add_common_flags(sub.add_parser(name, help=blurb))
     return parser
 
 
 def _config_from_args(args):
-    flags = {
-        field: getattr(args, field)
-        for field in ("data_dir", "out_dir", "start", "end",
-                      "correlation_days", "spectral_days", "inconsistency_days",
-                      "volatility_days", "tp_l", "tp_delta", "tp_epsilon",
-                      "sg_window", "sg_degree", "exclude_diagonal", "linkage",
-                      "url_template", "tickers")
-    }
-    for key in ("start", "end"):
-        if flags[key] is not None:
-            flags[key] = dt.date.fromisoformat(flags[key])
-    if flags["tickers"] is not None:
-        flags["tickers"] = parse_tickers(flags["tickers"])
+    """The run configuration; flags argparse did not type go through their key's parser."""
+    flags = {}
+    for field, parse in KEY_FIELDS.values():
+        value = getattr(args, field)
+        if value is not None and parse not in _ARGPARSE_TYPES:
+            value = parse(value)
+        flags[field] = value
     return resolve_config(args.config, **flags)
 
 
@@ -121,24 +110,8 @@ def cmd_fetch(cfg):
     _emit(cfg.marketcap_csv)
 
 
-def _load_inputs(cfg, wanted=None):
-    """The panel, its log returns, and one kernel pass per window length.
-
-    ``wanted`` maps each window length to the rolling statistics needed at
-    it, so analyses sharing a window length share its pass. Without it the
-    pass dict is empty and each analysis runs its own pass.
-    """
-    panel = _load_panel(cfg)
-    returns = correlation.log_returns(panel)
-    stats = {days: correlation.rolling_statistics(returns, days, what)
-             for days, what in (wanted or {}).items()}
-    return panel, returns, stats
-
-
-def cmd_correlation(cfg, inputs=None):
-    _, returns, stats = inputs or _load_inputs(cfg)
-    days = cfg.correlation_days
-    series = correlation.rolling_norm_series(returns, days, stats.get(days))
+def cmd_correlation(cfg, panel, returns, days, stats):
+    series = correlation.rolling_norm_series(returns, days, stats)
     series = series.with_smoothed(cfg.sg_window, cfg.sg_degree)
     exports.write_norm_series(series, cfg.out_dir / "norm_series.csv",
                               cfg.out_dir / "norm_series.json")
@@ -153,19 +126,17 @@ def cmd_correlation(cfg, inputs=None):
     first, last = returns.dates[0], returns.dates[-1]
     covered = tuple(p for p in default_periods()
                     if (min(p.end, last) - max(p.start, first)).days + 1 >= 2)
-    stats = correlation.period_entry_stats(returns, PeriodPartition(covered),
-                                           exclude_diagonal=cfg.exclude_diagonal)
-    exports.write_period_stats(stats, cfg.out_dir / "period_stats.csv",
+    periods = correlation.period_entry_stats(returns, PeriodPartition(covered),
+                                             exclude_diagonal=cfg.exclude_diagonal)
+    exports.write_period_stats(periods, cfg.out_dir / "period_stats.csv",
                                cfg.out_dir / "period_stats.json")
     _emit(cfg.out_dir / "period_stats.csv")
-    for path in exports.write_density_curves(stats, cfg.out_dir):
+    for path in exports.write_density_curves(periods, cfg.out_dir):
         _emit(path)
 
 
-def cmd_spectral(cfg, inputs=None):
-    panel, returns, stats = inputs or _load_inputs(cfg)
-    days = cfg.spectral_days
-    lam = spectral.lambda1_series(returns, days, stats=stats.get(days))
+def cmd_spectral(cfg, panel, returns, days, stats):
+    lam = spectral.lambda1_series(returns, days, stats=stats)
     size = spectral.rolling_market_size(panel, days)
     exports.write_lambda1_series(lam, cfg.out_dir / "lambda1_series.csv")
     exports.write_market_size(size, cfg.out_dir / "market_size.csv")
@@ -175,25 +146,21 @@ def cmd_spectral(cfg, inputs=None):
     except AnalysisError:
         summary = {"rho_market_size_lambda1": "degenerate"}
     summary["n_windows"] = len(lam.dates)
-    summary["window_days"] = cfg.spectral_days
+    summary["window_days"] = days
     exports.write_json(cfg.out_dir / "correlation_summary.json", summary)
     for name in ("lambda1_series.csv", "market_size.csv", "correlation_summary.json"):
         _emit(cfg.out_dir / name)
 
 
-def cmd_inconsistency(cfg, inputs=None):
-    panel, returns, stats = inputs or _load_inputs(cfg)
-    days = cfg.inconsistency_days
-    vol = inconsistency.rolling_volatility(returns, days, stats.get(days))
+def cmd_inconsistency(cfg, panel, returns, days, stats):
+    vol = inconsistency.rolling_volatility(returns, days, stats)
     series = inconsistency.inconsistency_norms(panel, returns, vol, days)
     exports.write_inconsistency(series, cfg.out_dir / "inconsistency_norms.csv")
     _emit(cfg.out_dir / "inconsistency_norms.csv")
 
 
-def cmd_dispersion(cfg, inputs=None):
-    _, returns, stats = inputs or _load_inputs(cfg)
-    days = cfg.volatility_days
-    vol = inconsistency.rolling_volatility(returns, days, stats.get(days))
+def cmd_dispersion(cfg, panel, returns, days, stats):
+    vol = inconsistency.rolling_volatility(returns, days, stats)
     variances = dispersion.variance_series(vol)
     exports.write_variance_series(variances, cfg.out_dir / "variance_series.csv")
     _emit(cfg.out_dir / "variance_series.csv")
@@ -210,24 +177,41 @@ def cmd_dispersion(cfg, inputs=None):
         _emit(cfg.out_dir / name)
 
 
-def cmd_all(cfg):
-    wanted = {}
-    for what, days in (("norm", cfg.correlation_days), ("lambda1", cfg.spectral_days),
-                       ("sigma", cfg.inconsistency_days), ("sigma", cfg.volatility_days)):
-        wanted.setdefault(days, set()).add(what)
-    inputs = _load_inputs(cfg, wanted)
-    for command in (cmd_correlation, cmd_spectral, cmd_inconsistency, cmd_dispersion):
-        command(cfg, inputs)
+class _Analysis(NamedTuple):
+    run: Callable     # (cfg, panel, returns, days, stats): writes and emits its outputs
+    statistic: str    # what it reads from the kernel pass (correlation.STATISTICS)
+    window: str       # the RunConfig field holding its window length in days
+    blurb: str
 
 
-_COMMANDS = {
-    "fetch": cmd_fetch,
-    "correlation": cmd_correlation,
-    "spectral": cmd_spectral,
-    "inconsistency": cmd_inconsistency,
-    "dispersion": cmd_dispersion,
-    "all": cmd_all,
+# In the order `all` runs them.
+_ANALYSES = {
+    "correlation": _Analysis(cmd_correlation, "norm", "correlation_days",
+                             "norm series, turning points, period stats, densities"),
+    "spectral": _Analysis(cmd_spectral, "lambda1", "spectral_days",
+                          "first-eigenvalue series, market size, their correlation"),
+    "inconsistency": _Analysis(cmd_inconsistency, "sigma", "inconsistency_days",
+                               "size-vs-returns and size-vs-volatility norms"),
+    "dispersion": _Analysis(cmd_dispersion, "sigma", "volatility_days",
+                            "variance series, dispersion clustering, dendrogram"),
 }
+
+
+def _run_analyses(cfg, analyses):
+    """Load the panel, make one kernel pass per distinct window length, run ``analyses``.
+
+    Analyses reading the same window length share its pass.
+    """
+    panel = _load_panel(cfg)
+    returns = correlation.log_returns(panel)
+    windows = [getattr(cfg, analysis.window) for analysis in analyses]
+    wanted = {}
+    for analysis, days in zip(analyses, windows):
+        wanted.setdefault(days, set()).add(analysis.statistic)
+    stats = {days: correlation.rolling_statistics(returns, days, what)
+             for days, what in wanted.items()}
+    for analysis, days in zip(analyses, windows):
+        analysis.run(cfg, panel, returns, days, stats[days])
 
 
 def main(argv=None) -> int:
@@ -235,7 +219,11 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         _prepare_out_dir(cfg)
-        _COMMANDS[args.command](cfg)
+        if args.command == "fetch":
+            cmd_fetch(cfg)
+        else:
+            _run_analyses(cfg, _ANALYSES.values() if args.command == "all"
+                          else [_ANALYSES[args.command]])
     except (TransportError,) as exc:
         print(f"error: transport: {exc}", file=sys.stderr)
         return 3

@@ -130,7 +130,11 @@ _FIELD_KEYS = {field: key for key, (field, _) in KEY_FIELDS.items()}
 def parse_config_file(path) -> dict:
     """Field overrides from a flat-keyed config file."""
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -1,7 +1,9 @@
+import argparse
 import datetime as dt
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import cryptodynamics
-from cryptodynamics.cli import main
+from cryptodynamics.cli import build_parser, main
+from cryptodynamics.config import KEY_FIELDS
 
 SMALL_FLAGS = [
     "--from", "2019-06-01", "--to", "2019-12-31",
@@ -99,6 +102,23 @@ def test_dispersion_command(small_dataset_dir, tmp_path):
     assert {line.split(",")[1] for line in cut_lines[1:]} == {"0", "1"}
 
 
+def test_standalone_commands_match_all(small_dataset_dir, tmp_path, capsys):
+    everything = tmp_path / "all"
+    assert run("all", small_dataset_dir, everything) == 0
+    emitted_by_all = capsys.readouterr().out.replace(str(everything), "OUT").splitlines()
+    emitted = emitted_by_all[:1]  # drop_report.json, written once per run
+    for command in ("correlation", "spectral", "inconsistency", "dispersion"):
+        out = tmp_path / command
+        assert run(command, small_dataset_dir, out) == 0
+        emitted += capsys.readouterr().out.replace(str(out), "OUT").splitlines()[1:]
+        names = sorted(p.name for p in out.iterdir() if p.name != "resolved_config.txt")
+        assert len(names) >= 2, command
+        for name in names:
+            assert (out / name).read_bytes() == (everything / name).read_bytes(), (
+                command, name)
+    assert emitted == emitted_by_all
+
+
 def test_all_runs_are_byte_identical(small_dataset_dir, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -121,6 +141,13 @@ def test_missing_data_is_exit_code_1(tmp_path, capsys):
     assert "data file not found" in capsys.readouterr().err
 
 
+def test_missing_config_file_is_exit_code_1(small_dataset_dir, tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    code = run("correlation", small_dataset_dir, tmp_path / "out", "--config", str(missing))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+
+
 def test_bad_parameter_is_exit_code_1(small_dataset_dir, tmp_path, capsys):
     code = run("correlation", small_dataset_dir, tmp_path / "out",
                "--tp-delta", "2.0")
@@ -132,6 +159,34 @@ def test_bad_date_is_exit_code_1(small_dataset_dir, tmp_path):
     code = main(["correlation", "--data-dir", str(small_dataset_dir),
                  "--out-dir", str(tmp_path / "out"), "--from", "junk"])
     assert code == 1
+
+
+def test_flags_match_the_config_schema_and_the_readme():
+    # One flag per config key, named after its RunConfig field.
+    renamed = {"start": "--from", "end": "--to"}
+    expected = {renamed.get(field, "--" + field.replace("_", "-")): key
+                for key, (field, _) in KEY_FIELDS.items()}
+    expected["--config"] = None
+    parser = build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    field_keys = {field: key for key, (field, _) in KEY_FIELDS.items()}
+    for name, sub in commands.choices.items():
+        flags = {}
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag not in ("-h", "--help"):
+                    flags[flag] = field_keys.get(action.dest)
+        assert flags == expected, name
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for row in section.splitlines():
+        if row.startswith("| `--"):
+            flag_cell, key_cell = row.split("|")[1:3]
+            keys = re.findall(r"`([a-z_.]+)`", key_cell) or [None]
+            listed.update(zip(re.findall(r"`(--[a-z-]+)", flag_cell), keys, strict=True))
+    assert listed == expected
 
 
 def test_unknown_command_is_a_usage_error(capsys):
@@ -217,7 +272,7 @@ def test_fetch_then_analyse_end_to_end(local_http, tmp_path):
 def test_all_builds_each_window_stack_once(small_dataset_dir, tmp_path, monkeypatch):
     from cryptodynamics import correlation
 
-    passes, stacked = [], []
+    passes, stacked, grams = [], [], []
     walk, fill = correlation.window_chunks, correlation.fill_chunk
 
     def counting_walk(returns, days, *args):
@@ -227,6 +282,8 @@ def test_all_builds_each_window_stack_once(small_dataset_dir, tmp_path, monkeypa
     def counting_fill(returns, days, rows, centered, stack=None, gram=None):
         if stack is not None:
             stacked.extend(range(rows.start, rows.stop))
+        if gram is not None:
+            grams.extend(range(rows.start, rows.stop))
         return fill(returns, days, rows, centered, stack, gram)
 
     monkeypatch.setattr(correlation, "window_chunks", counting_walk)
@@ -241,6 +298,20 @@ def test_all_builds_each_window_stack_once(small_dataset_dir, tmp_path, monkeypa
     assert run("all", small_dataset_dir, tmp_path / "out2",
                "--spectral-days", "40", "--volatility-days", "40") == 0
     assert passes == [30, 40]
+
+    # On its own, each analysis command makes one pass, at its own window
+    # length; the volatility analyses need σ alone, so they build no stack.
+    windows = {"correlation": 30, "spectral": 35, "inconsistency": 40, "dispersion": 45}
+    for command, days in windows.items():
+        passes.clear()
+        stacked.clear()
+        grams.clear()
+        assert run(command, small_dataset_dir, tmp_path / command,
+                   "--spectral-days", "35", "--inconsistency-days", "40",
+                   "--volatility-days", "45") == 0
+        assert passes == [days], command
+        if command in ("inconsistency", "dispersion"):
+            assert stacked == grams == [], command
 
 
 def test_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path, monkeypatch, capsys):
