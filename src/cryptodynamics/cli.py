@@ -36,12 +36,11 @@ def _add_common_flags(parser):
     parser.add_argument("--config", metavar="PATH", help="flat-keyed config file")
     for key, (field, parse) in KEY_FIELDS.items():
         flag = _FLAG_NAMES.get(field, "--" + field.replace("_", "-"))
-        if isinstance(getattr(RunConfig, field), bool):
-            parser.add_argument(flag, dest=field, action="store_const", const=True,
-                                help=f"config key {key} = true")
-        else:
-            parser.add_argument(flag, dest=field, help=f"config key {key}",
-                                type=parse if parse in _ARGPARSE_TYPES else None)
+        switch = isinstance(getattr(RunConfig, field), bool)  # bare, it means true
+        parser.add_argument(flag, dest=field, help=f"config key {key}",
+                            nargs="?" if switch else None,
+                            const="true" if switch else None,
+                            type=parse if parse in _ARGPARSE_TYPES else None)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -134,6 +134,8 @@ def parse_config_file(path) -> dict:
         fh = open(path, encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except IsADirectoryError:
+        raise ConfigError(f"config path is a directory: {path}") from None
     with fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()

@@ -85,9 +85,9 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas"
 # Held for a whole kernel pass or period KDE, so that concurrent passes
 # cannot interleave the hold and restore of the OpenBLAS thread count.
 _PASS_LOCK = threading.Lock()
-# Eigenvalues below minus this are an error; those above it are clamped to 0.
+# Eigenvalues below minus this are an error; rounding leaves smaller ones.
 NEGATIVE_EIGENVALUE_TOL = 1e-10
-STATISTICS = ("norm", "lambda1", "spectra", "sigma")
+STATISTICS = ("norm", "lambda1", "sigma")
 
 
 @dataclass(frozen=True)
@@ -327,13 +327,11 @@ def chunk_norms(stack):
     return np.abs(stack, out=stack).sum(axis=(1, 2)) / (n * n)
 
 
-def chunk_spectra(matrices, n_assets, dates):
-    """Ascending, zero-clamped eigenvalues (c, N) of one kernel chunk's windows.
+def chunk_lambda1(matrices, dates):
+    """λ₁ of each of one kernel chunk's windows (c,), dated by ``dates``.
 
     ``matrices`` are the (c, N, N) correlation matrices or, with S < N,
-    the S×S Gram matrices ZᵀZ/S, whose nonzero spectrum is the
-    correlation matrix's; the N−S missing eigenvalues are zeros. ``dates``
-    dates the chunk's windows for the error message.
+    the S×S Gram matrices ZᵀZ/S, which have the same λ₁.
     """
     try:
         values = np.linalg.eigvalsh(matrices)  # ascending, per window
@@ -345,11 +343,7 @@ def chunk_spectra(matrices, n_assets, dates):
             f"window ending {dates[w]} has eigenvalue {values[w].min()} < "
             f"-{NEGATIVE_EIGENVALUE_TOL}"
         )
-    values = np.clip(values, 0.0, None)
-    missing = n_assets - matrices.shape[1]
-    if missing:
-        values = np.pad(values, ((0, 0), (missing, 0)))
-    return values
+    return values[:, -1]
 
 
 def _cpu_count():
@@ -449,11 +443,10 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     """Rolling statistics at one window length, from one pass of the kernel.
 
     ``wanted`` names any of ``STATISTICS``: "norm" gives ν per window (W,),
-    "lambda1" the largest eigenvalue λ₁ per window (W,), "spectra" every
-    window's eigenvalues, non-increasing (W, N), together with "lambda1",
-    and "sigma" the population volatilities (N, W). Returns a dict keyed by
-    those names. ν and λ₁ share each chunk's stack when S >= N. Running
-    out of memory raises MemoryError with the estimated working set.
+    "lambda1" the largest eigenvalue λ₁ per window (W,) and "sigma" the
+    population volatilities (N, W). Returns a dict keyed by those names.
+    ν and λ₁ share each chunk's stack when S >= N. Running out of memory
+    raises MemoryError with the estimated working set.
 
     The chunks run on one thread per CPU, with numpy's OpenBLAS held at
     one thread for the pass; without a way to set OpenBLAS threads the
@@ -464,8 +457,7 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     if not wanted or not wanted <= set(STATISTICS):
         raise InputError(f"wanted must name some of {STATISTICS}, got {sorted(wanted)}")
     S, n = int(window_days), returns.n_assets
-    norm, sigma, spectra = "norm" in wanted, "sigma" in wanted, "spectra" in wanted
-    eig = spectra or "lambda1" in wanted
+    norm, eig, sigma = "norm" in wanted, "lambda1" in wanted, "sigma" in wanted
     workers = _worker_count()
     chunks = window_chunks(returns, S, workers)
     workers = min(workers, len(chunks))
@@ -484,19 +476,15 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
         if sigma:
             np.sqrt(var, out=out["sigma"][:, rows])
         if eig:
-            values = chunk_spectra(stack if gram is None else gram, n, dates[rows])
-            out["lambda1"][rows] = values[:, -1]
-            if spectra:
-                out["spectra"][rows] = values[:, ::-1]
+            out["lambda1"][rows] = chunk_lambda1(gram if S < n else stack, dates[rows])
         if norm:  # after the eigensolver: this overwrites the stack
             out["norm"][rows] = chunk_norms(stack)
 
     try:
         buffers = [[shape if shape is None else np.empty((c,) + shape)
                     for shape in shapes] for _ in range(workers)]
-        sizes = {"norm": W, "lambda1": W, "spectra": (W, n), "sigma": (n, W)}
-        out = {key: np.empty(sizes[key]) for key in STATISTICS
-               if key in wanted or key == "lambda1" and eig}
+        out = {key: np.empty((n, W) if key == "sigma" else W)
+               for key in STATISTICS if key in wanted}
         with _blas_held():
             _map_chunks(work, chunks, buffers)
     except MemoryError:

@@ -6,15 +6,12 @@ collective axis. Since a correlation matrix has trace N, λ̃₁ lies in
 [1/N, 1], and because the matrix is symmetric PSD it also equals
 ‖Ψ‖_op/N.
 
-``lambda1_series`` is the one path to λ₁ and the spectra. It takes them
-from ``correlation.rolling_statistics``, the chunked window kernel, which
-runs ``eigvalsh`` chunk by chunk (``correlation.chunk_spectra`` clamps
-eigenvalues that are negative by rounding only) and so never holds more
-than one chunk of matrices. A window's matrix is (1/S)·Z Zᵀ with Z its
-N×S standardized returns; when S < N the S×S Gram matrix (1/S)·ZᵀZ has
-the same nonzero eigenvalues and is solved instead, and the N−S remaining
-eigenvalues are zero. Memory is O(c·N·max(N, S) + W·N) for c windows per
-chunk.
+``lambda1_series`` takes λ₁ from ``correlation.rolling_statistics``, the
+chunked window kernel, which runs ``eigvalsh`` chunk by chunk and never
+holds more than one chunk of matrices. A window's matrix is (1/S)·Z Zᵀ
+with Z its N×S standardized returns; when S < N the kernel solves the
+S×S Gram matrix (1/S)·ZᵀZ instead, which has the same λ₁. Memory is
+O(c·N·max(N, S) + W·N) for c windows per chunk.
 """
 
 from __future__ import annotations
@@ -31,12 +28,11 @@ from .panel import PricePanel
 
 @dataclass(frozen=True)
 class SpectralSeries:
-    """λ̃₁ per window end date, optionally with the full spectra."""
+    """λ̃₁ per window end date."""
 
     dates: tuple
     lambda1: np.ndarray
     n_assets: int
-    spectra: np.ndarray | None = None
 
     def __post_init__(self):
         dates = tuple(self.dates)
@@ -48,23 +44,10 @@ class SpectralSeries:
             raise InputError("n_assets must be >= 1")
         if not np.all((lam >= 1.0 / n - 1e-9) & (lam <= 1.0 + 1e-9)):
             raise InputError(f"lambda1 values must be finite and lie in [1/{n}, 1]")
-        spectra = self.spectra
-        if spectra is not None:
-            spectra = np.ascontiguousarray(spectra, dtype=float)
-            if spectra.shape != (len(dates), n):
-                raise InputError("spectra shape must be (len(dates), n_assets)")
-            if not np.all(spectra >= 0.0):
-                raise InputError("stored spectra must be finite and non-negative")
-            if np.any(np.diff(spectra, axis=1) > 0.0):
-                raise InputError("stored spectra must be non-increasing")
-            if np.any(np.abs(spectra.sum(axis=1) - n) > 1e-8):
-                raise InputError("stored spectra must sum to n_assets")
-            spectra.flags.writeable = False
         lam.flags.writeable = False
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "lambda1", lam)
         object.__setattr__(self, "n_assets", n)
-        object.__setattr__(self, "spectra", spectra)
 
 
 @dataclass(frozen=True)
@@ -87,19 +70,16 @@ class MarketSizeSeries:
 
 
 def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
-                   keep_spectra=False, stats=None) -> SpectralSeries:
+                   stats=None) -> SpectralSeries:
     """λ̃₁(t) = λ₁/N of the trailing S-day correlation matrix, t = S..T.
 
     ``stats``, a ``rolling_statistics`` result for the same window length
-    that holds "lambda1" (and "spectra" with ``keep_spectra``), stands in
-    for the kernel pass.
+    that holds "lambda1", stands in for the kernel pass.
     """
     if stats is None:
-        stats = rolling_statistics(returns, window_days,
-                                   ("spectra",) if keep_spectra else ("lambda1",))
+        stats = rolling_statistics(returns, window_days, ("lambda1",))
     n = returns.n_assets
-    return SpectralSeries(returns.dates[int(window_days) - 1:], stats["lambda1"] / n,
-                          n, stats["spectra"] if keep_spectra else None)
+    return SpectralSeries(returns.dates[int(window_days) - 1:], stats["lambda1"] / n, n)
 
 
 def rolling_market_size(panel: PricePanel,

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 import cryptodynamics as cd
-from cryptodynamics import cli, dispersion, inconsistency, spectral
+from cryptodynamics import cli, correlation, dispersion, inconsistency, spectral
 from cryptodynamics.inconsistency import VolatilityPanel
 from cryptodynamics.simulate import DEFAULT_PHASES
 
@@ -69,11 +69,30 @@ def test_2_turning_point_equivalence(capsys):
             f"{100 - mismatches}/100 seeded series")
 
 
+def kernel_trace_deviations(returns, S):
+    """|sum of eigenvalues − N| of every window's matrix as the kernel builds it.
+
+    ``fill_chunk`` builds the N×N correlation matrices when S >= N and the
+    S×S Gram matrices ZᵀZ/S when S < N; the eigenvalues are taken here.
+    """
+    n = returns.n_assets
+    side = min(n, S)
+    devs = []
+    for rows in correlation.window_chunks(returns, S, 1):
+        c = rows.stop - rows.start
+        matrices = np.empty((c, side, side))
+        correlation.fill_chunk(returns, S, rows, np.empty((c, n, S)),
+                               *((matrices, None) if S >= n else (None, matrices)))
+        devs.append(np.abs(np.linalg.eigvalsh(matrices).sum(axis=1) - n))
+    return np.concatenate(devs)
+
+
 def test_3_market_mode_and_identities(sim_panel, sim_returns, capsys):
     """Market size and market mode anticorrelate in the planted band; the
-    operator-norm and trace identities hold on every rolling window of the
-    lambda1 series the CLI writes."""
-    lam = spectral.lambda1_series(sim_returns, 90, keep_spectra=True)
+    operator-norm identity holds on every rolling window of the lambda1
+    series the CLI writes, and the trace identity on every matrix the
+    kernel solves, on the stack route (S = 90) and the Gram route (S = 30)."""
+    lam = spectral.lambda1_series(sim_returns, 90)
     size = spectral.rolling_market_size(sim_panel, 90)
     rho = spectral.series_correlation(size.values, lam.lambda1)
     ok_rho = -0.20 <= rho <= -0.05
@@ -82,12 +101,16 @@ def test_3_market_mode_and_identities(sim_panel, sim_returns, capsys):
     stack = reference.correlation_stack(sim_returns.returns, 90)
     op_dev = max(abs(lam.lambda1[w] - reference.power_iteration(stack[w]) / n)
                  for w in range(stack.shape[0]))
-    trace_dev = float(np.abs(lam.spectra.sum(axis=1) - n).max())
+    stack_devs = kernel_trace_deviations(sim_returns, 90)
+    gram_devs = kernel_trace_deviations(sim_returns, 30)
+    assert len(stack_devs) == stack.shape[0] and 30 < n
+    trace_dev = float(max(stack_devs.max(), gram_devs.max()))
     ok = ok_rho and op_dev < 1e-8 and trace_dev < 1e-8
     _report(capsys, 3, ok,
             f"rho(size, lambda1)={rho:.4f} in [-0.20,-0.05]; worst operator-"
-            f"norm dev {op_dev:.1e}, worst trace dev {trace_dev:.1e} "
-            f"over {stack.shape[0]} windows")
+            f"norm dev {op_dev:.1e} over {stack.shape[0]} windows, worst trace "
+            f"dev {trace_dev:.1e} over {len(stack_devs)} + {len(gram_devs)} "
+            f"kernel matrices (S = 90, 30)")
 
 
 def test_4_inconsistency_ordering(sim_panel, sim_returns, capsys):

@@ -148,6 +148,30 @@ def test_missing_config_file_is_exit_code_1(small_dataset_dir, tmp_path, capsys)
     assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
 
 
+def test_config_directory_is_exit_code_1(small_dataset_dir, tmp_path, capsys):
+    folder = tmp_path / "configs"
+    folder.mkdir()
+    code = run("correlation", small_dataset_dir, tmp_path / "out", "--config", str(folder))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config path is a directory: {folder}\n"
+
+
+def test_bool_flag_overrides_the_config_file(small_dataset_dir, tmp_path, capsys):
+    # Flags beat file values for bool keys too; bare, the flag means true.
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+    for in_file, flag, echoed in (("true", ["--exclude-diagonal", "false"], "false"),
+                                  ("false", ["--exclude-diagonal", "--tp-l", "5"], "true"),
+                                  ("false", ["--exclude-diagonal", "on"], "true"),
+                                  ("true", [], "true")):
+        cfg.write_text(f"stats.exclude_diagonal = {in_file}\n")
+        assert run("correlation", small_dataset_dir, out, "--config", str(cfg), *flag) == 0
+        text = (out / "resolved_config.txt").read_text()
+        assert f"stats.exclude_diagonal = {echoed}\n" in text, (in_file, flag)
+    capsys.readouterr()
+    assert run("correlation", small_dataset_dir, out, "--exclude-diagonal", "maybe") == 1
+    assert capsys.readouterr().err == "error: not a boolean: 'maybe'\n"
+
+
 def test_bad_parameter_is_exit_code_1(small_dataset_dir, tmp_path, capsys):
     code = run("correlation", small_dataset_dir, tmp_path / "out",
                "--tp-delta", "2.0")

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import cryptodynamics as cd
 from cryptodynamics import correlation
-from cryptodynamics.correlation import chunk_spectra
+from cryptodynamics.correlation import chunk_lambda1
 
 import reference
 from test_correlation import make_returns
@@ -62,7 +62,7 @@ def test_kernel_matches_per_window_oracles(n, S, W, c, k, seed):
         assert [rows.stop - rows.start for rows in chunks[:-1]] == [c] * (len(chunks) - 1)
         assert 1 <= chunks[-1].stop - chunks[-1].start <= c
         nu = cd.rolling_norm_series(r, S)
-        lam = cd.lambda1_series(r, S, keep_spectra=True)
+        lam = cd.lambda1_series(r, S)
         vol = cd.rolling_volatility(r, S)
 
     assert nu.dates == lam.dates == vol.dates == r.dates[S - 1:]
@@ -71,10 +71,6 @@ def test_kernel_matches_per_window_oracles(n, S, W, c, k, seed):
 
     want_lam = np.linalg.eigvalsh(stack)[:, -1] / n
     np.testing.assert_allclose(lam.lambda1, want_lam, rtol=0.0, atol=1e-12)
-    assert np.all(lam.spectra >= 0.0)
-    assert np.all(np.diff(lam.spectra, axis=1) <= 0.0)
-    np.testing.assert_allclose(lam.spectra.sum(axis=1), n, rtol=0.0, atol=1e-9)
-    np.testing.assert_array_equal(lam.spectra[:, 0] / n, lam.lambda1)
 
     np.testing.assert_allclose(vol.sigmas, reference.rolling_std(X, S),
                                rtol=1e-12, atol=0.0)
@@ -117,30 +113,22 @@ def test_shared_pass_equals_separate_passes(n, S):
     X = np.random.default_rng(4).standard_normal((n, 60))
     r = make_returns(X)
     with chunked(n, S, 7):
-        stats = correlation.rolling_statistics(r, S, ("norm", "spectra", "sigma"))
+        stats = correlation.rolling_statistics(r, S, ("norm", "lambda1", "sigma"))
         nu = cd.rolling_norm_series(r, S)
-        lam = cd.lambda1_series(r, S, keep_spectra=True)
+        lam = cd.lambda1_series(r, S)
         vol = cd.rolling_volatility(r, S)
-    assert sorted(stats) == ["lambda1", "norm", "sigma", "spectra"]
+    assert sorted(stats) == ["lambda1", "norm", "sigma"]
     np.testing.assert_array_equal(cd.rolling_norm_series(r, S, stats).raw, nu.raw)
-    shared = cd.lambda1_series(r, S, keep_spectra=True, stats=stats)
+    shared = cd.lambda1_series(r, S, stats=stats)
     np.testing.assert_array_equal(shared.lambda1, lam.lambda1)
-    np.testing.assert_array_equal(shared.spectra, lam.spectra)
     np.testing.assert_array_equal(cd.rolling_volatility(r, S, stats).sigmas, vol.sigmas)
 
 
 def test_rolling_statistics_rejects_unknown_names():
     r = make_returns(np.random.default_rng(7).standard_normal((3, 20)))
-    for wanted in ((), ("norm", "mean")):
+    for wanted in ((), ("norm", "mean"), ("spectra",)):
         with pytest.raises(cd.InputError, match="wanted must name some of"):
             correlation.rolling_statistics(r, 5, wanted)
-
-
-def test_gram_route_pads_with_zeros():
-    X = np.random.default_rng(5).standard_normal((8, 40))
-    lam = cd.lambda1_series(make_returns(X), 5, keep_spectra=True)
-    assert np.all(lam.spectra[:, 5:] == 0.0)  # the N − S padded zeros
-    assert np.all(lam.spectra[:, :4] > 1e-6)   # centred windows have rank S − 1
 
 
 def test_zero_variance_names_lowest_asset_and_its_first_window():
@@ -216,7 +204,7 @@ def test_negative_eigenvalue_names_the_window_date():
     dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
     stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
     with pytest.raises(cd.NumericalError, match="window ending 2020-01-02"):
-        chunk_spectra(stack, 2, dates)
+        chunk_lambda1(stack, dates)
 
 
 def test_kernel_memory_does_not_grow_with_window_count():
@@ -243,7 +231,7 @@ def test_worker_count_does_not_change_results(n, S, W, seed):
     # Bit for bit: a window's arithmetic depends neither on its chunk nor
     # on the thread that runs it, so outputs do not depend on the CPUs.
     r = make_returns(np.random.default_rng(seed).standard_normal((n, S + W - 1)))
-    wanted = ("norm", "spectra", "sigma")
+    wanted = ("norm", "lambda1", "sigma")
     with chunked(n, S, W):
         want = correlation.rolling_statistics(r, S, wanted)
     for k in (1, 2, 3):
@@ -260,16 +248,16 @@ def test_earliest_failing_chunk_wins():
     # raised, as in a serial pass.
     X = np.random.default_rng(13).standard_normal((3, 30))
     r = make_returns(X)
-    spectra = correlation.chunk_spectra
+    lambda1 = correlation.chunk_lambda1
 
-    def failing(matrices, n, dates):
+    def failing(matrices, dates):
         if dates[0] == r.dates[4]:
             time.sleep(0.2)
-        spectra(matrices, n, dates)
+        lambda1(matrices, dates)
         raise cd.NumericalError(f"window ending {dates[0]}")
 
     for k in (1, 3):
-        with chunked(3, 5, 2, k), mock.patch.object(correlation, "chunk_spectra", failing):
+        with chunked(3, 5, 2, k), mock.patch.object(correlation, "chunk_lambda1", failing):
             with pytest.raises(cd.NumericalError, match=f"window ending {r.dates[4]}$"):
                 cd.lambda1_series(r, 5)
 
@@ -291,7 +279,7 @@ def test_pass_holds_blas_at_one_thread_and_restores_it():
     try:
         put(3)
         with chunked(4, 5, 8, 2), mock.patch.object(np.linalg, "eigvalsh", recording):
-            cd.lambda1_series(r, 5, keep_spectra=True)
+            cd.lambda1_series(r, 5)
             assert get() == 3
             with pytest.raises(cd.DegenerateDataError, match=r"'A2'.*\[11:15\]"):
                 cd.lambda1_series(dead, 5)

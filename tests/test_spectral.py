@@ -5,47 +5,33 @@ import numpy as np
 import pytest
 
 import cryptodynamics as cd
-from cryptodynamics.correlation import chunk_spectra
+from cryptodynamics.correlation import chunk_lambda1
 
 import reference
 from test_correlation import make_returns
 
 
-def spectra_and_stack(seed, n, S, W=12):
-    """Production spectra of random returns and the reference stack."""
-    X = np.random.default_rng(seed).standard_normal((n, S + W - 1))
-    series = cd.lambda1_series(make_returns(X), S, keep_spectra=True)
-    return series, reference.correlation_stack(X, S)
-
-
-def test_spectrum_sorted_sums_to_n():
-    for n, S in ((2, 8), (5, 20), (9, 36), (9, 4)):
-        spectra = spectra_and_stack(n, n, S)[0].spectra
-        assert spectra.shape[1] == n
-        assert np.all(np.diff(spectra, axis=1) <= 0.0)
-        assert np.all(spectra >= 0.0)
-        np.testing.assert_allclose(spectra.sum(axis=1), n, rtol=0.0,
-                                   atol=1e-9)  # trace identity
-
-
 def test_spectrum_matches_numpy_reference():
+    n = 6
     for S in (24, 4):  # stack route, Gram route
-        series, stack = spectra_and_stack(1, 6, S)
-        want = np.clip(np.linalg.eigvalsh(stack)[:, ::-1], 0.0, None)
-        np.testing.assert_allclose(series.spectra, want, rtol=0.0, atol=1e-12)
+        X = np.random.default_rng(1).standard_normal((n, S + 11))
+        series = cd.lambda1_series(make_returns(X), S)
+        want = np.linalg.eigvalsh(reference.correlation_stack(X, S))[:, -1]
+        np.testing.assert_allclose(series.lambda1 * n, want, rtol=0.0, atol=1e-12)
 
 
 def test_large_negative_eigenvalue_is_an_error():
     bad = np.array([[[1.0, 2.0], [2.0, 1.0]]])  # eigenvalues 3 and -1
     with pytest.raises(cd.NumericalError):
-        chunk_spectra(bad, 2, (dt.date(2020, 1, 1),))
+        chunk_lambda1(bad, (dt.date(2020, 1, 1),))
 
 
-def test_tiny_negative_eigenvalues_are_clamped():
+def test_tiny_negative_eigenvalues_are_not_an_error():
     almost = np.array([[[1.0, 1.0], [1.0, 1.0 - 1e-12]]])
     assert np.linalg.eigvalsh(almost)[0, 0] < 0.0
-    spectrum = chunk_spectra(almost, 2, (dt.date(2020, 1, 1),))
-    assert spectrum[0, 0] == 0.0
+    lam1 = chunk_lambda1(almost, (dt.date(2020, 1, 1),))
+    assert lam1.shape == (1,)
+    assert lam1[0] == pytest.approx(2.0, abs=1e-11)
 
 
 def test_lambda1_series_matches_per_window_spectra(small_returns):
@@ -60,31 +46,6 @@ def test_lambda1_series_matches_per_window_spectra(small_returns):
         m = cd.correlation_matrix(small_returns, t - S + 1, t)
         lam1 = np.linalg.eigvalsh(m.matrix)[-1] / n
         assert math.isclose(series.lambda1[t - S], lam1, abs_tol=1e-12)
-
-
-def test_lambda1_series_can_keep_full_spectra(small_returns):
-    series = cd.lambda1_series(small_returns, 30, keep_spectra=True)
-    assert series.spectra is not None
-    assert series.spectra.shape == (len(series.dates), small_returns.n_assets)
-    np.testing.assert_allclose(series.spectra.sum(axis=1),
-                               small_returns.n_assets, rtol=0.0, atol=1e-8)
-    np.testing.assert_allclose(series.spectra[:, 0] / small_returns.n_assets,
-                               series.lambda1, rtol=0.0, atol=1e-15)
-
-
-
-@pytest.mark.parametrize("spectra, message", [
-    ([[2.0, 0.0, 0.0]], "shape"),
-    ([[2.0, 1.5, -0.5], [2.0, 1.0, 0.0]], "non-negative"),
-    ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0]], "non-increasing"),
-    ([[2.0, 1.0, 0.5], [2.0, 1.0, 0.0]], "sum"),
-    ([[2.0, 1.0, math.nan], [2.0, 1.0, 0.0]], "finite"),
-])
-def test_given_spectra_are_checked(spectra, message):
-    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
-    cd.SpectralSeries(dates, [2 / 3, 2 / 3], 3, [[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]])
-    with pytest.raises(cd.InputError, match=message):
-        cd.SpectralSeries(dates, [2 / 3, 2 / 3], 3, spectra)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
