@@ -83,11 +83,8 @@ def _prepare_out_dir(cfg):
                                                      encoding="utf-8")
 
 
-def _emit(path):
-    print(path)
-
-
 def _load_panel(cfg):
+    """The panel, and the path of the drop report written beside the outputs."""
     for path in (cfg.price_csv, cfg.marketcap_csv):
         if not path.exists():
             raise InputError(f"data file not found: {path}")
@@ -95,8 +92,7 @@ def _load_panel(cfg):
                                           cfg.start, cfg.end)
     report = cfg.out_dir / "drop_report.json"
     write_drop_report(drops, report)
-    _emit(report)
-    return panel
+    return panel, report
 
 
 def cmd_fetch(cfg):
@@ -105,21 +101,20 @@ def cmd_fetch(cfg):
     cfg.data_dir.mkdir(parents=True, exist_ok=True)
     fetch_dataset(cfg.url_template, cfg.tickers, cfg.start, cfg.end,
                   cfg.price_csv, cfg.marketcap_csv, raw_dir=cfg.data_dir / "raw")
-    _emit(cfg.price_csv)
-    _emit(cfg.marketcap_csv)
+    return [cfg.price_csv, cfg.marketcap_csv]
 
 
 def cmd_correlation(cfg, panel, returns, days, stats):
+    series_csv, points_csv, periods_csv = (
+        cfg.out_dir / name
+        for name in ("norm_series.csv", "turning_points.csv", "period_stats.csv"))
     series = correlation.rolling_norm_series(returns, days, stats)
     series = series.with_smoothed(cfg.sg_window, cfg.sg_degree)
-    exports.write_norm_series(series, cfg.out_dir / "norm_series.csv",
-                              cfg.out_dir / "norm_series.json")
-    _emit(cfg.out_dir / "norm_series.csv")
+    exports.write_norm_series(series, series_csv, cfg.out_dir / "norm_series.json")
 
     points = find_turning_points(series.smoothed, cfg.turning_point_params(),
                                  dates=series.dates)
-    exports.write_turning_points(points, cfg.out_dir / "turning_points.csv")
-    _emit(cfg.out_dir / "turning_points.csv")
+    exports.write_turning_points(points, points_csv)
 
     # stats only for periods the analysis range actually covers (>= 2 return days)
     first, last = returns.dates[0], returns.dates[-1]
@@ -127,18 +122,19 @@ def cmd_correlation(cfg, panel, returns, days, stats):
                     if (min(p.end, last) - max(p.start, first)).days + 1 >= 2)
     periods = correlation.period_entry_stats(returns, PeriodPartition(covered),
                                              exclude_diagonal=cfg.exclude_diagonal)
-    exports.write_period_stats(periods, cfg.out_dir / "period_stats.csv",
-                               cfg.out_dir / "period_stats.json")
-    _emit(cfg.out_dir / "period_stats.csv")
-    for path in exports.write_density_curves(periods, cfg.out_dir):
-        _emit(path)
+    exports.write_period_stats(periods, periods_csv, cfg.out_dir / "period_stats.json")
+    return [series_csv, points_csv, periods_csv,
+            *exports.write_density_curves(periods, cfg.out_dir)]
 
 
 def cmd_spectral(cfg, panel, returns, days, stats):
+    lam_csv, size_csv, summary_json = (
+        cfg.out_dir / name
+        for name in ("lambda1_series.csv", "market_size.csv", "correlation_summary.json"))
     lam = spectral.lambda1_series(returns, days, stats=stats)
     size = spectral.rolling_market_size(panel, days)
-    exports.write_lambda1_series(lam, cfg.out_dir / "lambda1_series.csv")
-    exports.write_market_size(size, cfg.out_dir / "market_size.csv")
+    exports.write_dated_csv(lam_csv, lam.dates, lambda1=lam.lambda1)
+    exports.write_dated_csv(size_csv, size.dates, market_size=size.values)
     try:
         rho = spectral.series_correlation(size.values, lam.lambda1)
         summary = {"rho_market_size_lambda1": rho}
@@ -146,38 +142,38 @@ def cmd_spectral(cfg, panel, returns, days, stats):
         summary = {"rho_market_size_lambda1": "degenerate"}
     summary["n_windows"] = len(lam.dates)
     summary["window_days"] = days
-    exports.write_json(cfg.out_dir / "correlation_summary.json", summary)
-    for name in ("lambda1_series.csv", "market_size.csv", "correlation_summary.json"):
-        _emit(cfg.out_dir / name)
+    exports.write_json(summary_json, summary)
+    return [lam_csv, size_csv, summary_json]
 
 
 def cmd_inconsistency(cfg, panel, returns, days, stats):
+    path = cfg.out_dir / "inconsistency_norms.csv"
     vol = inconsistency.rolling_volatility(returns, days, stats)
     series = inconsistency.inconsistency_norms(panel, returns, vol, days)
-    exports.write_inconsistency(series, cfg.out_dir / "inconsistency_norms.csv")
-    _emit(cfg.out_dir / "inconsistency_norms.csv")
+    exports.write_dated_csv(path, series.dates,
+                            nu_MR=series.nu_MR, nu_MSigma=series.nu_MSigma)
+    return [path]
 
 
 def cmd_dispersion(cfg, panel, returns, days, stats):
+    variance_csv, dendro_csv, dendro_json, cut_csv = (
+        cfg.out_dir / name for name in ("variance_series.csv", "dendrogram.csv",
+                                        "dendrogram.json", "two_cluster_cut.csv"))
     vol = inconsistency.rolling_volatility(returns, days, stats)
     variances = dispersion.variance_series(vol)
-    exports.write_variance_series(variances, cfg.out_dir / "variance_series.csv")
-    _emit(cfg.out_dir / "variance_series.csv")
+    exports.write_dated_csv(variance_csv, variances.dates, variance=variances.values)
 
     matrix = dispersion.dispersion_matrix(vol)
     dendro = dispersion.hierarchical_cluster(matrix, cfg.linkage)
-    exports.write_dendrogram_csv(dendro, cfg.out_dir / "dendrogram.csv")
-    exports.write_dendrogram_json(dendro, cfg.out_dir / "dendrogram.json",
-                                  dates=matrix.dates)
+    exports.write_dendrogram_csv(dendro, dendro_csv)
+    exports.write_dendrogram_json(dendro, dendro_json, dates=matrix.dates)
     labels = dispersion.two_cluster_cut(dendro)
-    exports.write_cluster_cut(matrix.dates, labels,
-                              cfg.out_dir / "two_cluster_cut.csv")
-    for name in ("dendrogram.csv", "dendrogram.json", "two_cluster_cut.csv"):
-        _emit(cfg.out_dir / name)
+    exports.write_dated_csv(cut_csv, matrix.dates, cluster=labels)
+    return [variance_csv, dendro_csv, dendro_json, cut_csv]
 
 
 class _Analysis(NamedTuple):
-    run: Callable     # (cfg, panel, returns, days, stats): writes and emits its outputs
+    run: Callable     # (cfg, panel, returns, days, stats): writes its outputs, returns their paths
     statistic: str    # what it reads from the kernel pass (correlation.STATISTICS)
     window: str       # the RunConfig field holding its window length in days
     blurb: str
@@ -199,9 +195,12 @@ _ANALYSES = {
 def _run_analyses(cfg, analyses):
     """Load the panel, make one kernel pass per distinct window length, run ``analyses``.
 
-    Analyses reading the same window length share its pass.
+    Analyses reading the same window length share its pass. The drop
+    report's path is printed after the load, and each analysis's output
+    paths after it has run.
     """
-    panel = _load_panel(cfg)
+    panel, report = _load_panel(cfg)
+    print(report)
     returns = correlation.log_returns(panel)
     windows = [getattr(cfg, analysis.window) for analysis in analyses]
     wanted = {}
@@ -210,7 +209,7 @@ def _run_analyses(cfg, analyses):
     stats = {days: correlation.rolling_statistics(returns, days, what)
              for days, what in wanted.items()}
     for analysis, days in zip(analyses, windows):
-        analysis.run(cfg, panel, returns, days, stats[days])
+        print(*analysis.run(cfg, panel, returns, days, stats[days]), sep="\n")
 
 
 def main(argv=None) -> int:
@@ -219,7 +218,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         _prepare_out_dir(cfg)
         if args.command == "fetch":
-            cmd_fetch(cfg)
+            print(*cmd_fetch(cfg), sep="\n")
         else:
             _run_analyses(cfg, _ANALYSES.values() if args.command == "all"
                           else [_ANALYSES[args.command]])

@@ -65,7 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DegenerateDataError, InputError, NumericalError
+from .errors import (ConfigError, DegenerateDataError, InputError, NumericalError,
+                     frozen_array, set_fields)
 from .panel import PeriodPartition, PricePanel
 
 DEFAULT_WINDOW_DAYS = 90
@@ -101,18 +102,8 @@ class ReturnsPanel:
     def __post_init__(self):
         dates = tuple(self.dates)
         assets = tuple(self.assets)
-        matrix = np.ascontiguousarray(self.returns, dtype=float)
-        if matrix.shape != (len(assets), len(dates)):
-            raise InputError(
-                f"returns shape {matrix.shape} does not match "
-                f"{len(assets)} assets x {len(dates)} dates"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise InputError("returns must be finite")
-        matrix.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "assets", assets)
-        object.__setattr__(self, "returns", matrix)
+        set_fields(self, dates=dates, assets=assets,
+                   returns=frozen_array(self.returns, "returns", (len(assets), len(dates))))
 
     @property
     def n_assets(self):
@@ -134,17 +125,14 @@ class CorrelationMatrix:
         a, b = self.window
         if b < a:
             raise InputError(f"bad window [{a}:{b}]")
-        m = np.ascontiguousarray(self.matrix, dtype=float)
-        n = m.shape[0]
-        if m.shape != (n, n):
+        m = frozen_array(self.matrix, "correlation matrix", (None, None))
+        if m.shape[0] != m.shape[1]:
             raise InputError(f"correlation matrix must be square, got {m.shape}")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
             raise InputError("correlation matrix must be symmetric")
         if np.any(np.abs(m) > 1.0 + 1e-12):
             raise InputError("correlation entries must lie in [-1, 1]")
-        m.flags.writeable = False
-        object.__setattr__(self, "window", (int(a), int(b)))
-        object.__setattr__(self, "matrix", m)
+        set_fields(self, window=(int(a), int(b)), matrix=m)
 
     @property
     def n_assets(self):
@@ -161,23 +149,13 @@ class NormSeries:
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        raw = np.ascontiguousarray(self.raw, dtype=float)
-        if raw.shape != (len(dates),):
-            raise InputError("raw series length must match dates")
-        if not np.all((raw >= -1e-9) & (raw <= 1.0 + 1e-9)):
-            raise InputError("raw norm values must be finite and lie in [0, 1]")
+        raw = frozen_array(self.raw, "raw norm values", (len(dates),))
+        if np.any((raw < -1e-9) | (raw > 1.0 + 1e-9)):
+            raise InputError("raw norm values must lie in [0, 1]")
         smoothed = self.smoothed
         if smoothed is not None:
-            smoothed = np.ascontiguousarray(smoothed, dtype=float)
-            if smoothed.shape != raw.shape:
-                raise InputError("smoothed series length must match raw")
-            if not np.all(np.isfinite(smoothed)):
-                raise InputError("smoothed norm values must be finite")
-            smoothed.flags.writeable = False
-        raw.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "smoothed", smoothed)
+            smoothed = frozen_array(smoothed, "smoothed norm values", raw.shape)
+        set_fields(self, dates=dates, raw=raw, smoothed=smoothed)
 
     def with_smoothed(self, sg_window=DEFAULT_SG_WINDOW, sg_degree=DEFAULT_SG_DEGREE):
         return NormSeries(self.dates, self.raw,
@@ -200,6 +178,11 @@ class PeriodEntryStats:
     std: float
     density_x: np.ndarray
     density_y: np.ndarray
+
+    def __post_init__(self):
+        x = frozen_array(self.density_x, "density grid", (None,))
+        set_fields(self, density_x=x,
+                   density_y=frozen_array(self.density_y, "density values", x.shape))
 
 
 def log_returns(panel: PricePanel) -> ReturnsPanel:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import InputError
+from .errors import InputError, frozen_array, set_fields
 from .inconsistency import VolatilityPanel
 
 LINKAGES = ("average", "complete", "single")
@@ -50,23 +50,15 @@ class DispersionMatrix:
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        d = np.ascontiguousarray(self.distances, dtype=float)
         w = len(dates)
         n = int(self.n_assets)
-        if d.shape != (w * (w - 1) // 2,):
-            raise InputError(
-                f"distances shape {d.shape} is not the condensed form for {w} dates"
-            )
-        if not np.all(np.isfinite(d)):
-            raise InputError("dispersion distances must be finite")
+        # the condensed form of a W x W matrix
+        d = frozen_array(self.distances, "dispersion distances", (w * (w - 1) // 2,))
         bound = (2.0 / n) * (1.0 - 1.0 / n) + 1e-12
         if np.any(d < 0.0) or np.any(d > bound):
             raise InputError(f"entries must lie in [0, (2/{n})(1 - 1/{n})]")
-        d.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "n_assets", n)
-        object.__setattr__(self, "excluded_dates", tuple(self.excluded_dates))
+        set_fields(self, dates=dates, distances=d, n_assets=n,
+                   excluded_dates=tuple(self.excluded_dates))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,18 +75,24 @@ class Dendrogram:
     merges: np.ndarray
 
     def __post_init__(self):
-        merges = np.asarray(self.merges, dtype=float)
         w = int(self.n_leaves)
         if w < 1:
             raise InputError("dendrogram needs at least one leaf")
-        if merges.shape != (w - 1, 4):
-            raise InputError(f"expected a ({w - 1}, 4) linkage matrix for {w} leaves, "
-                             f"got shape {merges.shape}")
+        merges = frozen_array(self.merges, "linkage matrix", (w - 1, 4))
         if np.any(np.diff(merges[:, 2]) < -1e-12):
             raise InputError("merge heights must be non-decreasing")
-        merges.flags.writeable = False
-        object.__setattr__(self, "n_leaves", w)
-        object.__setattr__(self, "merges", merges)
+        ids = merges[:, :2]
+        if np.any(ids != np.floor(ids)) or np.any(ids < 0) or np.any(
+                ids >= w + np.arange(w - 1)[:, None]):
+            raise InputError("row k of the merges must join cluster ids, "
+                             f"whole numbers in [0, {w} + k)")
+        ids = ids.astype(np.intp)
+        if np.bincount(ids.ravel(), minlength=1).max() > 1:
+            raise InputError("each cluster id may be merged only once")
+        sizes = np.concatenate((np.ones(w), merges[:, 3]))
+        if np.any(merges[:, 3] != sizes[ids].sum(axis=1)):
+            raise InputError("each merge's size must be the sum of its clusters' sizes")
+        set_fields(self, n_leaves=w, merges=merges)
 
 
 @dataclass(frozen=True)
@@ -105,13 +103,11 @@ class VarianceSeries:
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != (len(dates),):
-            raise InputError("values length must match dates")
-        values.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "excluded_dates", tuple(self.excluded_dates))
+        values = frozen_array(self.values, "variances", (len(dates),))
+        if np.any(values < 0.0):
+            raise InputError("variances must be non-negative")
+        set_fields(self, dates=dates, values=values,
+                   excluded_dates=tuple(self.excluded_dates))
 
 
 def _distributions(vol):

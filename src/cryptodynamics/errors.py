@@ -2,7 +2,12 @@
 
 Exit-code mapping used by the CLI: InputError/ConfigError -> 1,
 NumericalError -> 2, transport, OS-level I/O and out-of-memory failures -> 3.
+
+The analysis records hold their arrays as ``frozen_array`` returns them
+and set their fields through ``set_fields``.
 """
+
+import numpy as np
 
 
 class AnalysisError(Exception):
@@ -11,6 +16,34 @@ class AnalysisError(Exception):
 
 class InputError(AnalysisError):
     """Invalid input data: malformed files, bad shapes, unusable values."""
+
+
+def frozen_array(values, what, shape):
+    """``values`` as a read-only, C-contiguous float64 array of ``shape``.
+
+    A C-contiguous float64 array comes back as itself, not as a copy.
+    ``None`` in ``shape`` leaves that dimension free. Raises InputError,
+    naming the array as ``what``, for input that does not convert to
+    float, a shape mismatch or a NaN or infinite entry.
+    """
+    try:
+        array = np.ascontiguousarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be numeric: {exc}") from None
+    if array.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(array.shape, shape)):
+        expected = ", ".join("any" if want is None else str(want) for want in shape)
+        raise InputError(f"{what} has shape {array.shape}, expected ({expected})")
+    if not np.isfinite(array).all():
+        raise InputError(f"{what} must be finite")
+    array.flags.writeable = False
+    return array
+
+
+def set_fields(record, **fields):
+    """Set fields of a frozen dataclass instance, from its ``__post_init__``."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
 
 
 class ConfigError(InputError):

@@ -13,10 +13,8 @@ from __future__ import annotations
 import json
 import re
 
-from .dispersion import Dendrogram, VarianceSeries
+from .dispersion import Dendrogram
 from .errors import InputError
-from .inconsistency import InconsistencySeries
-from .spectral import MarketSizeSeries, SpectralSeries
 
 _FLOAT_FMT = "%.12g"
 
@@ -93,25 +91,14 @@ def write_turning_points(seq, path):
                 fmt(p.value), p.kind) for p in seq))
 
 
-def write_lambda1_series(series: SpectralSeries, path):
-    write_csv(path, ("date", "lambda1"),
-              ((d.isoformat(), fmt(v)) for d, v in zip(series.dates, series.lambda1)))
+def write_dated_csv(path, dates, **columns):
+    """A ``date`` column, then one column per keyword, named after it.
 
-
-def write_market_size(series: MarketSizeSeries, path):
-    write_csv(path, ("date", "market_size"),
-              ((d.isoformat(), fmt(v)) for d, v in zip(series.dates, series.values)))
-
-
-def write_inconsistency(series: InconsistencySeries, path):
-    write_csv(path, ("date", "nu_MR", "nu_MSigma"),
-              ((d.isoformat(), fmt(a), fmt(b))
-               for d, a, b in zip(series.dates, series.nu_MR, series.nu_MSigma)))
-
-
-def write_variance_series(series: VarianceSeries, path):
-    write_csv(path, ("date", "variance"),
-              ((d.isoformat(), fmt(v)) for d, v in zip(series.dates, series.values)))
+    Row k holds ``dates[k]`` and entry k of every column.
+    """
+    write_csv(path, ("date", *columns),
+              ((d.isoformat(), *map(fmt, values))
+               for d, *values in zip(dates, *columns.values())))
 
 
 def write_dendrogram_csv(dendro: Dendrogram, path):
@@ -134,9 +121,3 @@ def write_dendrogram_json(dendro: Dendrogram, path, dates):
                    for a, b, height, size in dendro.merges.tolist()],
         "n_leaves": dendro.n_leaves,
     })
-
-
-def write_cluster_cut(dates, labels, path):
-    write_csv(path, ("date", "cluster"),
-              ((d.isoformat(), str(int(c))) for d, c in zip(dates, labels)))
-

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics
-from .errors import InputError
+from .errors import InputError, frozen_array, set_fields
 from .panel import PricePanel
 
 # Bytes of one (windows, N) array of a block of windows. A block holds three
@@ -64,19 +64,12 @@ class VolatilityPanel:
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        sigmas = np.ascontiguousarray(self.sigmas, dtype=float)
-        if sigmas.ndim != 2 or sigmas.shape[1] != len(dates):
-            raise InputError(
-                f"sigmas shape {sigmas.shape} does not match {len(dates)} dates"
-            )
-        if np.any(sigmas < 0.0) or not np.all(np.isfinite(sigmas)):
-            raise InputError("volatilities must be finite and non-negative")
+        sigmas = frozen_array(self.sigmas, "volatilities", (None, len(dates)))
+        if np.any(sigmas < 0.0):
+            raise InputError("volatilities must be non-negative")
         if int(self.window_days) < 2:
             raise InputError("window_days must be >= 2")
-        sigmas.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "window_days", int(self.window_days))
+        set_fields(self, dates=dates, sigmas=sigmas, window_days=int(self.window_days))
 
     @property
     def n_assets(self):
@@ -97,18 +90,12 @@ class InconsistencySeries:
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        mr = np.ascontiguousarray(self.nu_MR, dtype=float)
-        ms = np.ascontiguousarray(self.nu_MSigma, dtype=float)
-        if mr.shape != (len(dates),) or ms.shape != (len(dates),):
-            raise InputError("norm series lengths must match dates")
-        for name, series in (("nu_MR", mr), ("nu_MSigma", ms)):
-            if not np.all((series >= -1e-12) & (series <= 1.0 + 1e-12)):
-                raise InputError(f"{name} values must be finite and lie in [0, 1]")
-        mr.flags.writeable = False
-        ms.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "nu_MR", mr)
-        object.__setattr__(self, "nu_MSigma", ms)
+        norms = {name: frozen_array(getattr(self, name), f"{name} values", (len(dates),))
+                 for name in ("nu_MR", "nu_MSigma")}
+        for name, series in norms.items():
+            if np.any((series < -1e-12) | (series > 1.0 + 1e-12)):
+                raise InputError(f"{name} values must lie in [0, 1]")
+        set_fields(self, dates=dates, **norms)
 
 
 def rolling_volatility(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPanelError, GapError, InputError, ParseError
+from .errors import EmptyPanelError, GapError, InputError, ParseError, frozen_array, set_fields
 
 _DAY = dt.timedelta(days=1)
 
@@ -60,8 +60,6 @@ class PricePanel:
     def __post_init__(self):
         dates = tuple(self.dates)
         assets = tuple(self.assets)
-        closes = np.ascontiguousarray(self.closes, dtype=float)
-        caps = np.ascontiguousarray(self.market_caps, dtype=float)
         if len(dates) < 1:
             raise InputError("panel needs at least one date")
         gaps = [a + _DAY for a, b in zip(dates, dates[1:]) if b != a + _DAY]
@@ -71,21 +69,13 @@ class PricePanel:
         if len(set(tickers)) != len(tickers):
             raise InputError("duplicate tickers in panel")
         shape = (len(assets), len(dates))
-        if closes.shape != shape or caps.shape != shape:
-            raise InputError(
-                f"matrix shape mismatch: expected {shape}, "
-                f"got closes {closes.shape}, market_caps {caps.shape}"
-            )
-        if not np.all(np.isfinite(closes)) or np.any(closes <= 0):
-            raise InputError("closes must be finite and strictly positive")
-        if not np.all(np.isfinite(caps)) or np.any(caps < 0):
-            raise InputError("market caps must be finite and non-negative")
-        closes.flags.writeable = False
-        caps.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "assets", assets)
-        object.__setattr__(self, "closes", closes)
-        object.__setattr__(self, "market_caps", caps)
+        closes = frozen_array(self.closes, "closes", shape)
+        caps = frozen_array(self.market_caps, "market caps", shape)
+        if np.any(closes <= 0):
+            raise InputError("closes must be strictly positive")
+        if np.any(caps < 0):
+            raise InputError("market caps must be non-negative")
+        set_fields(self, dates=dates, assets=assets, closes=closes, market_caps=caps)
 
     @property
     def n_assets(self):

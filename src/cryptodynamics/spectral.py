@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics
-from .errors import DegenerateDataError, InputError
+from .errors import DegenerateDataError, InputError, frozen_array, set_fields
 from .panel import PricePanel
 
 
@@ -36,18 +36,13 @@ class SpectralSeries:
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        lam = np.ascontiguousarray(self.lambda1, dtype=float)
         n = int(self.n_assets)
-        if lam.shape != (len(dates),):
-            raise InputError("lambda1 length must match dates")
         if n < 1:
             raise InputError("n_assets must be >= 1")
-        if not np.all((lam >= 1.0 / n - 1e-9) & (lam <= 1.0 + 1e-9)):
-            raise InputError(f"lambda1 values must be finite and lie in [1/{n}, 1]")
-        lam.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "lambda1", lam)
-        object.__setattr__(self, "n_assets", n)
+        lam = frozen_array(self.lambda1, "lambda1 values", (len(dates),))
+        if np.any((lam < 1.0 / n - 1e-9) | (lam > 1.0 + 1e-9)):
+            raise InputError(f"lambda1 values must lie in [1/{n}, 1]")
+        set_fields(self, dates=dates, lambda1=lam, n_assets=n)
 
 
 @dataclass(frozen=True)
@@ -59,14 +54,10 @@ class MarketSizeSeries:
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.shape != (len(dates),):
-            raise InputError("values length must match dates")
-        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-            raise InputError("market sizes must be finite and non-negative")
-        values.flags.writeable = False
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", values)
+        values = frozen_array(self.values, "market sizes", (len(dates),))
+        if np.any(values < 0.0):
+            raise InputError("market sizes must be non-negative")
+        set_fields(self, dates=dates, values=values)
 
 
 def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,

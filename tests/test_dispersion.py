@@ -372,6 +372,30 @@ def test_dendrogram_validation():
             cd.Dendrogram(w, bad)
 
 
+@pytest.mark.parametrize("bad_row", [[0, 7, 0.1, 2], [0, 3, 0.1, 2], [-1, 1, 0.1, 2]])
+def test_dendrogram_rejects_an_id_out_of_range(bad_row):
+    # row k may join only the leaves and the clusters of rows before it
+    with pytest.raises(cd.InputError, match=r"\[0, 3 \+ k\)"):
+        cd.Dendrogram(3, [bad_row, [2, 3, 0.2, 3]])
+
+
+def test_dendrogram_rejects_a_fractional_id():
+    with pytest.raises(cd.InputError, match="whole numbers"):
+        cd.Dendrogram(3, [[0, 1.5, 0.1, 2], [2, 3, 0.2, 3]])
+
+
+def test_dendrogram_rejects_an_id_merged_twice():
+    with pytest.raises(cd.InputError, match="only once"):
+        cd.Dendrogram(3, [[0, 1, 0.1, 2], [0, 2, 0.2, 2]])
+
+
+@pytest.mark.parametrize("sizes", [(2, 4), (3, 4), (1, 2)])
+def test_dendrogram_rejects_a_size_other_than_its_children_sum(sizes):
+    first, last = sizes
+    with pytest.raises(cd.InputError, match="sum of its clusters' sizes"):
+        cd.Dendrogram(3, [[0, 1, 0.1, first], [2, 3, 0.2, last]])
+
+
 def test_dispersion_layer_memory_is_condensed():
     # The layer holds one condensed array of W(W-1)/2 doubles; a square
     # W x W matrix alone would take 8 W^2 bytes. tracemalloc counts numpy's
