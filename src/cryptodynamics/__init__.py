@@ -44,7 +44,6 @@ from .panel import (
     PeriodPartition,
     PricePanel,
     default_periods,
-    load_panel,
     load_panel_with_report,
     write_panel,
 )

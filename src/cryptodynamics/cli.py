@@ -83,7 +83,7 @@ def _prepare_out_dir(cfg):
                                                      encoding="utf-8")
 
 
-def _load_panel(cfg):
+def _read_panel(cfg):
     """The panel, and the path of the drop report written beside the outputs."""
     for path in (cfg.price_csv, cfg.marketcap_csv):
         if not path.exists():
@@ -133,8 +133,8 @@ def cmd_spectral(cfg, panel, returns, days, stats):
         for name in ("lambda1_series.csv", "market_size.csv", "correlation_summary.json"))
     lam = spectral.lambda1_series(returns, days, stats=stats)
     size = spectral.rolling_market_size(panel, days)
-    exports.write_dated_csv(lam_csv, lam.dates, lambda1=lam.lambda1)
-    exports.write_dated_csv(size_csv, size.dates, market_size=size.values)
+    exports.write_csv(lam_csv, date=lam.dates, lambda1=lam.lambda1)
+    exports.write_csv(size_csv, date=size.dates, market_size=size.values)
     try:
         rho = spectral.series_correlation(size.values, lam.lambda1)
         summary = {"rho_market_size_lambda1": rho}
@@ -150,8 +150,8 @@ def cmd_inconsistency(cfg, panel, returns, days, stats):
     path = cfg.out_dir / "inconsistency_norms.csv"
     vol = inconsistency.rolling_volatility(returns, days, stats)
     series = inconsistency.inconsistency_norms(panel, returns, vol, days)
-    exports.write_dated_csv(path, series.dates,
-                            nu_MR=series.nu_MR, nu_MSigma=series.nu_MSigma)
+    exports.write_csv(path, date=series.dates, nu_MR=series.nu_MR,
+                      nu_MSigma=series.nu_MSigma)
     return [path]
 
 
@@ -161,14 +161,14 @@ def cmd_dispersion(cfg, panel, returns, days, stats):
                                         "dendrogram.json", "two_cluster_cut.csv"))
     vol = inconsistency.rolling_volatility(returns, days, stats)
     variances = dispersion.variance_series(vol)
-    exports.write_dated_csv(variance_csv, variances.dates, variance=variances.values)
+    exports.write_csv(variance_csv, date=variances.dates, variance=variances.values)
 
     matrix = dispersion.dispersion_matrix(vol)
     dendro = dispersion.hierarchical_cluster(matrix, cfg.linkage)
     exports.write_dendrogram_csv(dendro, dendro_csv)
     exports.write_dendrogram_json(dendro, dendro_json, dates=matrix.dates)
     labels = dispersion.two_cluster_cut(dendro)
-    exports.write_dated_csv(cut_csv, matrix.dates, cluster=labels)
+    exports.write_csv(cut_csv, date=matrix.dates, cluster=labels)
     return [variance_csv, dendro_csv, dendro_json, cut_csv]
 
 
@@ -199,7 +199,7 @@ def _run_analyses(cfg, analyses):
     report's path is printed after the load, and each analysis's output
     paths after it has run.
     """
-    panel, report = _load_panel(cfg)
+    panel, report = _read_panel(cfg)
     print(report)
     returns = correlation.log_returns(panel)
     windows = [getattr(cfg, analysis.window) for analysis in analyses]

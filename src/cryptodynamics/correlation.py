@@ -21,10 +21,15 @@ Neither product is symmetrised: numpy computes A·Aᵀ and Aᵀ·A by BLAS
 ``syrk`` and copies one triangle onto the other (its no-BLAS loop sums
 each entry and its mirror in the same order), so the products are
 exactly symmetric and 0.5·(A + Aᵀ) would return them unchanged.
-``correlation_matrix`` relies on the same. ``rolling_norm_series``
-(here), ``spectral.lambda1_series`` and
+``rolling_norm_series`` (here), ``spectral.lambda1_series`` and
 ``inconsistency.rolling_volatility`` wrap its results, or take a result
 computed once for several of them.
+
+``correlation_matrix`` runs its one window through ``fill_chunk``, so
+every correlation matrix takes one path. A constant asset raises
+``DegenerateDataError`` for the series' earliest window holding one,
+whatever the chunking: ``fill_chunk`` names its chunk's earliest, and
+``_map_chunks`` raises the earliest failing chunk's error.
 
 A pass runs its chunks on one thread per CPU the process may use, the
 calling thread among them (``_map_chunks``), and holds numpy's OpenBLAS
@@ -198,7 +203,8 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
 
     Standardization uses the population standard deviation (divisor
     S = b−a+1), so the result is identical to (1/S)·Z Zᵀ for the
-    standardized return matrix Z.
+    standardized return matrix Z. ``fill_chunk`` computes it as a chunk of
+    one window.
 
     Raises DegenerateDataError if any asset is constant on the window.
     """
@@ -209,51 +215,10 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
     S = b - a + 1
     if S < 2:
         raise InputError("correlation window must span at least 2 days")
-    X = returns.returns[:, a - 1:b]
-    centered = X - X.mean(axis=1, keepdims=True)
-    var = np.einsum("it,it->i", centered, centered) / S
-    dead = np.flatnonzero(var <= 0.0)
-    if dead.size:
-        ticker = returns.assets[dead[0]].ticker
-        raise DegenerateDataError(
-            f"asset {ticker!r} has zero variance on return days [{a}:{b}]"
-        )
-    Z = centered / np.sqrt(var)[:, None]
-    m = Z @ Z.T
-    m /= S
-    np.fill_diagonal(m, 1.0)
-    return CorrelationMatrix((a, b), m)
-
-
-def _moments(X, S, lo, hi, centered):
-    """Centre windows lo..hi−1 into ``centered`` (hi−lo, N, S).
-
-    Returns their population variances (N, hi−lo).
-    """
-    windows = sliding_window_view(X[:, lo:hi + S - 1], S, axis=1)
-    np.subtract(windows.transpose(1, 0, 2), windows.mean(axis=2).T[:, :, None],
-                out=centered)
-    return np.einsum("wns,wns->nw", centered, centered) / S
-
-
-def _raise_dead(returns, S, lo, step):
-    """Raise for the lowest-index asset that is constant on a window >= lo.
-
-    Names that asset's first such window, the same pick as scanning the
-    full (N, W) variance array in row-major order.
-    """
-    W = returns.n_days - S + 1
-    dead = []
-    for a in range(lo, W, step):
-        hi = min(a + step, W)
-        var = _moments(returns.returns, S, a, hi, np.empty((hi - a, returns.n_assets, S)))
-        dead.extend((int(i), a + int(w)) for i, w in np.argwhere(var <= 0.0))
-    i, w = min(dead)
-    t = w + S
-    raise DegenerateDataError(
-        f"asset {returns.assets[i].ticker!r} has zero variance on return days "
-        f"[{t - S + 1}:{t}] (window ending {returns.dates[t - 1]})"
-    )
+    n = returns.n_assets
+    stack = np.empty((1, n, n))
+    fill_chunk(returns, S, slice(a - 1, a), np.empty((1, n, S)), stack)
+    return CorrelationMatrix((a, b), stack[0])
 
 
 def window_chunks(returns: ReturnsPanel, window_days, workers):
@@ -280,17 +245,28 @@ def fill_chunk(returns: ReturnsPanel, window_days, rows, centered, stack=None, g
 
     ``rows`` is a slice of window indices and ``centered`` a (c, N, S)
     buffer for them, which receives the centred returns. Given a ``stack``
-    (c, N, N) or a ``gram`` (c, S, S) buffer, the function rejects constant
-    assets, scales ``centered`` in place into the standardized returns Z
-    and fills ``stack`` with the correlation matrices ZZᵀ/S and ``gram``
-    with the Gram matrices ZᵀZ/S. Returns the (N, c) population variances.
+    (c, N, N) or a ``gram`` (c, S, S) buffer, a constant asset raises
+    DegenerateDataError, naming the chunk's earliest window holding one and
+    the lowest such asset there; otherwise ``centered`` is scaled in place
+    into the standardized returns Z, ``stack`` filled with the correlation
+    matrices ZZᵀ/S and ``gram`` with the Gram matrices ZᵀZ/S. Returns the
+    (N, c) population variances.
     """
     S = int(window_days)
-    var = _moments(returns.returns, S, rows.start, rows.stop, centered)
+    windows = sliding_window_view(returns.returns[:, rows.start:rows.stop + S - 1], S, axis=1)
+    np.subtract(windows.transpose(1, 0, 2), windows.mean(axis=2).T[:, :, None],
+                out=centered)
+    var = np.einsum("wns,wns->nw", centered, centered) / S
     if stack is None and gram is None:
         return var
-    if np.any(var <= 0.0):
-        _raise_dead(returns, S, rows.start, rows.stop - rows.start)
+    dead = np.argwhere(var.T <= 0.0)  # (window, asset), earliest window first
+    if dead.size:
+        w, i = dead[0]
+        t = rows.start + int(w) + S
+        raise DegenerateDataError(
+            f"asset {returns.assets[i].ticker!r} has zero variance on return days "
+            f"[{t - S + 1}:{t}] (window ending {returns.dates[t - 1]})"
+        )
     Z = centered
     Z /= np.sqrt(var).T[:, :, None]
     if stack is not None:
@@ -548,8 +524,7 @@ def smooth_series(raw, sg_window=DEFAULT_SG_WINDOW, sg_degree=DEFAULT_SG_DEGREE)
     return out
 
 
-def _entry_pool(matrix, exclude_diagonal):
-    m = matrix.matrix if isinstance(matrix, CorrelationMatrix) else np.asarray(matrix)
+def _entry_pool(m, exclude_diagonal):
     if not exclude_diagonal:
         return m.ravel()
     n = m.shape[0]
@@ -653,8 +628,7 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
                 )
             a = (lo - first).days + 1
             b = (hi - first).days + 1
-            m = correlation_matrix(returns, a, b)
-            pool = _entry_pool(m, exclude_diagonal)
+            pool = _entry_pool(correlation_matrix(returns, a, b).matrix, exclude_diagonal)
             if pool.size == 0:
                 raise InputError(
                     "cannot pool off-diagonal entries of a single-asset panel"

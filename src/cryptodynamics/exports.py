@@ -1,15 +1,16 @@
 """CSV/JSON writers for every analysis product.
 
-CSV floats are printed with ``%.12g`` (12 significant digits). Every
-JSON file goes through ``write_json``, one ``json.dump(indent=2,
-sort_keys=True)`` writer, so JSON floats are written at full precision
-(``repr``). Dates are ISO-8601, and no file carries timestamps or
-environment-dependent content, so identical inputs always serialize to
-byte-identical files.
+Every CSV file goes through ``write_csv``, which prints numbers with
+``%.12g`` (12 significant digits). Every JSON file goes through
+``write_json``, one ``json.dump(indent=2, sort_keys=True)`` writer, so
+JSON floats are written at full precision (``repr``). Dates are
+ISO-8601, and no file carries timestamps or environment-dependent
+content, so identical inputs always serialize to byte-identical files.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import json
 import re
 
@@ -19,19 +20,28 @@ from .errors import InputError
 _FLOAT_FMT = "%.12g"
 
 
-def fmt(value) -> str:
-    return _FLOAT_FMT % float(value)
-
-
 def slugify(label) -> str:
     return re.sub(r"[^a-z0-9]+", "_", label.lower()).strip("_")
 
 
-def write_csv(path, header, rows):
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return "" if value is None else _FLOAT_FMT % value
+
+
+def write_csv(path, **columns):
+    """One column per keyword, named after it; row k holds entry k of every column.
+
+    Text is written as it is, dates in ISO-8601, None as an empty cell and
+    numbers with ``%.12g``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def write_json(path, obj):
@@ -46,12 +56,8 @@ def write_drop_report(drops, path):
 
 def write_norm_series(series, csv_path, json_path):
     smoothed = series.smoothed
-    rows = (
-        (d.isoformat(), fmt(r), "" if smoothed is None else fmt(s))
-        for d, r, s in zip(series.dates, series.raw,
-                           series.raw if smoothed is None else smoothed)
-    )
-    write_csv(csv_path, ("date", "raw", "smoothed"), rows)
+    write_csv(csv_path, date=series.dates, raw=series.raw,
+              smoothed=[None] * len(series.dates) if smoothed is None else smoothed)
     write_json(json_path, {
         "dates": [d.isoformat() for d in series.dates],
         "raw": [float(v) for v in series.raw],
@@ -60,8 +66,8 @@ def write_norm_series(series, csv_path, json_path):
 
 
 def write_period_stats(stats, csv_path, json_path):
-    write_csv(csv_path, ("period", "mean", "std"),
-              ((s.label, fmt(s.mean), fmt(s.std)) for s in stats))
+    write_csv(csv_path, period=[s.label for s in stats], mean=[s.mean for s in stats],
+              std=[s.std for s in stats])
     write_json(json_path, [
         {"period": s.label, "start": s.start.isoformat(),
          "end": s.end.isoformat(), "n_days": s.n_days,
@@ -79,32 +85,20 @@ def write_density_curves(stats, out_dir):
     paths = []
     for s in stats:
         path = out_dir / f"density_{slugify(s.label)}.csv"
-        write_csv(path, ("x", "density"),
-                  ((fmt(x), fmt(y)) for x, y in zip(s.density_x, s.density_y)))
+        write_csv(path, x=s.density_x, density=s.density_y)
         paths.append(path)
     return paths
 
 
 def write_turning_points(seq, path):
-    write_csv(path, ("index", "date", "value", "kind"),
-              ((str(p.index), "" if p.date is None else p.date.isoformat(),
-                fmt(p.value), p.kind) for p in seq))
-
-
-def write_dated_csv(path, dates, **columns):
-    """A ``date`` column, then one column per keyword, named after it.
-
-    Row k holds ``dates[k]`` and entry k of every column.
-    """
-    write_csv(path, ("date", *columns),
-              ((d.isoformat(), *map(fmt, values))
-               for d, *values in zip(dates, *columns.values())))
+    write_csv(path, index=[p.index for p in seq], date=[p.date for p in seq],
+              value=[p.value for p in seq], kind=[p.kind for p in seq])
 
 
 def write_dendrogram_csv(dendro: Dendrogram, path):
-    write_csv(path, ("step", "cluster_a", "cluster_b", "height", "size"),
-              ((str(step), str(int(a)), str(int(b)), fmt(height), str(int(size)))
-               for step, (a, b, height, size) in enumerate(dendro.merges.tolist())))
+    a, b, height, size = dendro.merges.T
+    write_csv(path, step=range(len(height)), cluster_a=a, cluster_b=b, height=height,
+              size=size)
 
 
 def write_dendrogram_json(dendro: Dendrogram, path, dates):

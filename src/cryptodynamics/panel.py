@@ -327,12 +327,6 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
     return panel, drops
 
 
-def load_panel(price_csv_path, marketcap_csv_path, start, end) -> PricePanel:
-    """As load_panel_with_report, discarding the drop report."""
-    panel, _ = load_panel_with_report(price_csv_path, marketcap_csv_path, start, end)
-    return panel
-
-
 def write_panel(panel: PricePanel, price_csv_path, marketcap_csv_path):
     """Write a panel back to the two-file CSV layout, round-trip exact.
 

@@ -229,9 +229,9 @@ def test_7_determinism_and_round_trip(sim_dataset_dir, sim_panel, tmp_path,
         (a / name).read_bytes() == (b / name).read_bytes()
         for name in names if name != "resolved_config.txt")
 
-    again = cd.load_panel(sim_dataset_dir / "price.csv",
-                          sim_dataset_dir / "marketcap.csv",
-                          sim_panel.dates[0], sim_panel.dates[-1])
+    again = cd.load_panel_with_report(sim_dataset_dir / "price.csv",
+                                      sim_dataset_dir / "marketcap.csv",
+                                      sim_panel.dates[0], sim_panel.dates[-1])[0]
     cd.write_panel(again, tmp_path / "price2.csv", tmp_path / "marketcap2.csv")
     round_trip = (
         (tmp_path / "price2.csv").read_bytes()

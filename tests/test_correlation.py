@@ -104,9 +104,9 @@ def test_rolling_stack_agrees_with_individual_windows():
     assert stack.shape[0] == 70 - S + 1
     np.testing.assert_allclose(stack, reference.correlation_stack(X, S),
                                rtol=0.0, atol=1e-13)
-    for t in (S, 37, 70):
-        one = cd.correlation_matrix(r, t - S + 1, t).matrix
-        np.testing.assert_allclose(stack[t - S], one, rtol=0.0, atol=1e-13)
+    for t in (S, 37, 70):  # one window, on the kernel's path
+        np.testing.assert_array_equal(cd.correlation_matrix(r, t - S + 1, t).matrix,
+                                      stack[t - S])
 
 
 def test_norm_series_is_l1_of_each_window():
@@ -232,6 +232,25 @@ def test_period_stats_zero_variance_pool_has_no_density():
     assert s.density_x.size == 0 and s.density_y.size == 0
     with pytest.raises(cd.InputError):
         cd.period_entry_stats(r, periods, exclude_diagonal=True)
+
+
+def test_period_with_constant_asset_names_that_period():
+    # A1 is constant on all of "flat" and again after the last period, A0
+    # only after it: the error names A1 on the days of "flat", no window
+    # beyond the period.
+    X = np.random.default_rng(12).standard_normal((3, 70))
+    X[1, 20:40] = 0.25
+    X[1, 50:70] = 0.25
+    X[0, 45:70] = -0.1
+    r = make_returns(X)
+    periods = cd.PeriodPartition((cd.Period("calm", r.dates[0], r.dates[19]),
+                                  cd.Period("flat", r.dates[20], r.dates[39])))
+    with pytest.raises(cd.DegenerateDataError) as info:
+        cd.period_entry_stats(r, periods)
+    assert str(info.value) == (
+        f"asset 'A1' has zero variance on return days [21:40] "
+        f"(window ending {r.dates[39]})"
+    )
 
 
 def test_period_outside_range_raises(small_returns):

@@ -132,22 +132,27 @@ def test_rolling_statistics_rejects_unknown_names():
 
 
 def test_zero_variance_names_lowest_asset_and_its_first_window():
-    # A2 dies in the first chunk, A1 only in the last: the error names A1,
-    # as a scan of the whole (N, W) variance array in row-major order would.
+    # A2 dies in the first window, A1 only in the last chunk: the error
+    # names the earliest degenerate window, however the windows are chunked
+    # and on however many threads. Once A1 is also constant on that window,
+    # the error names A1, the lowest constant asset there.
     X = np.random.default_rng(6).standard_normal((3, 40))
     X[2, 0:6] = 0.5
     X[1, 30:36] = -0.25
     X[1, 34:40] = -0.25
-    r = make_returns(X)
     S = 5
-    for c, k in ((1, 1), (4, 1), (100, 1), (1, 3), (4, 2), (100, 2)):
-        with chunked(3, S, c, k):
-            with pytest.raises(cd.DegenerateDataError) as info:
-                cd.rolling_norm_series(r, S)
-        assert str(info.value) == (
-            f"asset 'A1' has zero variance on return days [31:35] "
-            f"(window ending {r.dates[34]})"
-        )
+    both = X.copy()
+    both[1, 0:5] = 0.125
+    for panel, ticker in ((X, "A2"), (both, "A1")):
+        r = make_returns(panel)
+        for c, k in ((1, 1), (4, 1), (100, 1), (1, 3), (4, 2), (100, 2)):
+            with chunked(3, S, c, k):
+                with pytest.raises(cd.DegenerateDataError) as info:
+                    cd.rolling_norm_series(r, S)
+            assert str(info.value) == (
+                f"asset {ticker!r} has zero variance on return days [1:5] "
+                f"(window ending {r.dates[4]})"
+            )
 
 
 def near_constant_panel(n, S, W, kind):

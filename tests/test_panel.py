@@ -42,7 +42,7 @@ def files(tmp_path, price=PRICE, cap=CAP):
 
 def test_load_basic(tmp_path):
     p, c = files(tmp_path)
-    panel = cd.load_panel(p, c, JAN1, JAN3)
+    panel = cd.load_panel_with_report(p, c, JAN1, JAN3)[0]
     assert panel.tickers == ["AAA", "BBB", "CCC"]
     assert panel.n_days == 3
     assert panel.dates[0] == JAN1 and panel.dates[-1] == JAN3
@@ -52,7 +52,7 @@ def test_load_basic(tmp_path):
 
 def test_load_subrange(tmp_path):
     p, c = files(tmp_path)
-    panel = cd.load_panel(p, c, dt.date(2020, 1, 2), JAN3)
+    panel = cd.load_panel_with_report(p, c, dt.date(2020, 1, 2), JAN3)[0]
     assert panel.n_days == 2
     np.testing.assert_array_equal(panel.closes[1], [4.5, 4.8])
 
@@ -61,7 +61,7 @@ def test_column_order_follows_price_header(tmp_path):
     cap = "date,CCC,AAA,BBB\n2020-01-01,10.0,100.0,50.0\n"
     price = "date,AAA,BBB,CCC\n2020-01-01,10.0,5.0,1.0\n"
     p, c = files(tmp_path, price, cap)
-    panel = cd.load_panel(p, c, JAN1, JAN1)
+    panel = cd.load_panel_with_report(p, c, JAN1, JAN1)[0]
     assert panel.tickers == ["AAA", "BBB", "CCC"]
     np.testing.assert_array_equal(panel.market_caps[:, 0], [100.0, 50.0, 10.0])
 
@@ -70,7 +70,7 @@ def test_round_trip_is_bit_exact(tmp_path, small_panel):
     p1 = tmp_path / "p1.csv"
     c1 = tmp_path / "c1.csv"
     cd.write_panel(small_panel, p1, c1)
-    again = cd.load_panel(p1, c1, small_panel.dates[0], small_panel.dates[-1])
+    again = cd.load_panel_with_report(p1, c1, small_panel.dates[0], small_panel.dates[-1])[0]
     np.testing.assert_array_equal(again.closes, small_panel.closes)
     np.testing.assert_array_equal(again.market_caps, small_panel.market_caps)
     assert again.dates == small_panel.dates
@@ -161,7 +161,7 @@ def test_empty_panel_raises(tmp_path):
     cap = "date,AAA\n2020-01-01,1.0\n"
     p, c = files(tmp_path, price, cap)
     with pytest.raises(cd.EmptyPanelError):
-        cd.load_panel(p, c, JAN1, JAN1)
+        cd.load_panel_with_report(p, c, JAN1, JAN1)
 
 
 def test_missing_day_raises_gap_error(tmp_path):
@@ -169,7 +169,7 @@ def test_missing_day_raises_gap_error(tmp_path):
     cap = CAP.replace("2020-01-02,110.0,45.0,11.0\n", "")
     p, c = files(tmp_path, price, cap)
     with pytest.raises(cd.GapError) as exc:
-        cd.load_panel(p, c, JAN1, JAN3)
+        cd.load_panel_with_report(p, c, JAN1, JAN3)
     assert exc.value.missing_dates == [dt.date(2020, 1, 2)]
 
 
@@ -177,7 +177,7 @@ def test_parse_error_names_row_and_column(tmp_path):
     price = PRICE.replace("11.0,4.5", "11.0,oops")
     p, c = files(tmp_path, price)
     with pytest.raises(cd.ParseError) as exc:
-        cd.load_panel(p, c, JAN1, JAN3)
+        cd.load_panel_with_report(p, c, JAN1, JAN3)
     assert exc.value.row == 3
     assert exc.value.column == "BBB"
 
@@ -185,10 +185,10 @@ def test_parse_error_names_row_and_column(tmp_path):
 def test_malformed_cell_outside_the_range_is_not_read(tmp_path):
     price = PRICE.replace("11.0,4.5", "11.0,oops")
     p, c = files(tmp_path, price)
-    panel = cd.load_panel(p, c, JAN3, JAN3)
+    panel = cd.load_panel_with_report(p, c, JAN3, JAN3)[0]
     np.testing.assert_array_equal(panel.closes[:, 0], [10.5, 4.8, 1.2])
     with pytest.raises(cd.ParseError) as exc:
-        cd.load_panel(p, c, dt.date(2020, 1, 2), JAN3)
+        cd.load_panel_with_report(p, c, dt.date(2020, 1, 2), JAN3)
     assert (exc.value.row, exc.value.column) == (3, "BBB")
 
 
@@ -200,7 +200,7 @@ def test_malformed_cell_outside_the_range_is_not_read(tmp_path):
 def test_row_structure_is_checked_outside_the_range(tmp_path, bad_row):
     p, c = files(tmp_path, PRICE + bad_row + "\n")
     with pytest.raises(cd.ParseError) as exc:
-        cd.load_panel(p, c, JAN3, JAN3)
+        cd.load_panel_with_report(p, c, JAN3, JAN3)
     assert exc.value.row == 5
     assert exc.value.column == "date"
 
@@ -212,7 +212,7 @@ def test_a_quoted_field_may_not_run_onto_the_next_line(tmp_path):
     price = PRICE.replace("11.0,4.5,", '11.0,"4.5\n",')
     p, c = files(tmp_path, price)
     with pytest.raises(cd.ParseError) as exc:
-        cd.load_panel(p, c, JAN3, JAN3)
+        cd.load_panel_with_report(p, c, JAN3, JAN3)
     assert exc.value.row == 3
     assert "runs onto the next line" in str(exc.value)
 
@@ -229,26 +229,26 @@ class _Timestamp(dt.datetime):
 def test_a_bound_with_a_time_is_an_input_error(tmp_path, start, end):
     p, c = files(tmp_path)
     with pytest.raises(cd.InputError, match="bad date"):
-        cd.load_panel(p, c, start, end)
+        cd.load_panel_with_report(p, c, start, end)
 
 
 def test_a_range_decades_past_the_file_is_a_gap_error(tmp_path):
     p, c = files(tmp_path)
     end = dt.date(2080, 12, 31)
     with pytest.raises(cd.GapError) as exc:
-        cd.load_panel(p, c, JAN1, end)
+        cd.load_panel_with_report(p, c, JAN1, end)
     first = dt.date(2020, 1, 4)
     assert exc.value.missing_dates == [first + dt.timedelta(days=k)
                                        for k in range((end - first).days + 1)]
 
 
 def test_byte_order_mark_is_accepted(tmp_path):
-    plain = cd.load_panel(*files(tmp_path), JAN1, JAN3)
+    plain = cd.load_panel_with_report(*files(tmp_path), JAN1, JAN3)[0]
     bom = tmp_path / "bom"
     bom.mkdir()
     p, c = files(bom)
     p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
-    panel = cd.load_panel(p, c, JAN1, JAN3)
+    panel = cd.load_panel_with_report(p, c, JAN1, JAN3)[0]
     assert panel.tickers == plain.tickers
     np.testing.assert_array_equal(panel.closes, plain.closes)
     np.testing.assert_array_equal(panel.market_caps, plain.market_caps)
@@ -281,13 +281,13 @@ def test_duplicate_date_rejected(tmp_path):
     price = PRICE + "2020-01-03,1.0,1.0,1.0\n"
     p, c = files(tmp_path, price)
     with pytest.raises(cd.ParseError):
-        cd.load_panel(p, c, JAN1, JAN3)
+        cd.load_panel_with_report(p, c, JAN1, JAN3)
 
 
 def test_header_must_start_with_date(tmp_path):
     p, c = files(tmp_path, PRICE.replace("date,", "day,"))
     with pytest.raises(cd.ParseError):
-        cd.load_panel(p, c, JAN1, JAN3)
+        cd.load_panel_with_report(p, c, JAN1, JAN3)
 
 
 def test_drop_report_serialization(tmp_path):
@@ -429,7 +429,7 @@ def test_rows_outside_the_range_cost_no_memory(tmp_path):
     cd.write_panel(panel, p, c)
     tracemalloc.start()
     try:
-        loaded = cd.load_panel(p, c, dates[-150], dates[-1])
+        loaded = cd.load_panel_with_report(p, c, dates[-150], dates[-1])[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

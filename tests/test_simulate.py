@@ -127,6 +127,6 @@ def test_write_simulated_dataset_round_trips(tmp_path):
                                        start=dt.date(2019, 6, 1),
                                        end=dt.date(2019, 12, 31),
                                        periods=SMALL_PERIODS, phases=SMALL_PHASES)
-    loaded = cd.load_panel(p, c, dt.date(2019, 6, 1), dt.date(2019, 12, 31))
+    loaded = cd.load_panel_with_report(p, c, dt.date(2019, 6, 1), dt.date(2019, 12, 31))[0]
     np.testing.assert_array_equal(loaded.closes, panel.closes)
     np.testing.assert_array_equal(loaded.market_caps, panel.market_caps)
