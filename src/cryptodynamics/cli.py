@@ -88,11 +88,11 @@ def _read_panel(cfg):
     for path in (cfg.price_csv, cfg.marketcap_csv):
         if not path.exists():
             raise InputError(f"data file not found: {path}")
+        if not path.is_file():
+            raise InputError(f"data path is not a regular file: {path}")
     panel, drops = load_panel_with_report(cfg.price_csv, cfg.marketcap_csv,
                                           cfg.start, cfg.end)
-    report = cfg.out_dir / "drop_report.json"
-    write_drop_report(drops, report)
-    return panel, report
+    return panel, write_drop_report(drops, cfg.out_dir / "drop_report.json")
 
 
 def cmd_fetch(cfg):
@@ -105,16 +105,25 @@ def cmd_fetch(cfg):
 
 
 def cmd_correlation(cfg, panel, returns, days, stats):
-    series_csv, points_csv, periods_csv = (
-        cfg.out_dir / name
-        for name in ("norm_series.csv", "turning_points.csv", "period_stats.csv"))
+    out = cfg.out_dir
     series = correlation.rolling_norm_series(returns, days, stats)
     series = series.with_smoothed(cfg.sg_window, cfg.sg_degree)
-    exports.write_norm_series(series, series_csv, cfg.out_dir / "norm_series.json")
+    written = [
+        exports.write_csv(out / "norm_series.csv", date=series.dates, raw=series.raw,
+                          smoothed=series.smoothed),
+        exports.write_json(out / "norm_series.json", {
+            "dates": [d.isoformat() for d in series.dates],
+            "raw": [float(v) for v in series.raw],
+            "smoothed": [float(v) for v in series.smoothed],
+        }),
+    ]
 
     points = find_turning_points(series.smoothed, cfg.turning_point_params(),
                                  dates=series.dates)
-    exports.write_turning_points(points, points_csv)
+    written.append(exports.write_csv(
+        out / "turning_points.csv", index=[p.index for p in points],
+        date=[p.date for p in points], value=[p.value for p in points],
+        kind=[p.kind for p in points]))
 
     # stats only for periods the analysis range actually covers (>= 2 return days)
     first, last = returns.dates[0], returns.dates[-1]
@@ -122,19 +131,32 @@ def cmd_correlation(cfg, panel, returns, days, stats):
                     if (min(p.end, last) - max(p.start, first)).days + 1 >= 2)
     periods = correlation.period_entry_stats(returns, PeriodPartition(covered),
                                              exclude_diagonal=cfg.exclude_diagonal)
-    exports.write_period_stats(periods, periods_csv, cfg.out_dir / "period_stats.json")
-    return [series_csv, points_csv, periods_csv,
-            *exports.write_density_curves(periods, cfg.out_dir)]
+    written += [
+        exports.write_csv(out / "period_stats.csv", period=[s.label for s in periods],
+                          mean=[s.mean for s in periods], std=[s.std for s in periods]),
+        exports.write_json(out / "period_stats.json", [
+            {"period": s.label, "start": s.start.isoformat(),
+             "end": s.end.isoformat(), "n_days": s.n_days,
+             "mean": float(s.mean), "std": float(s.std)}
+            for s in periods
+        ]),
+        # a zero-variance period has no density estimate: a header-only file
+        *(exports.write_csv(out / f"density_{exports.slugify(s.label)}.csv",
+                            x=s.density_x, density=s.density_y)
+          for s in periods),
+    ]
+    return written
 
 
 def cmd_spectral(cfg, panel, returns, days, stats):
-    lam_csv, size_csv, summary_json = (
-        cfg.out_dir / name
-        for name in ("lambda1_series.csv", "market_size.csv", "correlation_summary.json"))
+    out = cfg.out_dir
     lam = spectral.lambda1_series(returns, days, stats=stats)
     size = spectral.rolling_market_size(panel, days)
-    exports.write_csv(lam_csv, date=lam.dates, lambda1=lam.lambda1)
-    exports.write_csv(size_csv, date=size.dates, market_size=size.values)
+    written = [
+        exports.write_csv(out / "lambda1_series.csv", date=lam.dates, lambda1=lam.lambda1),
+        exports.write_csv(out / "market_size.csv", date=size.dates,
+                          market_size=size.values),
+    ]
     try:
         rho = spectral.series_correlation(size.values, lam.lambda1)
         summary = {"rho_market_size_lambda1": rho}
@@ -142,38 +164,41 @@ def cmd_spectral(cfg, panel, returns, days, stats):
         summary = {"rho_market_size_lambda1": "degenerate"}
     summary["n_windows"] = len(lam.dates)
     summary["window_days"] = days
-    exports.write_json(summary_json, summary)
-    return [lam_csv, size_csv, summary_json]
+    written.append(exports.write_json(out / "correlation_summary.json", summary))
+    return written
 
 
 def cmd_inconsistency(cfg, panel, returns, days, stats):
-    path = cfg.out_dir / "inconsistency_norms.csv"
     vol = inconsistency.rolling_volatility(returns, days, stats)
     series = inconsistency.inconsistency_norms(panel, returns, vol, days)
-    exports.write_csv(path, date=series.dates, nu_MR=series.nu_MR,
-                      nu_MSigma=series.nu_MSigma)
-    return [path]
+    return [exports.write_csv(cfg.out_dir / "inconsistency_norms.csv", date=series.dates,
+                              nu_MR=series.nu_MR, nu_MSigma=series.nu_MSigma)]
 
 
 def cmd_dispersion(cfg, panel, returns, days, stats):
-    variance_csv, dendro_csv, dendro_json, cut_csv = (
-        cfg.out_dir / name for name in ("variance_series.csv", "dendrogram.csv",
-                                        "dendrogram.json", "two_cluster_cut.csv"))
+    out = cfg.out_dir
     vol = inconsistency.rolling_volatility(returns, days, stats)
     variances = dispersion.variance_series(vol)
-    exports.write_csv(variance_csv, date=variances.dates, variance=variances.values)
+    written = [exports.write_csv(out / "variance_series.csv", date=variances.dates,
+                                 variance=variances.values)]
 
     matrix = dispersion.dispersion_matrix(vol)
     dendro = dispersion.hierarchical_cluster(matrix, cfg.linkage)
-    exports.write_dendrogram_csv(dendro, dendro_csv)
-    exports.write_dendrogram_json(dendro, dendro_json, dates=matrix.dates)
+    a, b, height, size = dendro.merges.T
+    written += [
+        exports.write_csv(out / "dendrogram.csv", step=range(len(height)), cluster_a=a,
+                          cluster_b=b, height=height, size=size),
+        exports.write_dendrogram_json(dendro, out / "dendrogram.json", dates=matrix.dates),
+    ]
     labels = dispersion.two_cluster_cut(dendro)
-    exports.write_csv(cut_csv, date=matrix.dates, cluster=labels)
-    return [variance_csv, dendro_csv, dendro_json, cut_csv]
+    written.append(exports.write_csv(out / "two_cluster_cut.csv", date=matrix.dates,
+                                     cluster=labels))
+    return written
 
 
 class _Analysis(NamedTuple):
-    run: Callable     # (cfg, panel, returns, days, stats): writes its outputs, returns their paths
+    run: Callable     # (cfg, panel, returns, days, stats): writes its outputs,
+                      # returns every path it wrote, in write order
     statistic: str    # what it reads from the kernel pass (correlation.STATISTICS)
     window: str       # the RunConfig field holding its window length in days
     blurb: str

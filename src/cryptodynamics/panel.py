@@ -122,9 +122,6 @@ class PeriodPartition:
     def __len__(self):
         return len(self.periods)
 
-    def labels(self):
-        return [p.label for p in self.periods]
-
 
 @dataclass(frozen=True)
 class DropRecord:

@@ -98,12 +98,6 @@ class TurningPointSequence:
     def __len__(self):
         return len(self.points)
 
-    def kinds(self):
-        return [p.kind for p in self.points]
-
-    def indices(self):
-        return [p.index for p in self.points]
-
 
 def _require_finite(values):
     if not np.all(np.isfinite(values)):

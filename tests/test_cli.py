@@ -156,6 +156,33 @@ def test_config_directory_is_exit_code_1(small_dataset_dir, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: config path is a directory: {folder}\n"
 
 
+def test_data_path_that_is_not_a_file_is_exit_code_1(small_dataset_dir, tmp_path, capsys):
+    for name in ("price.csv", "marketcap.csv"):
+        data = tmp_path / name.split(".")[0]
+        data.mkdir()
+        for other in ("price.csv", "marketcap.csv"):
+            if other != name:
+                (data / other).write_bytes((small_dataset_dir / other).read_bytes())
+        (data / name).mkdir()
+        code = run("correlation", data, tmp_path / "out")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: data path is not a regular file: {data / name}\n")
+
+
+def test_printed_paths_are_the_files_written(small_dataset_dir, tmp_path, capsys):
+    # stdout lists the drop report, then every file each analysis wrote, in
+    # write order; only the config echo goes unprinted.
+    for command in ("all", "correlation", "spectral", "inconsistency", "dispersion"):
+        out = tmp_path / command
+        assert run(command, small_dataset_dir, out) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == str(out / "drop_report.json"), command
+        assert len(printed) == len(set(printed)), command
+        written = {str(p) for p in out.iterdir() if p.name != "resolved_config.txt"}
+        assert set(printed) == written, command
+
+
 def test_bool_flag_overrides_the_config_file(small_dataset_dir, tmp_path, capsys):
     # Flags beat file values for bool keys too; bare, the flag means true.
     cfg, out = tmp_path / "run.cfg", tmp_path / "out"

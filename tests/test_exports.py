@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import is_valid_linkage
 
 import cryptodynamics as cd
-from cryptodynamics import exports
+from cryptodynamics import cli, exports
 from cryptodynamics.dispersion import LINKAGES
 
 from test_dispersion import as_dispersion
@@ -56,12 +57,25 @@ def test_dendrogram_json_needs_one_date_per_leaf(tmp_path):
         exports.write_dendrogram_json(dendro, tmp_path / "d.json", days(3))
 
 
-def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path):
+def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path, monkeypatch):
+    # cli.cmd_dispersion writes dendrogram.csv; run it on a fixed dendrogram
     dendro = cd.Dendrogram(3, [[0, 1, 0.0625, 2], [2, 3, 1 / 3, 3]])
+    monkeypatch.setattr(cli.dispersion, "hierarchical_cluster", lambda matrix, method: dendro)
+    monkeypatch.setattr(cli.dispersion, "dispersion_matrix",
+                        lambda vol: SimpleNamespace(dates=days(3)))
+    monkeypatch.setattr(cli.dispersion, "variance_series", lambda vol: SimpleNamespace(
+        dates=days(3), values=[1.0, 2.0, 3.0]))
+    monkeypatch.setattr(cli.inconsistency, "rolling_volatility", lambda *args: None)
+    cfg = SimpleNamespace(out_dir=tmp_path, linkage="average")
+    written = cli.cmd_dispersion(cfg, None, None, 3, {})
     path = tmp_path / "dendrogram.csv"
-    exports.write_dendrogram_csv(dendro, path)
+    assert path in written
     assert path.read_text().splitlines() == [
         "step,cluster_a,cluster_b,height,size",
         "0,0,1,0.0625,2",
         "1,2,3,0.333333333333,3",
     ]
+    # every path a command returns is the one a writer was given
+    csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.json"
+    assert exports.write_csv(csv_path, x=[1.0]) is csv_path
+    assert exports.write_json(json_path, {"x": 1}) is json_path

@@ -325,7 +325,7 @@ def test_panel_rejects_non_positive_close():
 
 def test_default_periods_skip_leap_day():
     periods = cd.default_periods()
-    assert periods.labels() == ["Pre-COVID", "Peak COVID", "Post-COVID", "Bull", "Bear"]
+    assert [p.label for p in periods] == ["Pre-COVID", "Peak COVID", "Post-COVID", "Bull", "Bear"]
     leap = dt.date(2020, 2, 29)
     assert all(not (p.start <= leap <= p.end) for p in periods)
     assert periods.periods[0].end == dt.date(2020, 2, 28)

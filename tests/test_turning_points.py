@@ -168,9 +168,9 @@ def test_structural_invariants_hold():
     for seed in range(50):
         y = _series_family(seed + 5000)
         seq = cd.find_turning_points(y)
-        idx = seq.indices()
+        idx = [p.index for p in seq]
         assert idx == sorted(idx)
-        kinds = seq.kinds()
+        kinds = [p.kind for p in seq]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
         adjusted = min_adjust(y)
         for a, b in zip(seq.points, seq.points[1:]):
