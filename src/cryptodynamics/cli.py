@@ -1,8 +1,9 @@
 """Command-line front-end: fetch data, run the four analysis pipelines.
 
 Subcommands: fetch, correlation, spectral, inconsistency, dispersion, all.
-Exit codes: 0 success; 1 input or configuration problem, usage errors
-included; 2 numerical failure; 3 I/O, transport or resource failure.
+Exit codes: 0 success, 1 usage error, else the package error's own
+``exit_code`` (see errors.py), 3 for OS-level I/O and out-of-memory
+failures. Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from typing import Callable, NamedTuple
 
 from . import correlation, dispersion, exports, inconsistency, spectral
 from .config import KEY_FIELDS, RunConfig, resolve_config, config_echo_text
-from .errors import (
-    AnalysisError,
-    InputError,
-    NumericalError,
-    SchemaError,
-    TransportError,
-)
+from .errors import AnalysisError, InputError
 from .exports import write_drop_report
 from .panel import PeriodPartition, default_periods, load_panel_with_report
 from .turning_points import find_turning_points
@@ -247,15 +242,9 @@ def main(argv=None) -> int:
         else:
             _run_analyses(cfg, _ANALYSES.values() if args.command == "all"
                           else [_ANALYSES[args.command]])
-    except (TransportError,) as exc:
-        print(f"error: transport: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except AnalysisError as exc:
+        print(f"error: {exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: i/o: {exc}", file=sys.stderr)
         return 3

@@ -131,29 +131,31 @@ def parse_config_file(path) -> dict:
     """Field overrides from a flat-keyed config file."""
     overrides = {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except IsADirectoryError:
         raise ConfigError(f"config path is a directory: {path}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key not in KEY_FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            field, parser = KEY_FIELDS[key]
-            try:
-                overrides[field] = parser(value.strip())
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key not in KEY_FIELDS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        field, parser = KEY_FIELDS[key]
+        try:
+            overrides[field] = parser(value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return overrides
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all analysis modules.
 
-Exit-code mapping used by the CLI: InputError/ConfigError -> 1,
-NumericalError -> 2, transport, OS-level I/O and out-of-memory failures -> 3.
+Each class carries the CLI's exit code and message prefix for its errors
+(``AnalysisError.exit_code`` and ``prefix``, overridden by NumericalError
+and TransportError).
 
 The analysis records hold their arrays as ``frozen_array`` returns them
 and set their fields through ``set_fields``.
@@ -12,6 +13,9 @@ import numpy as np
 
 class AnalysisError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
+    prefix = ""
 
 
 class InputError(AnalysisError):
@@ -81,9 +85,15 @@ class DegenerateDataError(InputError):
 class NumericalError(AnalysisError):
     """A numerical routine failed to converge or produced invalid output."""
 
+    exit_code = 2
+    prefix = "numerical: "
+
 
 class TransportError(AnalysisError):
     """HTTP fetch failed at the transport level."""
+
+    exit_code = 3
+    prefix = "transport: "
 
     def __init__(self, url, status=None, detail=""):
         self.url = url

@@ -7,7 +7,8 @@ every analysis run reproducible and offline-testable.
 
 A history endpoint is configured as a URL template with ``{ticker}``,
 ``{start}`` and ``{end}`` placeholders (config key ``data.url_template``)
-and must return CSV with the header ``date,close,market_cap``.
+and must return UTF-8 CSV (a byte-order mark is accepted) with the header
+``date,close,market_cap``.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ def history_url(url_template, ticker, start, end) -> str:
     try:
         return url_template.format(ticker=ticker, start=start.isoformat(),
                                    end=end.isoformat())
-    except (KeyError, IndexError) as exc:
+    except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"bad url template {url_template!r}: {exc}") from None
 
 
-def fetch_daily_history(url_template, ticker, start, end, session=None) -> str:
-    """Download one ticker's raw history CSV and return its text.
+def fetch_daily_history(url_template, ticker, start, end, session=None) -> bytes:
+    """Download one ticker's raw history CSV and return its bytes as received.
 
-    The caller persists the text; nothing here feeds analysis directly.
+    The caller persists them; nothing here feeds analysis directly.
     """
     if not ticker:
         raise InputError("ticker must be non-empty")
@@ -50,7 +51,15 @@ def fetch_daily_history(url_template, ticker, start, end, session=None) -> str:
         raise TransportError(url, None, str(exc)) from None
     if response.status_code != 200:
         raise TransportError(url, response.status_code, response.text[:200])
-    return response.text
+    return response.content
+
+
+def _csv_rows(text, source):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from None
 
 
 def parse_history_csv(text, source="<response>"):
@@ -59,7 +68,7 @@ def parse_history_csv(text, source="<response>"):
     Raises SchemaError when the payload does not match the expected
     three-column layout.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text, source)
     try:
         header = next(reader)
     except StopIteration:
@@ -90,21 +99,27 @@ def fetch_dataset(url_template, tickers, start, end,
                   raw_dir=None, session=None):
     """Fetch every ticker and assemble the two panel CSVs.
 
-    Panel rows cover the union of returned dates, with blank cells where
-    a ticker has no data (the loader's drop policy deals with those).
+    Payloads are decoded as UTF-8, a byte-order mark accepted, whatever
+    charset the server declares. Panel rows cover the union of returned
+    dates, with blank cells where a ticker has no data (the loader's drop
+    policy deals with those).
     When ``raw_dir`` is given, each ticker's raw response is also written
-    there as ``<ticker>.csv``.
+    there as ``<ticker>.csv``, byte for byte as received.
     """
     tickers = list(tickers)
     if not tickers:
         raise InputError("no tickers to fetch")
     per_ticker = {}
     for ticker in tickers:
-        text = fetch_daily_history(url_template, ticker, start, end, session=session)
+        payload = fetch_daily_history(url_template, ticker, start, end, session=session)
         if raw_dir is not None:
             raw_dir = Path(raw_dir)
             raw_dir.mkdir(parents=True, exist_ok=True)
-            (raw_dir / f"{ticker}.csv").write_text(text, encoding="utf-8")
+            (raw_dir / f"{ticker}.csv").write_bytes(payload)
+        try:
+            text = payload.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{ticker}: not UTF-8 text: {exc}") from None
         per_ticker[ticker] = {day: (close, cap)
                               for day, close, cap in parse_history_csv(text, ticker)}
 

@@ -173,7 +173,10 @@ def _quoted_cells(path, lineno, line):
     """
     if line.count('"') % 2:
         raise ParseError(path, lineno, "", "quoted field runs onto the next line")
-    return next(csv.reader([line]))
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ParseError(path, lineno, "", str(exc)) from None
 
 
 def _read_range(path, start, end):
@@ -184,8 +187,17 @@ def _read_range(path, start, end):
     tickers and three blocks over the days of [start, end]: the (T, N)
     float64 values (NaN at blank cells), the (T, N) blank-cell mask and the
     (T,) mask of days the file has a row for. Errors raise ParseError with
-    the 1-based row number and the column name.
+    the 1-based row number and the column name; a file that is not UTF-8
+    raises InputError naming it.
     """
+    try:
+        return _read_lines(path, start, end)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} "
+                         f"(byte {exc.object[exc.start]:#04x})") from None
+
+
+def _read_lines(path, start, end):
     with open(path, newline="", encoding="utf-8-sig") as fh:
         line = fh.readline()
         if not line:

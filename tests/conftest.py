@@ -71,14 +71,17 @@ def small_dataset_dir(tmp_path_factory, small_panel):
 
 @pytest.fixture()
 def local_http():
-    """A loopback HTTP server backed by a mutable {path: (status, body)} map."""
+    """A loopback HTTP server backed by a mutable {path: (status, body)} map.
+
+    A str body is served UTF-8 encoded, a bytes body as it is.
+    """
     routes = {}
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
             path = self.path.split("?", 1)[0]
             status, body = routes.get(path, (404, "no such route"))
-            payload = body.encode("utf-8")
+            payload = body if isinstance(body, bytes) else body.encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "text/csv")
             self.send_header("Content-Length", str(len(payload)))

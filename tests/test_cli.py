@@ -1,14 +1,20 @@
 import argparse
+import contextlib
 import datetime as dt
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cryptodynamics
 from cryptodynamics.cli import build_parser, main
@@ -286,6 +292,87 @@ def test_fetch_transport_failure_is_exit_code_3(tmp_path, capsys):
     assert "transport" in capsys.readouterr().err
 
 
+def one_error_line(err):
+    """The single line of ``err``, which must be one ``error:`` line."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("case", ["long quoted cell", "latin-1 header", "latin-1 config"])
+def test_unreadable_input_is_one_error_line_naming_the_file(small_dataset_dir, tmp_path,
+                                                            capsys, case):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("price.csv", "marketcap.csv"):
+        (data / name).write_bytes((small_dataset_dir / name).read_bytes())
+    price, extra = data / "price.csv", []
+    if case == "long quoted cell":  # over the csv module's 131,072-character field limit
+        lines = price.read_bytes().split(b"\r\n")
+        lines[3] = lines[3].split(b",")[0] + b',"' + b"1" * 140_000 + b'"' + b",1" * 5
+        price.write_bytes(b"\r\n".join(lines))
+        named = f"{price}: row 4"
+    elif case == "latin-1 header":
+        price.write_bytes(price.read_bytes().replace(b"ETH", "\u00c9TH".encode("latin-1"), 1))
+        named = f"{price}: not UTF-8 text"
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_bytes("# caf\u00e9\n".encode("latin-1"))
+        extra = ["--config", str(config)]
+        named = f"{config}: not UTF-8 text"
+    assert run("all", data, tmp_path / "out", *extra) == 1
+    assert one_error_line(capsys.readouterr().err).startswith(f"error: {named}")
+
+
+def test_unbalanced_template_is_one_error_line_naming_it(tmp_path, capsys):
+    template = "http://127.0.0.1:9/{ticker"
+    code = main(["fetch", "--data-dir", str(tmp_path / "data"),
+                 "--out-dir", str(tmp_path / "out"),
+                 "--url-template", template, "--tickers", "BTC"])
+    assert code == 1
+    assert one_error_line(capsys.readouterr().err) == (
+        f"error: bad url template {template!r}: expected '}}' before end of string")
+
+
+def test_payload_over_the_csv_field_limit_is_one_error_line_naming_the_ticker(
+        local_http, tmp_path, capsys):
+    base, routes = local_http
+    routes["/hist/BTC.csv"] = (200, 'date,close,market_cap\n2019-06-01,"' + "1" * 140_000
+                                    + '",2.0\n')
+    code = main(["fetch", "--data-dir", str(tmp_path / "data"),
+                 "--out-dir", str(tmp_path / "out"),
+                 "--url-template", base + "/hist/{ticker}.csv", "--tickers", "BTC"])
+    assert code == 1
+    assert one_error_line(capsys.readouterr().err) == (
+        "error: BTC: line 2: field larger than field limit (131072)")
+
+
+def test_numerical_failure_is_exit_code_2(small_dataset_dir, tmp_path, monkeypatch, capsys):
+    from cryptodynamics import correlation
+
+    def diverged(matrices, dates):
+        raise cryptodynamics.NumericalError("eigensolver failed: did not converge")
+
+    monkeypatch.setattr(correlation, "chunk_lambda1", diverged)
+    assert run("all", small_dataset_dir, tmp_path / "out") == 2
+    assert one_error_line(capsys.readouterr().err) == (
+        "error: numerical: eigensolver failed: did not converge")
+
+
+def test_an_untyped_exception_is_a_bug_and_propagates(small_dataset_dir, tmp_path,
+                                                      monkeypatch):
+    # Only the package's own errors (and OS and memory failures) become an
+    # exit code; anything else is a bug and must not pass for bad input.
+    from cryptodynamics import inconsistency
+
+    def broken(*args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(inconsistency, "inconsistency_norms", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run("all", small_dataset_dir, tmp_path / "out")
+
+
 def _wavy_history(n_days, base):
     lines = ["date,close,market_cap"]
     day = dt.date(2019, 6, 1)
@@ -423,3 +510,140 @@ def test_import_loads_no_unused_heavy_modules(module):
         # scipy.cluster is imported by the clustering call, not by the CLI
         assert [m for m in loaded if m.startswith(("scipy.stats", "scipy.cluster", "requests"))
                 or m == "cryptodynamics.fetch"] == []
+
+
+# The CLI contract over generated hostile panels: `all` on any pair of
+# panel files ends in exit 0, 1 or 2, with exactly one `error:` line on
+# failure, and writes the same bytes when run again. Each file is built
+# from a grid of cell texts, so the explicit examples can be written out.
+
+_HOSTILE_CELLS = ("", "nan", "inf", "0", "-1.5")
+_SOMETIMES = st.sampled_from([False, False, False, True])
+_FIRST_DAY = dt.date(2019, 6, 1)
+
+
+def _panel_file(cells, rows, line_end="\n", quoted=()):
+    """CSV bytes of a cell grid (header first), one line per index in ``rows``.
+
+    Rows ``rows`` names twice come out twice (a duplicate date); rows it
+    leaves out are missing days. Rows in ``quoted``, 0 the header, have
+    every cell quoted.
+    """
+    lines = []
+    for k in [0] + [1 + r for r in rows]:
+        line = cells[k]
+        if k in quoted:
+            line = [f'"{cell}"' for cell in line]
+        lines.append(",".join(line) + line_end)
+    return "".join(lines).encode("utf-8")
+
+
+def _grid(matrix):
+    """The cell texts of a (T, N) value matrix under a header of N tickers."""
+    header = ["date"] + [f"A{j}" for j in range(matrix.shape[1])]
+    return [header] + [[(_FIRST_DAY + dt.timedelta(days=t)).isoformat()]
+                       + [repr(float(v)) for v in row] for t, row in enumerate(matrix)]
+
+
+def _window_flags(days, *extra):
+    """``--from``/``--to`` covering the ``days`` days from _FIRST_DAY, then ``extra``."""
+    last = _FIRST_DAY + dt.timedelta(days=days - 1)
+    return ["--from", _FIRST_DAY.isoformat(), "--to", last.isoformat(), *extra]
+
+
+@st.composite
+def _hostile_panels(draw):
+    """(price bytes, market-cap bytes, flags) of one hostile `all` run."""
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(3, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.05, (t, n)), axis=0))
+    if draw(_SOMETIMES):
+        j, first, length = draw(st.tuples(st.integers(0, n - 1), st.integers(0, t - 1),
+                                           st.integers(2, t)))
+        closes[first:first + length, j] = closes[first, j]  # a stablecoin's run
+    grids = [_grid(closes), _grid(closes * rng.uniform(1e3, 1e6, n))]
+    for which, day, j, cell in draw(st.lists(st.tuples(
+            st.integers(0, 1), st.integers(0, t - 1), st.integers(0, n - 1),
+            st.sampled_from(_HOSTILE_CELLS)), max_size=3)):
+        grids[which][1 + day][1 + j] = cell
+    rows = [list(range(t)), list(range(t))]
+    flaw = draw(st.sampled_from([None] * 6 + ["duplicate", "missing"]))
+    if flaw:
+        which, day = draw(st.integers(0, 1)), draw(st.integers(0, t - 1))
+        (rows[which].append if flaw == "duplicate" else rows[which].remove)(day)
+    files = [_panel_file(grid, days, draw(st.sampled_from(["\n", "\r\n", "\r"])),
+                         draw(st.sets(st.integers(0, t), max_size=3)))
+             for grid, days in zip(grids, rows)]
+    flags = []
+    longest = draw(st.sampled_from([t - 1, 90]))  # up to the return days, or past them
+    for window in ("correlation", "spectral", "inconsistency", "volatility"):
+        flags += [f"--{window}-days", str(draw(st.integers(2, max(2, min(longest, 90)))))]
+    if draw(st.booleans()):
+        flags.append("--exclude-diagonal")
+    sg_window = draw(st.none() | st.integers(2, 20).map(lambda k: 2 * k + 1))
+    if sg_window is not None:
+        flags += ["--sg-window", str(sg_window)]
+    return files[0], files[1], _window_flags(t, *flags)
+
+
+def _run_all(files, out, flags):
+    """(exit code, stderr, {file name: bytes} of the outputs) of `all` on ``files``."""
+    data = out.parent / "data"
+    data.mkdir(exist_ok=True)
+    (data / "price.csv").write_bytes(files[0])
+    (data / "marketcap.csv").write_bytes(files[1])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["all", "--data-dir", str(data), "--out-dir", str(out), *flags])
+    written = {p.name: p.read_bytes() for p in (out.iterdir() if out.exists() else ())
+               if p.name != "resolved_config.txt"}
+    return code, err.getvalue(), written
+
+
+_THREE_ASSETS = np.array([[100.0 + t % 7, 50.0 - t % 3, 10.0 + t % 11] for t in range(60)])
+_LONG_CELL = _grid(_THREE_ASSETS)
+_LONG_CELL[5][2] = "1" * 140_000  # over the csv module's field limit once quoted
+_CONSTANT = _THREE_ASSETS.copy()
+_CONSTANT[:, 1] = 50.0  # a stablecoin: constant over every window
+_SHORT_WINDOWS = ["--correlation-days", "10", "--spectral-days", "10",
+                  "--inconsistency-days", "10", "--volatility-days", "10"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hostile_panels())
+@example((_panel_file(_LONG_CELL, range(60), quoted={5}),
+          _panel_file(_grid(_THREE_ASSETS), range(60)), _window_flags(60, *_SHORT_WINDOWS)))
+@example((_panel_file(_grid(_THREE_ASSETS), range(60)).replace(b"A1", "\u00c91".encode("latin-1")),
+          _panel_file(_grid(_THREE_ASSETS), range(60)), _window_flags(60, *_SHORT_WINDOWS)))
+def test_all_ends_in_a_defined_outcome_on_hostile_panels(drawn):
+    price, cap, flags = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        first = _run_all((price, cap), Path(tmp) / "first", flags)
+        second = _run_all((price, cap), Path(tmp) / "second", flags)
+    code, err, _ = first
+    assert code in (0, 1, 2)
+    if code:
+        one_error_line(err)
+    assert second == first
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: no manifest, and a failed run "
+                                       "leaves its first files behind")
+@settings(max_examples=5, deadline=None)
+@given(_hostile_panels())
+@example((_panel_file(_grid(_CONSTANT), range(60)),
+          _panel_file(_grid(_THREE_ASSETS), range(60)), _window_flags(60, *_SHORT_WINDOWS)))
+def test_all_leaves_a_complete_directory_or_no_output(drawn):
+    # Complete: manifest.json lists every other file there with its byte
+    # count (the key names are a guess until item 2 fixes the format). The
+    # constant-close example exits 1 after writing the drop report.
+    price, cap, flags = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        _, _, written = _run_all((price, cap), Path(tmp) / "out", flags)
+    if "manifest.json" not in written:
+        assert written == {}
+    else:
+        listed = json.loads(written.pop("manifest.json"))["files"]
+        assert {f["path"]: f["bytes"] for f in listed} == {
+            name: len(data) for name, data in written.items()}

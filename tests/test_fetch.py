@@ -58,8 +58,8 @@ def test_fetch_requires_ticker_and_template():
 def test_fetch_returns_body_verbatim(local_http):
     base, routes = local_http
     routes["/hist/BTC.csv"] = (200, BTC_CSV)
-    text = fetch_daily_history(template(base), "BTC", START, END)
-    assert text == BTC_CSV
+    payload = fetch_daily_history(template(base), "BTC", START, END)
+    assert payload == BTC_CSV.encode("utf-8")
 
 
 def test_http_error_status_is_reported(local_http):
@@ -102,6 +102,8 @@ def test_parse_history_accepts_mixed_case_header_and_blank_lines():
 
 @pytest.mark.parametrize("text,fragment", [
     ("", "empty response"),
+    pytest.param('date,close,market_cap\n2019-06-01,"' + "1" * 140_000 + '",2.0\n',
+                 "line 2: field larger than field limit", id="over-long-quoted-cell"),
     ("date,price,market_cap\n", "expected header"),
     ("date,close,market_cap\n2019-06-01,1.0\n", "expected 3 cells"),
     ("date,close,market_cap\n2019-06-01,abc,2.0\n", "line 2"),
@@ -136,6 +138,39 @@ def test_fetch_dataset_assembles_union_of_dates(local_http, tmp_path):
     (drop,) = drops
     assert drop.ticker == "ETH"
     assert drop.first_missing_date == dt.date(2019, 6, 3)
+
+
+def test_history_url_rejects_malformed_template():
+    for url_template in ("http://h/{ticker", "http://h/{ticker!z}", "http://h/{ticker.x}",
+                         "http://h/{ticker[a]}"):
+        with pytest.raises(cd.InputError, match="bad url template"):
+            history_url(url_template, "BTC", START, END)
+
+
+def test_payloads_decode_as_utf8_and_raw_files_keep_their_bytes(local_http, tmp_path):
+    # Served as text/csv without a charset, which requests alone would
+    # decode as ISO-8859-1: the BOM and the no-break spaces (which strip()
+    # and float() drop) would then come out as other characters.
+    base, routes = local_http
+    btc = ("\ufeffdate,close,market_cap\u00a0\n2019-06-01,100.0,2000.0\n"
+           "2019-06-02,\u00a0101.5,2030.0\n").encode("utf-8")
+    eth = "date,close,market_cap\n2019-06-01,10.0,400.0\n2019-06-02,\u00e9,408.0\n"
+    routes["/hist/BTC.csv"] = (200, btc)
+    routes["/hist/ETH.csv"] = (200, eth.encode("latin-1"))
+    raw = tmp_path / "raw"
+    dates = fetch_dataset(template(base), ["BTC"], START, START + dt.timedelta(days=1),
+                          tmp_path / "price.csv", tmp_path / "marketcap.csv", raw_dir=raw)
+    assert dates == [START, START + dt.timedelta(days=1)]
+    assert (raw / "BTC.csv").read_bytes() == btc
+    assert (tmp_path / "price.csv").read_text().splitlines() == [
+        "date,BTC", "2019-06-01,100.0", "2019-06-02,101.5"]
+    assert (tmp_path / "marketcap.csv").read_text().splitlines() == [
+        "date,BTC", "2019-06-01,2000.0", "2019-06-02,2030.0"]
+
+    with pytest.raises(cd.SchemaError, match="^ETH: not UTF-8 text"):
+        fetch_dataset(template(base), ["ETH"], START, END,
+                      tmp_path / "price.csv", tmp_path / "marketcap.csv", raw_dir=raw)
+    assert (raw / "ETH.csv").read_bytes() == eth.encode("latin-1")
 
 
 def test_fetch_dataset_needs_tickers(tmp_path):

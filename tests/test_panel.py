@@ -217,6 +217,27 @@ def test_a_quoted_field_may_not_run_onto_the_next_line(tmp_path):
     assert "runs onto the next line" in str(exc.value)
 
 
+def test_a_quoted_field_over_the_csv_limit_is_a_parse_error(tmp_path):
+    # csv.field_size_limit() is 131,072 characters by default.
+    for row, price in ((4, PRICE.replace("10.5,", '"' + "1" * 140_000 + '",')),
+                       (1, PRICE.replace("AAA", '"' + "A" * 140_000 + '"'))):
+        p, c = files(tmp_path, price)
+        with pytest.raises(cd.ParseError) as exc:
+            cd.load_panel_with_report(p, c, JAN1, JAN3)
+        assert (exc.value.path, exc.value.row, exc.value.column) == (p, row, "")
+        assert "field larger than field limit" in str(exc.value)
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_a_file_that_is_not_utf8_is_an_input_error_naming_it(tmp_path, where):
+    p, c = files(tmp_path)
+    old = b"BBB" if where == "header" else b"48.0"
+    c.write_bytes(c.read_bytes().replace(old, "\u00e9".encode("latin-1")))
+    with pytest.raises(cd.InputError) as exc:
+        cd.load_panel_with_report(p, c, JAN1, JAN3)
+    assert str(exc.value) == f"{c}: not UTF-8 text: invalid continuation byte (byte 0xe9)"
+
+
 class _Timestamp(dt.datetime):
     """A datetime subclass, as pandas.Timestamp is."""
 
