@@ -26,8 +26,7 @@ print(f"intra-volatility variance, {len(dates)} days:")
 print(f"  2019 mean        {variances.values[dates <= dt.date(2019, 12, 31)].mean():.5f}")
 print(f"  crash-phase mean {variances.values[in_peak].mean():.5f}")
 
-matrix = dispersion.dispersion_matrix(vol)
-dendro = dispersion.hierarchical_cluster(matrix, "average")
+dendro = dispersion.hierarchical_cluster(vol, "average")
 labels = dispersion.two_cluster_cut(dendro)
 counts = np.bincount(labels)
 minority = int(np.argmin(counts))
@@ -35,5 +34,5 @@ hit = np.mean(labels[in_peak] == minority)
 print(f"\ntwo-cluster cut: sizes {counts.tolist()}")
 print(f"{100 * hit:.0f}% of crash-phase days land in the minority cluster")
 
-span = [d for d, l in zip(matrix.dates, labels) if l == minority]
+span = [d for d, l in zip(dendro.dates, labels) if l == minority]
 print(f"minority cluster spans {span[0]} .. {span[-1]}")

@@ -177,16 +177,15 @@ def cmd_dispersion(cfg, panel, returns, days, stats):
     written = [exports.write_csv(out / "variance_series.csv", date=variances.dates,
                                  variance=variances.values)]
 
-    matrix = dispersion.dispersion_matrix(vol)
-    dendro = dispersion.hierarchical_cluster(matrix, cfg.linkage)
+    dendro = dispersion.hierarchical_cluster(vol, cfg.linkage)
     a, b, height, size = dendro.merges.T
     written += [
         exports.write_csv(out / "dendrogram.csv", step=range(len(height)), cluster_a=a,
                           cluster_b=b, height=height, size=size),
-        exports.write_dendrogram_json(dendro, out / "dendrogram.json", dates=matrix.dates),
+        exports.write_dendrogram_json(dendro, out / "dendrogram.json"),
     ]
     labels = dispersion.two_cluster_cut(dendro)
-    written.append(exports.write_csv(out / "two_cluster_cut.csv", date=matrix.dates,
+    written.append(exports.write_csv(out / "two_cluster_cut.csv", date=dendro.dates,
                                      cluster=labels))
     return written
 

@@ -128,10 +128,10 @@ _FIELD_KEYS = {field: key for key, (field, _) in KEY_FIELDS.items()}
 
 
 def parse_config_file(path) -> dict:
-    """Field overrides from a flat-keyed config file."""
+    """Field overrides from a flat-keyed config file (UTF-8, a byte-order mark allowed)."""
     overrides = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None

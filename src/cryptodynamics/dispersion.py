@@ -7,22 +7,25 @@ the pairwise L1-Wasserstein distance between days, computed by the
 sorted-vector quantile formula — exact for equal-size point-mass
 measures. ``variance_series`` and ``dispersion_matrix`` are the one path
 to each: both normalize every day at once and leave out, and report,
-the days whose volatilities are all zero. The day-by-day distances feed
-agglomerative hierarchical clustering by
-``scipy.cluster.hierarchy.linkage``; tied distances merge in the order
-scipy picks, which is deterministic, and the dendrogram is the linkage
-matrix scipy returns.
+the days whose volatilities are all zero.
 
 This is the one layer whose memory grows as W² in the number of days,
-so the distances stay in the condensed form that ``linkage`` reads: the
-W(W−1)/2 upper-triangle entries in row-major order, and clustering
-takes nothing else. A square matrix would need symmetry and a zero
-diagonal checked, and a condensed copy made for ``linkage``; in condensed
-form the two hold by construction.
+so the distances are held once, in condensed form: the W(W−1)/2
+upper-triangle entries in row-major order, as ``pdist`` returns them.
+``hierarchical_cluster`` builds them through the same helper as
+``dispersion_matrix`` and owns the buffer: average and complete linkage
+run scipy's nearest-neighbour-chain algorithm in numpy, overwriting the
+distances as clusters merge, so no copy is made (scipy's ``linkage``
+copies its input for these methods). The merges, ties included, are
+the ones scipy's ``linkage`` returns, bit for bit. Single linkage stays
+on ``scipy.cluster.hierarchy.linkage``, whose minimum-spanning-tree path
+reads the distances without copying them; only that path imports
+``scipy.cluster``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,19 +66,25 @@ class DispersionMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Dendrogram:
-    """Agglomerative merge history over W leaves.
+    """Agglomerative merge history over the W leaves ``dates``.
 
-    ``merges`` is the read-only (W−1, 4) float64 linkage matrix that
-    ``scipy.cluster.hierarchy.linkage`` returns: row k is ``[cluster_a,
-    cluster_b, height, size]`` and creates cluster W+k, where leaves are
-    0..W−1. Ids and sizes are whole numbers stored as floats.
+    ``merges`` is the read-only (W−1, 4) float64 linkage matrix, laid out
+    as ``scipy.cluster.hierarchy.linkage`` returns it: row k is
+    ``[cluster_a, cluster_b, height, size]`` and creates cluster W+k,
+    where leaf i, the day ``dates[i]``, is cluster i. Ids and sizes are
+    whole numbers stored as floats.
     """
 
-    n_leaves: int
+    dates: tuple
     merges: np.ndarray
 
+    @property
+    def n_leaves(self) -> int:
+        return len(self.dates)
+
     def __post_init__(self):
-        w = int(self.n_leaves)
+        dates = tuple(self.dates)
+        w = len(dates)
         if w < 1:
             raise InputError("dendrogram needs at least one leaf")
         merges = frozen_array(self.merges, "linkage matrix", (w - 1, 4))
@@ -92,7 +101,7 @@ class Dendrogram:
         sizes = np.concatenate((np.ones(w), merges[:, 3]))
         if np.any(merges[:, 3] != sizes[ids].sum(axis=1)):
             raise InputError("each merge's size must be the sum of its clusters' sizes")
-        set_fields(self, n_leaves=w, merges=merges)
+        set_fields(self, dates=dates, merges=merges)
 
 
 @dataclass(frozen=True)
@@ -121,9 +130,22 @@ def _distributions(vol):
 
 
 def _out_of_memory(w):
-    """MemoryError naming the condensed distances' size, twice for ``linkage``'s copy."""
-    need = 2 * 8 * (w * (w - 1) // 2)
+    """MemoryError naming the size of the condensed distances, the layer's one W² array."""
+    need = 8 * (w * (w - 1) // 2)
     return MemoryError(f"estimated dispersion working set {need / 2**20:.1f} MiB (W={w})")
+
+
+def _condensed_distances(vol):
+    """(valid dates, condensed distances, excluded dates) of a volatility panel."""
+    dates, P, excluded = _distributions(vol)
+    if len(dates) < 2:
+        raise InputError(f"need at least 2 valid dates, have {len(dates)}")
+    try:
+        distances = pdist(np.sort(P, axis=1), "cityblock")
+    except MemoryError:
+        raise _out_of_memory(len(dates)) from None
+    distances /= vol.n_assets
+    return dates, distances, excluded
 
 
 def dispersion_matrix(vol: VolatilityPanel) -> DispersionMatrix:
@@ -134,14 +156,7 @@ def dispersion_matrix(vol: VolatilityPanel) -> DispersionMatrix:
     condensed; running out of memory raises MemoryError with the estimated
     working set.
     """
-    dates, P, excluded = _distributions(vol)
-    if len(dates) < 2:
-        raise InputError(f"need at least 2 valid dates, have {len(dates)}")
-    try:
-        distances = pdist(np.sort(P, axis=1), "cityblock")
-    except MemoryError:
-        raise _out_of_memory(len(dates)) from None
-    distances /= vol.n_assets
+    dates, distances, excluded = _condensed_distances(vol)
     return DispersionMatrix(dates, distances, vol.n_assets, excluded)
 
 
@@ -152,26 +167,107 @@ def variance_series(vol: VolatilityPanel) -> VarianceSeries:
     return VarianceSeries(dates, values, excluded)
 
 
-def hierarchical_cluster(D: DispersionMatrix, linkage="average") -> Dendrogram:
-    """Agglomerative clustering of the condensed distances by scipy's ``linkage``.
+def hierarchical_cluster(vol: VolatilityPanel, linkage="average") -> Dendrogram:
+    """Agglomerative clustering of the valid dates by Wasserstein distance.
 
-    Single, complete and (size-weighted) average linkage give monotone
-    merge heights, so the result is a valid dendrogram. Tied distances
-    merge in scipy's deterministic order.
+    The leaves are the dates ``dispersion_matrix`` keeps, and the merges
+    are those of ``scipy.cluster.hierarchy.linkage`` on its distances,
+    bit for bit. Single, complete and (size-weighted) average linkage give
+    monotone merge heights, so the result is a valid dendrogram. The
+    distances are built here and consumed by the clustering; running out
+    of memory raises MemoryError with their size.
     """
     if linkage not in LINKAGES:
         raise InputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
-    w = len(D.dates)
-    if w == 1:
-        return Dendrogram(1, np.empty((0, 4)))
-    # imported here so that commands which never cluster skip its import cost
-    from scipy.cluster.hierarchy import linkage as scipy_linkage
-
+    dates, distances, _ = _condensed_distances(vol)
     try:
-        Z = scipy_linkage(D.distances, method=linkage)
+        if linkage == "single":
+            # imported here so that only single linkage pays its import cost
+            from scipy.cluster.hierarchy import linkage as scipy_linkage
+
+            merges = scipy_linkage(distances, method="single")
+        else:
+            merges = _nn_chain(distances, linkage)
     except MemoryError:
-        raise _out_of_memory(w) from None
-    return Dendrogram(w, Z)
+        raise _out_of_memory(len(dates)) from None
+    return Dendrogram(dates, merges)
+
+
+def _nn_chain(d, linkage):
+    """scipy's ``nn_chain`` for "average" or "complete" linkage, run in place on ``d``.
+
+    ``d`` holds condensed distances and is overwritten. Every step is
+    scipy's: the chain grows from the lowest live slot to each one's
+    nearest neighbour, where a tie goes to the previous chain element and
+    otherwise to the lowest slot, until two slots are mutual neighbours.
+    Those merge into the higher slot, whose distances take the
+    Lance–Williams update, (nx·dx + ny·dy)/(nx + ny) or fmax(dx, dy). The
+    merges are then sorted by height, stably, and relabelled by union-find
+    as scipy's ``label`` does.
+    """
+    w = (1 + math.isqrt(1 + 8 * len(d))) // 2
+    base = np.arange(w) * (2 * w - 3 - np.arange(w)) // 2 - 1  # d[base[a] + b] is (a, b), a < b
+    live, live_base = np.arange(w), base.copy()  # the live slots, ascending, in live[:n]
+    buffers = np.empty((2, w), dtype=np.intp)
+
+    def row(x, p, q, out):
+        """Positions in ``d`` of the distances from x to live[:p], all below x, and live[q:n]."""
+        np.add(live_base[:p], x, out[:p])
+        np.add(live[q:n], base[x], out[p:p + n - q])
+        return out[:p + n - q]
+
+    size = [1] * w
+    merges, chain = [], []
+    for n in range(w, 1, -1):
+        chain = chain or [int(live[0])]
+        while True:
+            x = chain[-1]
+            p = live[:n].searchsorted(x)
+            dist = d[row(x, p, p + 1, buffers[0])]  # skips x, at live[p]
+            j = dist.argmin()
+            y, height = int(live[j + (j >= p)]), dist[j]
+            if len(chain) > 1:
+                prev = chain[-2]
+                to_prev = d[base[min(x, prev)] + max(x, prev)]
+                if to_prev <= height:
+                    y, height = prev, to_prev
+                    break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        nx, ny = size[x], size[y]
+        merges.append((x, y, height))
+        size[y] = nx + ny
+        p = live[:n].searchsorted(x)
+        live[p:n - 1], live_base[p:n - 1] = live[p + 1:n], live_base[p + 1:n]
+        n -= 1
+        q = live[:n].searchsorted(y)
+        ix = row(x, p, p, buffers[0])  # x is dead: (x, i) for every live i, y at q
+        iy = row(y, q, q, buffers[1])
+        iy[q] = ix[q]  # y's own entry is sent to (x, y), which no one reads again
+        if linkage == "average":
+            d[iy] = (nx * d[ix] + ny * d[iy]) / (nx + ny)
+        else:
+            d[iy] = np.fmax(d[ix], d[iy])
+
+    parent = list(range(2 * w - 1))
+    cluster_size = [1] * w + [0] * (w - 1)
+
+    def find(a):
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    labelled = []
+    for k, (x, y, height) in enumerate(sorted(merges, key=lambda merge: merge[2])):
+        a, b = sorted((find(x), find(y)))
+        parent[a] = parent[b] = w + k
+        cluster_size[w + k] = cluster_size[a] + cluster_size[b]
+        labelled.append((a, b, height, cluster_size[w + k]))
+    return np.array(labelled, dtype=float).reshape(-1, 4)
 
 
 def cut_clusters(dendro: Dendrogram, k: int) -> np.ndarray:

@@ -15,7 +15,6 @@ import json
 import re
 
 from .dispersion import Dendrogram
-from .errors import InputError
 
 _FLOAT_FMT = "%.12g"
 
@@ -57,16 +56,14 @@ def write_drop_report(drops, path):
     return write_json(path, [d.to_dict() for d in drops])
 
 
-def write_dendrogram_json(dendro: Dendrogram, path, dates):
+def write_dendrogram_json(dendro: Dendrogram, path):
     """The leaf dates, and the merges as rows of a scipy linkage matrix.
 
     Row k is ``[cluster_a, cluster_b, height, size]`` and creates cluster
-    ``n_leaves + k``; leaf i is the day ``dates[i]``. Returns ``path``.
+    ``n_leaves + k``; leaf i is the day ``dendro.dates[i]``. Returns ``path``.
     """
-    if len(dates) != dendro.n_leaves:
-        raise InputError("dates length must match leaf count")
     return write_json(path, {
-        "dates": [d.isoformat() for d in dates],
+        "dates": [d.isoformat() for d in dendro.dates],
         "merges": [[int(a), int(b), height, int(size)]
                    for a, b, height, size in dendro.merges.tolist()],
         "n_leaves": dendro.n_leaves,

@@ -92,7 +92,9 @@ def local_http():
             pass  # keep test output quiet
 
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}", routes

@@ -175,11 +175,11 @@ def test_6_dispersion_clustering(sim_returns, capsys):
     """The two-cluster cut isolates the planted crash regime and its
     variance dip; a noise-free two-regime panel is split perfectly."""
     vol = inconsistency.rolling_volatility(sim_returns, 90)
-    matrix = dispersion.dispersion_matrix(vol)
-    labels = dispersion.two_cluster_cut(dispersion.hierarchical_cluster(matrix))
+    dendro = dispersion.hierarchical_cluster(vol)
+    labels = dispersion.two_cluster_cut(dendro)
     counts = np.bincount(labels, minlength=2)
     minority = int(np.argmin(counts))
-    dates = np.array(matrix.dates)
+    dates = np.array(dendro.dates)
     in_peak = (dates >= PEAK_START) & (dates <= PEAK_END)
     frac_peak = float(np.mean(labels[in_peak] == minority))
 
@@ -200,7 +200,7 @@ def test_6_dispersion_clustering(sim_returns, capsys):
                         * (1.0 + 0.01 * rng.standard_normal(n)))
     days = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(w))
     planted = dispersion.two_cluster_cut(dispersion.hierarchical_cluster(
-        dispersion.dispersion_matrix(VolatilityPanel(days, sigmas, 30))))
+        VolatilityPanel(days, sigmas, 30)))
     exact = (len(set(planted[:split])) == 1 and len(set(planted[split:])) == 1
              and planted[0] != planted[-1])
 

@@ -482,7 +482,7 @@ def test_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("target", ["cryptodynamics.dispersion.pdist",
-                                    "scipy.cluster.hierarchy.linkage"])
+                                    "cryptodynamics.dispersion._nn_chain"])
 def test_dispersion_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path,
                                                  monkeypatch, capsys, target):
     def exhausted(*args, **kwargs):
@@ -492,7 +492,7 @@ def test_dispersion_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path,
     out = tmp_path / "out"
     assert run("all", small_dataset_dir, out) == 3
     w = len((out / "variance_series.csv").read_text().splitlines()) - 1
-    need = 8 * w * (w - 1) / 2**20  # W(W-1)/2 doubles, twice
+    need = 4 * w * (w - 1) / 2**20  # W(W-1)/2 doubles, held once
     assert capsys.readouterr().err == (
         f"error: out of memory: estimated dispersion working set {need:.1f} MiB (W={w})\n")
 
@@ -510,6 +510,23 @@ def test_import_loads_no_unused_heavy_modules(module):
         # scipy.cluster is imported by the clustering call, not by the CLI
         assert [m for m in loaded if m.startswith(("scipy.stats", "scipy.cluster", "requests"))
                 or m == "cryptodynamics.fetch"] == []
+
+
+@pytest.mark.parametrize("linkage, imported", [(None, False), ("single", True)],
+                         ids=["default", "single"])
+def test_only_single_linkage_imports_scipy_cluster(small_dataset_dir, tmp_path, linkage,
+                                                   imported):
+    # Average and complete linkage cluster in numpy, so a default run never
+    # pays for importing scipy.cluster.
+    src = Path(cryptodynamics.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys; from cryptodynamics.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, any(m.startswith('scipy.cluster') for m in sys.modules))")
+    args = ["all", "--data-dir", str(small_dataset_dir), "--out-dir", str(tmp_path / "out"),
+            *SMALL_FLAGS, *(["--linkage", linkage] if linkage else [])]
+    stdout = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert stdout.splitlines()[-1] == f"0 {imported}"
 
 
 # The CLI contract over generated hostile panels: `all` on any pair of

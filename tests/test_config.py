@@ -48,6 +48,12 @@ data.tickers = BTC, ETH ,ADA
     }
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfwindows.correlation_days = 30\ncluster.linkage = single\n")
+    assert parse_config_file(path) == {"correlation_days": 30, "linkage": "single"}
+
+
 @pytest.mark.parametrize("line", [
     "windows.correlation = 30",      # unknown key
     "just some words",               # no '='

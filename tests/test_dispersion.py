@@ -2,7 +2,11 @@ import datetime as dt
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +14,19 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
 import cryptodynamics as cd
-from cryptodynamics.dispersion import _distributions
+from cryptodynamics.dispersion import _distributions, _nn_chain
 from cryptodynamics.exports import write_dendrogram_json
 
 import reference
 
 
+def days(w):
+    return tuple(dt.date(2021, 3, 1) + dt.timedelta(days=k) for k in range(w))
+
+
 def make_vol(sigmas, S=20):
     sigmas = np.asarray(sigmas, dtype=float)
-    n, w = sigmas.shape
-    dates = tuple(dt.date(2021, 3, 1) + dt.timedelta(days=k) for k in range(w))
-    return cd.VolatilityPanel(dates, sigmas, S)
+    return cd.VolatilityPanel(days(sigmas.shape[1]), sigmas, S)
 
 
 def columns(P):
@@ -29,18 +35,22 @@ def columns(P):
     return squareform(cd.dispersion_matrix(vol).distances), cd.variance_series(vol).values
 
 
-def as_dispersion(D, n_assets=2):
-    """A DispersionMatrix holding the square distance matrix D times a power of two.
+def cluster(D, method="average"):
+    """The dendrogram of the square distance matrix D, over the dates ``days(W)``.
 
-    The factor brings every entry into [0, (2/n)(1 − 1/n)]. Scaling by a
-    power of two is exact, so ties stay ties and every linkage height is
-    the unscaled one times the same factor.
+    It takes ``hierarchical_cluster``'s path for ``method``: scipy's
+    ``linkage`` for single linkage, otherwise the in-place port, given a
+    condensed copy of D to overwrite.
     """
     D = np.asarray(D, dtype=float)
-    bound = (2.0 / n_assets) * (1.0 - 1.0 / n_assets)
-    factor = 2.0 ** -np.frexp(D.max() / bound)[1]
-    dates = tuple(dt.date(2021, 3, 1) + dt.timedelta(days=k) for k in range(len(D)))
-    return cd.DispersionMatrix(dates, squareform(D, checks=False) * factor, n_assets)
+    d = squareform(D, checks=False)  # a new array
+    if len(D) == 1:
+        merges = np.empty((0, 4))
+    elif method == "single":
+        merges = scipy_linkage(d, method="single")
+    else:
+        merges = _nn_chain(d, method)
+    return cd.Dendrogram(days(len(D)), merges)
 
 
 def test_distribution_normalizes_and_dates(small_vol):
@@ -57,6 +67,8 @@ def test_all_zero_day_is_degenerate():
     vol = make_vol(np.array([[0.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(cd.InputError, match="need at least 2 valid dates"):
         cd.dispersion_matrix(vol)
+    with pytest.raises(cd.InputError, match="need at least 2 valid dates"):
+        cd.hierarchical_cluster(vol)
     var = cd.variance_series(vol)
     assert var.dates == vol.dates[1:] and var.excluded_dates == vol.dates[:1]
 
@@ -162,24 +174,23 @@ def line_distance_matrix(rng, n):
 
 
 def test_clustering_matches_scipy_linkage():
-    for method in ("single", "complete", "average"):
+    for method in ("complete", "average"):
         for seed in range(10):
             r = np.random.default_rng(seed)
             pts = r.uniform(0.0, 1.0, (12, 3))
-            D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-            np.fill_diagonal(D, 0.0)
-            dm = as_dispersion(D)
-            np.testing.assert_array_equal(cd.hierarchical_cluster(dm, method).merges,
-                                          scipy_linkage(dm.distances, method=method))
+            d = squareform(np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)),
+                           checks=False)
+            np.testing.assert_array_equal(_nn_chain(d.copy(), method),
+                                          scipy_linkage(d, method=method))
 
 
 def test_clustering_matches_naive_recompute():
     rng = np.random.default_rng(5)
     for method in ("single", "complete", "average"):
         for _ in range(5):
-            dm = as_dispersion(line_distance_matrix(rng, 9))
-            dendro = cd.hierarchical_cluster(dm, method)
-            want = reference.agglomerate(squareform(dm.distances), method)
+            D = line_distance_matrix(rng, 9)
+            dendro = cluster(D, method)
+            want = reference.agglomerate(D, method)
             got = dendro.merges.tolist()
             assert len(got) == len(want) == 8
             for (ga, gb, gh, gs), (wa, wb, wh, ws) in zip(got, want):
@@ -189,27 +200,26 @@ def test_clustering_matches_naive_recompute():
 
 
 def test_clustering_tie_break_is_lowest_pair_first():
-    dm = as_dispersion(np.ones((4, 4)) - np.eye(4))  # all pairwise distances equal
-    dendro = cd.hierarchical_cluster(dm, "single")
-    h = dm.distances[0]
-    assert dendro.merges.tolist() == [[0, 1, h, 2], [2, 4, h, 3], [3, 5, h, 4]]
+    for method in ("single", "complete", "average"):
+        dendro = cluster(np.ones((4, 4)) - np.eye(4), method)  # all distances equal
+        assert dendro.merges.tolist() == [[0, 1, 1, 2], [2, 4, 1, 3], [3, 5, 1, 4]], method
 
 
 def test_merge_heights_are_monotone():
     rng = np.random.default_rng(6)
     for method in ("single", "complete", "average"):
-        dendro = cd.hierarchical_cluster(as_dispersion(line_distance_matrix(rng, 15)), method)
+        dendro = cluster(line_distance_matrix(rng, 15), method)
         assert np.all(np.diff(dendro.merges[:, 2]) >= -1e-12)
 
 
 def test_unknown_linkage_rejected():
-    with pytest.raises(cd.InputError):
-        cd.hierarchical_cluster(as_dispersion(np.zeros((3, 3))), "ward")
+    with pytest.raises(cd.InputError, match="linkage must be one of"):
+        cd.hierarchical_cluster(make_vol(np.ones((2, 3))), "ward")
 
 
 def test_cut_clusters_extremes_and_determinism():
     rng = np.random.default_rng(7)
-    dendro = cd.hierarchical_cluster(as_dispersion(line_distance_matrix(rng, 8)), "average")
+    dendro = cluster(line_distance_matrix(rng, 8), "average")
     np.testing.assert_array_equal(cd.cut_clusters(dendro, 1), np.zeros(8, int))
     np.testing.assert_array_equal(cd.cut_clusters(dendro, 8), np.arange(8))
     labels = cd.cut_clusters(dendro, 3)
@@ -227,9 +237,8 @@ def test_cut_matches_scipy_fcluster_partition():
         pts = rng.uniform(0.0, 1.0, (14, 2))
         D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
         np.fill_diagonal(D, 0.0)
-        dm = as_dispersion(D)
-        dendro = cd.hierarchical_cluster(dm, "average")
-        Z = scipy_linkage(dm.distances, method="average")
+        dendro = cluster(D, "average")
+        Z = scipy_linkage(squareform(D), method="average")
         for k in (2, 3, 5):
             ours = cd.cut_clusters(dendro, k)
             theirs = fcluster(Z, t=k, criterion="maxclust")
@@ -246,7 +255,7 @@ def test_cut_with_tied_heights_matches_naive_replay(method):
     for _ in range(4):
         x = np.round(rng.uniform(0.0, 1.0, 16), 1)  # many exactly tied distances
         w = len(x)
-        dendro = cd.hierarchical_cluster(as_dispersion(np.abs(x[:, None] - x[None, :])), method)
+        dendro = cluster(np.abs(x[:, None] - x[None, :]), method)
         heights = dendro.merges[:, 2]
         assert len(set(heights)) < len(heights) - 5  # the cuts fall inside ties
         pairs = [(int(a), int(b)) for a, b in dendro.merges[:, :2].tolist()]
@@ -261,14 +270,17 @@ def test_cut_with_tied_heights_matches_naive_replay(method):
 
 @pytest.mark.parametrize("method", ["single", "complete", "average"])
 def test_one_and_two_leaf_dendrograms(method):
-    one = cd.hierarchical_cluster(as_dispersion(np.zeros((1, 1))), method)
+    one = cluster(np.zeros((1, 1)), method)
     assert one.n_leaves == 1 and one.merges.shape == (0, 4)
     np.testing.assert_array_equal(cd.cut_clusters(one, 1), [0])
     with pytest.raises(cd.InputError):
         cd.two_cluster_cut(one)
-    two = cd.hierarchical_cluster(as_dispersion([[0.0, 0.3], [0.3, 0.0]]), method)
+    two = cluster([[0.0, 0.3], [0.3, 0.0]], method)
     assert two.merges.tolist() == [[0, 1, 0.3, 2]]
     np.testing.assert_array_equal(cd.two_cluster_cut(two), [0, 1])
+    vol = make_vol([[1.0, 1.0], [3.0, 1.0]])  # p = (1/4, 3/4) and (1/2, 1/2): W1 = 1/4
+    two = cd.hierarchical_cluster(vol, method)
+    assert two.dates == vol.dates and two.merges.tolist() == [[0, 1, 0.25, 2]]
 
 
 def test_non_finite_distances_rejected():
@@ -283,7 +295,7 @@ def test_two_cluster_cut_separates_planted_regimes():
     left = rng.uniform(0.0, 0.05, 25)
     right = rng.uniform(0.9, 1.0, 10)
     x = np.concatenate([left, right])
-    dendro = cd.hierarchical_cluster(as_dispersion(np.abs(x[:, None] - x[None, :])), "average")
+    dendro = cluster(np.abs(x[:, None] - x[None, :]), "average")
     labels = cd.two_cluster_cut(dendro)
     np.testing.assert_array_equal(labels, cd.cut_clusters(dendro, 2))
     assert set(labels[:25]) == {0}
@@ -294,15 +306,14 @@ def test_dendrogram_tree_shape(tmp_path):
     D = np.array([[0.0, 1.0, 4.0],
                   [1.0, 0.0, 3.0],
                   [4.0, 3.0, 0.0]])
-    dendro = cd.hierarchical_cluster(as_dispersion(D), "single")  # distances / 16
-    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 3))
+    dendro = cluster(D, "single")
     path = tmp_path / "dendrogram.json"
-    write_dendrogram_json(dendro, path, dates)
+    write_dendrogram_json(dendro, path)
     data = json.loads(path.read_text())
     assert data == {
-        "dates": ["2020-01-01", "2020-01-02", "2020-01-03"],
-        "merges": [[0, 1, 0.0625, 2],
-                   [2, 3, 0.1875, 3]],  # single linkage: min(4, 3) / 16
+        "dates": ["2021-03-01", "2021-03-02", "2021-03-03"],
+        "merges": [[0, 1, 1.0, 2],
+                   [2, 3, 3.0, 3]],  # single linkage: min(4, 3)
         "n_leaves": 3,
     }
 
@@ -333,18 +344,23 @@ def test_distances_match_sorted_row_oracle():
 
 
 @pytest.mark.parametrize("method", ["single", "complete", "average"])
-@pytest.mark.parametrize("w", [2, 3, 40])
+@pytest.mark.parametrize("w", [2, 3, 40, 300])
 def test_clustering_is_scipy_linkage_bit_for_bit(method, w):
     rng = np.random.default_rng(w)
-    random = cd.dispersion_matrix(make_vol(rng.uniform(0.0, 1.0, (5, w))))
+    vol = make_vol(rng.uniform(0.0, 1.0, (5, w)))
+    got = cd.hierarchical_cluster(vol, method)
+    assert got.dates == vol.dates
+    np.testing.assert_array_equal(
+        got.merges, scipy_linkage(cd.dispersion_matrix(vol).distances, method=method))
+    if method == "single":
+        return  # scipy's own path: the port's ties are checked below
     x = rng.integers(0, 11, w).astype(float)
-    tied = as_dispersion(np.abs(x[:, None] - x[None, :]))
-    if w == 40:
-        assert len(np.unique(tied.distances)) <= 11  # 780 distances, at most 11 values
-    for dm in (random, tied):
-        got = cd.hierarchical_cluster(dm, method)
-        assert got.n_leaves == w
-        np.testing.assert_array_equal(got.merges, scipy_linkage(dm.distances, method=method))
+    tied = squareform(np.abs(x[:, None] - x[None, :]))
+    if w >= 40:
+        assert len(np.unique(tied)) <= 11  # W(W-1)/2 distances, at most 11 values
+    for d in (tied, np.full(w * (w - 1) // 2, 0.375)):  # integer ties, all equal
+        np.testing.assert_array_equal(_nn_chain(d.copy(), method),
+                                      scipy_linkage(d, method=method))
 
 
 def test_dendrogram_is_the_read_only_array_linkage_returned(monkeypatch):
@@ -357,56 +373,92 @@ def test_dendrogram_is_the_read_only_array_linkage_returned(monkeypatch):
         return returned[-1]
 
     monkeypatch.setattr(hierarchy, "linkage", recording)
-    dm = as_dispersion(line_distance_matrix(np.random.default_rng(13), 6))
-    dendro = cd.hierarchical_cluster(dm)
+    vol = make_vol(np.random.default_rng(13).uniform(0.1, 1.0, (4, 6)))
+    dendro = cd.hierarchical_cluster(vol, "single")
     assert dendro.merges is returned[0]
     assert dendro.merges.dtype == np.float64 and not dendro.merges.flags.writeable
 
 
 def test_dendrogram_validation():
     good = [[0, 1, 0.1, 2], [2, 3, 0.2, 3]]
-    assert cd.Dendrogram(3, good).merges.shape == (2, 4)
+    assert cd.Dendrogram(days(3), good).merges.shape == (2, 4)
     for w, bad in ((0, np.empty((0, 4))), (3, good[:1]), (3, [row[:3] for row in good]),
                    (3, [[0, 1, 0.2, 2], [2, 3, 0.1, 3]])):
         with pytest.raises(cd.InputError):
-            cd.Dendrogram(w, bad)
+            cd.Dendrogram(days(w), bad)
 
 
 @pytest.mark.parametrize("bad_row", [[0, 7, 0.1, 2], [0, 3, 0.1, 2], [-1, 1, 0.1, 2]])
 def test_dendrogram_rejects_an_id_out_of_range(bad_row):
     # row k may join only the leaves and the clusters of rows before it
     with pytest.raises(cd.InputError, match=r"\[0, 3 \+ k\)"):
-        cd.Dendrogram(3, [bad_row, [2, 3, 0.2, 3]])
+        cd.Dendrogram(days(3), [bad_row, [2, 3, 0.2, 3]])
 
 
 def test_dendrogram_rejects_a_fractional_id():
     with pytest.raises(cd.InputError, match="whole numbers"):
-        cd.Dendrogram(3, [[0, 1.5, 0.1, 2], [2, 3, 0.2, 3]])
+        cd.Dendrogram(days(3), [[0, 1.5, 0.1, 2], [2, 3, 0.2, 3]])
 
 
 def test_dendrogram_rejects_an_id_merged_twice():
     with pytest.raises(cd.InputError, match="only once"):
-        cd.Dendrogram(3, [[0, 1, 0.1, 2], [0, 2, 0.2, 2]])
+        cd.Dendrogram(days(3), [[0, 1, 0.1, 2], [0, 2, 0.2, 2]])
 
 
 @pytest.mark.parametrize("sizes", [(2, 4), (3, 4), (1, 2)])
 def test_dendrogram_rejects_a_size_other_than_its_children_sum(sizes):
     first, last = sizes
     with pytest.raises(cd.InputError, match="sum of its clusters' sizes"):
-        cd.Dendrogram(3, [[0, 1, 0.1, first], [2, 3, 0.2, last]])
+        cd.Dendrogram(days(3), [[0, 1, 0.1, first], [2, 3, 0.2, last]])
 
 
 def test_dispersion_layer_memory_is_condensed():
-    # The layer holds one condensed array of W(W-1)/2 doubles; a square
-    # W x W matrix alone would take 8 W^2 bytes. tracemalloc counts numpy's
-    # arrays, not the copy linkage makes in compiled code.
+    # The layer holds one condensed array of W(W-1)/2 doubles, which average
+    # linkage overwrites in place; a square W x W matrix alone would take
+    # 8 W^2 bytes. tracemalloc counts numpy's arrays.
     w, n = 1500, 20
     vol = make_vol(np.random.default_rng(12).uniform(0.1, 1.0, (n, w)))
     tracemalloc.start()
     try:
-        dendro = cd.hierarchical_cluster(cd.dispersion_matrix(vol), "average")
+        dendro = cd.hierarchical_cluster(vol, "average")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert dendro.n_leaves == w
-    assert peak < 0.75 * w * w * 8
+    assert peak < 0.55 * w * w * 8
+
+
+_HIGH_WATER = """
+import datetime as dt
+import sys
+
+import numpy as np
+
+import cryptodynamics as cd
+
+
+def high_water():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+
+w, method = int(sys.argv[1]), sys.argv[2]
+dates = tuple(dt.date(2000, 1, 1) + dt.timedelta(days=k) for k in range(w))
+vol = cd.VolatilityPanel(dates, np.random.default_rng(14).uniform(0.1, 1.0, (20, w)), 20)
+before = high_water()
+cd.hierarchical_cluster(vol, method)
+print(high_water() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc (Linux)")
+@pytest.mark.parametrize("method", ["complete", "average"])
+def test_clustering_high_water_memory_is_one_condensed_array(method):
+    # VmHWM of a fresh process also counts what tracemalloc does not see,
+    # such as a copy of the distances made in compiled code.
+    w = 3000  # 36 MB of condensed distances
+    src = Path(cd.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _HIGH_WATER, str(w), method], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert int(out) < 1.25 * 8 * (w * (w - 1) // 2)

@@ -12,7 +12,7 @@ import cryptodynamics as cd
 from cryptodynamics import cli, exports
 from cryptodynamics.dispersion import LINKAGES
 
-from test_dispersion import as_dispersion
+from test_dispersion import cluster
 
 
 def days(w):
@@ -24,12 +24,12 @@ def days(w):
        seed=st.integers(0, 2**32 - 1))
 def test_dendrogram_json_is_the_linkage_matrix(tmp_path_factory, w, method, seed):
     x = np.random.default_rng(seed).uniform(0.0, 1.0, w)
-    dendro = cd.hierarchical_cluster(as_dispersion(np.abs(x[:, None] - x[None, :])), method)
+    dendro = cluster(np.abs(x[:, None] - x[None, :]), method)
     path = tmp_path_factory.mktemp("dendrogram") / "dendrogram.json"
-    exports.write_dendrogram_json(dendro, path, days(w))
+    exports.write_dendrogram_json(dendro, path)
     data = json.loads(path.read_text())
     assert data["n_leaves"] == w
-    assert data["dates"] == [d.isoformat() for d in days(w)]
+    assert data["dates"] == [d.isoformat() for d in dendro.dates]
     # float equality: every height must survive the round trip bit for bit
     assert data["merges"] == dendro.merges.tolist()
     assert all(type(v) is int for a, b, _, size in data["merges"] for v in (a, b, size))
@@ -44,7 +44,7 @@ def test_deep_dendrogram_writes_without_recursion(tmp_path):
     merges = np.array([[0, 1, 0.0, 2]] + [
         [w + k - 1, k + 1, float(k), k + 2] for k in range(1, w - 1)], dtype=float)
     path = tmp_path / "dendrogram.json"
-    exports.write_dendrogram_json(cd.Dendrogram(w, merges), path, days(w))
+    exports.write_dendrogram_json(cd.Dendrogram(days(w), merges), path)
     data = json.loads(path.read_text())
     assert data["n_leaves"] == w and len(data["merges"]) == w - 1
     assert data["merges"][-1] == [2 * w - 3, w - 1, 1498.0, w]
@@ -52,17 +52,19 @@ def test_deep_dendrogram_writes_without_recursion(tmp_path):
 
 
 def test_dendrogram_json_needs_one_date_per_leaf(tmp_path):
-    dendro = cd.hierarchical_cluster(as_dispersion([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(cd.InputError, match="dates length"):
-        exports.write_dendrogram_json(dendro, tmp_path / "d.json", days(3))
+    # the leaves are the dendrogram's own dates, so merges for another
+    # number of leaves are rejected before anything is written
+    with pytest.raises(cd.InputError, match="linkage matrix"):
+        cd.Dendrogram(days(3), [[0, 1, 1.0, 2]])
+    dendro = cd.Dendrogram(days(2), [[0, 1, 1.0, 2]])
+    data = json.loads(exports.write_dendrogram_json(dendro, tmp_path / "d.json").read_text())
+    assert data["dates"] == ["2020-01-01", "2020-01-02"] and data["n_leaves"] == 2
 
 
 def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path, monkeypatch):
     # cli.cmd_dispersion writes dendrogram.csv; run it on a fixed dendrogram
-    dendro = cd.Dendrogram(3, [[0, 1, 0.0625, 2], [2, 3, 1 / 3, 3]])
-    monkeypatch.setattr(cli.dispersion, "hierarchical_cluster", lambda matrix, method: dendro)
-    monkeypatch.setattr(cli.dispersion, "dispersion_matrix",
-                        lambda vol: SimpleNamespace(dates=days(3)))
+    dendro = cd.Dendrogram(days(3), [[0, 1, 0.0625, 2], [2, 3, 1 / 3, 3]])
+    monkeypatch.setattr(cli.dispersion, "hierarchical_cluster", lambda vol, method: dendro)
     monkeypatch.setattr(cli.dispersion, "variance_series", lambda vol: SimpleNamespace(
         dates=days(3), values=[1.0, 2.0, 3.0]))
     monkeypatch.setattr(cli.inconsistency, "rolling_volatility", lambda *args: None)

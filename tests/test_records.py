@@ -53,7 +53,7 @@ CASES = {
     "DispersionMatrix.distances": (
         lambda a: cd.DispersionMatrix(days(3), a, 4), [0.1, 0.2, 0.375], (2,)),
     "Dendrogram.merges": (
-        lambda a: cd.Dendrogram(3, a), [[0, 1, 0.1, 2], [2, 3, 0.2, 3]], (1, 2)),
+        lambda a: cd.Dendrogram(days(3), a), [[0, 1, 0.1, 2], [2, 3, 0.2, 3]], (1, 2)),
     "VarianceSeries.values": (
         lambda a: cd.dispersion.VarianceSeries(days(2), a), [0.01, 0.02], (0,)),
     "PricePanel.closes": (
