@@ -13,9 +13,7 @@ from .correlation import (
 )
 from .dispersion import (
     Dendrogram,
-    DispersionMatrix,
     cut_clusters,
-    dispersion_matrix,
     hierarchical_cluster,
     two_cluster_cut,
     variance_series,

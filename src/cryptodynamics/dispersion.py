@@ -5,22 +5,20 @@ Two summaries are tracked: the intra-volatility variance Σ(p_i − 1/N)²
 (zero at the uniform spread, at most 1 − 1/N at a one-shot vector), and
 the pairwise L1-Wasserstein distance between days, computed by the
 sorted-vector quantile formula — exact for equal-size point-mass
-measures. ``variance_series`` and ``dispersion_matrix`` are the one path
-to each: both normalize every day at once and leave out, and report,
-the days whose volatilities are all zero.
+measures. ``variance_series`` and ``hierarchical_cluster`` normalize
+every day at once and leave out the days whose volatilities are all zero.
 
 This is the one layer whose memory grows as W² in the number of days,
 so the distances are held once, in condensed form: the W(W−1)/2
 upper-triangle entries in row-major order, as ``pdist`` returns them.
-``hierarchical_cluster`` builds them through the same helper as
-``dispersion_matrix`` and owns the buffer: average and complete linkage
-run scipy's nearest-neighbour-chain algorithm in numpy, overwriting the
-distances as clusters merge, so no copy is made (scipy's ``linkage``
-copies its input for these methods). The merges, ties included, are
-the ones scipy's ``linkage`` returns, bit for bit. Single linkage stays
-on ``scipy.cluster.hierarchy.linkage``, whose minimum-spanning-tree path
-reads the distances without copying them; only that path imports
-``scipy.cluster``.
+``hierarchical_cluster`` builds them and owns the buffer: average and
+complete linkage run scipy's nearest-neighbour-chain algorithm in numpy,
+overwriting the distances as clusters merge, so no copy is made (scipy's
+``linkage`` copies its input for these methods). The merges, ties
+included, are the ones scipy's ``linkage`` returns, bit for bit. Single
+linkage stays on ``scipy.cluster.hierarchy.linkage``, whose
+minimum-spanning-tree path reads the distances without copying them;
+only that path imports ``scipy.cluster``.
 """
 
 from __future__ import annotations
@@ -35,33 +33,6 @@ from .errors import InputError, frozen_array, set_fields
 from .inconsistency import VolatilityPanel
 
 LINKAGES = ("average", "complete", "single")
-
-
-@dataclass(frozen=True)
-class DispersionMatrix:
-    """Pairwise Wasserstein distances between the valid dates' p-vectors.
-
-    ``distances`` is condensed: the W(W−1)/2 entries above the diagonal of
-    the W×W distance matrix in row-major order, as ``scipy.spatial.distance``
-    ``pdist`` returns them (``squareform`` expands them).
-    """
-
-    dates: tuple
-    distances: np.ndarray
-    n_assets: int
-    excluded_dates: tuple = ()
-
-    def __post_init__(self):
-        dates = tuple(self.dates)
-        w = len(dates)
-        n = int(self.n_assets)
-        # the condensed form of a W x W matrix
-        d = frozen_array(self.distances, "dispersion distances", (w * (w - 1) // 2,))
-        bound = (2.0 / n) * (1.0 - 1.0 / n) + 1e-12
-        if np.any(d < 0.0) or np.any(d > bound):
-            raise InputError(f"entries must lie in [0, (2/{n})(1 - 1/{n})]")
-        set_fields(self, dates=dates, distances=d, n_assets=n,
-                   excluded_dates=tuple(self.excluded_dates))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,18 +119,6 @@ def _condensed_distances(vol):
     return dates, distances, excluded
 
 
-def dispersion_matrix(vol: VolatilityPanel) -> DispersionMatrix:
-    """All-pairs Wasserstein distances between daily volatility spreads.
-
-    Dates whose volatilities are all zero have no distribution and are
-    excluded (and reported on the result). The distances come back
-    condensed; running out of memory raises MemoryError with the estimated
-    working set.
-    """
-    dates, distances, excluded = _condensed_distances(vol)
-    return DispersionMatrix(dates, distances, vol.n_assets, excluded)
-
-
 def variance_series(vol: VolatilityPanel) -> VarianceSeries:
     """Var(p(t)) per valid date; degenerate dates are omitted and reported."""
     dates, P, excluded = _distributions(vol)
@@ -170,27 +129,31 @@ def variance_series(vol: VolatilityPanel) -> VarianceSeries:
 def hierarchical_cluster(vol: VolatilityPanel, linkage="average") -> Dendrogram:
     """Agglomerative clustering of the valid dates by Wasserstein distance.
 
-    The leaves are the dates ``dispersion_matrix`` keeps, and the merges
-    are those of ``scipy.cluster.hierarchy.linkage`` on its distances,
-    bit for bit. Single, complete and (size-weighted) average linkage give
-    monotone merge heights, so the result is a valid dendrogram. The
-    distances are built here and consumed by the clustering; running out
-    of memory raises MemoryError with their size.
+    The leaves are the dates whose volatilities are not all zero, and the
+    merges are those of ``scipy.cluster.hierarchy.linkage`` on their
+    distances, bit for bit. Single, complete and (size-weighted) average
+    linkage give monotone merge heights, so the result is a valid
+    dendrogram. The distances are built here and consumed by the
+    clustering; running out of memory raises MemoryError with their size.
     """
     if linkage not in LINKAGES:
         raise InputError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     dates, distances, _ = _condensed_distances(vol)
     try:
-        if linkage == "single":
-            # imported here so that only single linkage pays its import cost
-            from scipy.cluster.hierarchy import linkage as scipy_linkage
-
-            merges = scipy_linkage(distances, method="single")
-        else:
-            merges = _nn_chain(distances, linkage)
+        merges = _linkage(distances, linkage)
     except MemoryError:
         raise _out_of_memory(len(dates)) from None
     return Dendrogram(dates, merges)
+
+
+def _linkage(distances, method):
+    """The linkage matrix of condensed ``distances``, which average and complete overwrite."""
+    if method == "single":
+        # imported here so that only single linkage pays its import cost
+        from scipy.cluster.hierarchy import linkage as scipy_linkage
+
+        return scipy_linkage(distances, method="single")
+    return _nn_chain(distances, method)
 
 
 def _nn_chain(d, linkage):

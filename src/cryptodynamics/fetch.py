@@ -66,7 +66,7 @@ def parse_history_csv(text, source="<response>"):
     """Rows of (date, close, market_cap) from raw history text.
 
     Raises SchemaError when the payload does not match the expected
-    three-column layout.
+    three-column layout or repeats a date.
     """
     reader = _csv_rows(text, source)
     try:
@@ -78,7 +78,7 @@ def parse_history_csv(text, source="<response>"):
             f"{source}: expected header {','.join(RAW_HEADER)!r}, "
             f"got {','.join(header)!r}"
         )
-    rows = []
+    rows, seen = [], set()
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -90,6 +90,9 @@ def parse_history_csv(text, source="<response>"):
             cap = float(row[2])
         except ValueError as exc:
             raise SchemaError(f"{source}: line {lineno}: {exc}") from None
+        if day in seen:
+            raise SchemaError(f"{source}: line {lineno}: duplicate date {day}")
+        seen.add(day)
         rows.append((day, close, cap))
     return rows
 
@@ -105,6 +108,10 @@ def fetch_dataset(url_template, tickers, start, end,
     policy deals with those).
     When ``raw_dir`` is given, each ticker's raw response is also written
     there as ``<ticker>.csv``, byte for byte as received.
+
+    Both panel files are written to ``<name>.tmp`` beside them first and
+    replace the old pair only once both are complete, so a failed write
+    leaves the previous pair as it was and no temp file behind.
     """
     tickers = list(tickers)
     if not tickers:
@@ -124,14 +131,22 @@ def fetch_dataset(url_template, tickers, start, end,
                               for day, close, cap in parse_history_csv(text, ticker)}
 
     all_dates = sorted({day for rows in per_ticker.values() for day in rows})
-    for path, pick in ((price_csv_path, 0), (marketcap_csv_path, 1)):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date"] + tickers)
-            for day in all_dates:
-                row = [day.isoformat()]
-                for ticker in tickers:
-                    values = per_ticker[ticker].get(day)
-                    row.append("" if values is None else repr(values[pick]))
-                writer.writerow(row)
+    temps = [(Path(path).with_name(Path(path).name + ".tmp"), path)
+             for path in (price_csv_path, marketcap_csv_path)]
+    try:
+        for pick, (temp, _) in enumerate(temps):
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["date"] + tickers)
+                for day in all_dates:
+                    row = [day.isoformat()]
+                    for ticker in tickers:
+                        values = per_ticker[ticker].get(day)
+                        row.append("" if values is None else repr(values[pick]))
+                    writer.writerow(row)
+        for temp, path in temps:
+            temp.replace(path)
+    finally:
+        for temp, _ in temps:  # only a failed write leaves one
+            temp.unlink(missing_ok=True)
     return all_dates

@@ -283,8 +283,9 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
     cap. Each dropped asset is reported with the first day that failed and,
     if several checks fail that day, the first of: missing value,
     non-finite value, non-positive close, negative market cap. An asset
-    without a market-cap column is dropped as of ``start``. Drops come in
-    price-header order. Missing whole days raise GapError instead.
+    without a market-cap column, or without a price column, is dropped as
+    of ``start``. Drops come in price-header order, then the cap-only
+    columns in cap-header order. Missing whole days raise GapError instead.
 
     Each file is streamed once. Every row is checked for structure, but
     only rows inside [start, end] are converted to numbers, so a malformed
@@ -326,6 +327,8 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
         elif verdict[ticker][0]:
             reason, day = verdict[ticker]
             drops.append(DropRecord(ticker, _REASONS[reason - 1], days[day]))
+    drops += [DropRecord(t, "missing price column", start)
+              for t in cap_tickers if t not in price_column]
 
     ok = code == 0
     kept = [t for t, good in zip(paired, ok) if good]

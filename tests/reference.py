@@ -373,7 +373,8 @@ def load_reference(price_path, cap_path, start, end):
 
     Returns (days, kept tickers, closes, caps, drops): closes and caps are
     lists of per-asset lists over the days of [start, end], and drops are
-    (ticker, reason, date) tuples in price-header order. An asset's first
+    (ticker, reason, date) tuples in price-header order, then the tickers
+    with no price column in cap-header order. An asset's first
     failing day is reported with the first reason that applies: missing,
     non-finite, non-positive close, negative cap.
     """
@@ -404,6 +405,8 @@ def load_reference(price_path, cap_path, start, end):
                 break
         if bad is None:
             kept.append(ticker)
+    drops += [(ticker, "missing price column", start)
+              for ticker in cap_tickers if ticker not in price_tickers]
     closes = [[price_rows[d][t] for d in days] for t in kept]
     caps = [[cap_rows[d][t] for d in days] for t in kept]
     return days, kept, closes, caps, drops

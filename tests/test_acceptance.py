@@ -140,7 +140,8 @@ def test_4_inconsistency_ordering(sim_panel, sim_returns, capsys):
 def test_5_distribution_propositions(capsys):
     """Variance and transport-distance bounds, their equality cases, and the
     sorted-difference Wasserstein against a brute-force matching oracle,
-    all through dispersion_matrix and variance_series."""
+    all through variance_series and the distances hierarchical_cluster
+    clusters."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20210630)
     ok = True

@@ -14,7 +14,7 @@ from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
 import cryptodynamics as cd
-from cryptodynamics.dispersion import _distributions, _nn_chain
+from cryptodynamics.dispersion import _condensed_distances, _distributions, _linkage, _nn_chain
 from cryptodynamics.exports import write_dendrogram_json
 
 import reference
@@ -32,24 +32,18 @@ def make_vol(sigmas, S=20):
 def columns(P):
     """Distance matrix and variances of probability vectors, one per row of P."""
     vol = make_vol(np.asarray(P, dtype=float).T)
-    return squareform(cd.dispersion_matrix(vol).distances), cd.variance_series(vol).values
+    return squareform(_condensed_distances(vol)[1]), cd.variance_series(vol).values
 
 
 def cluster(D, method="average"):
     """The dendrogram of the square distance matrix D, over the dates ``days(W)``.
 
-    It takes ``hierarchical_cluster``'s path for ``method``: scipy's
-    ``linkage`` for single linkage, otherwise the in-place port, given a
-    condensed copy of D to overwrite.
+    A condensed copy of D goes through ``hierarchical_cluster``'s own
+    linkage dispatch, which may overwrite it.
     """
     D = np.asarray(D, dtype=float)
     d = squareform(D, checks=False)  # a new array
-    if len(D) == 1:
-        merges = np.empty((0, 4))
-    elif method == "single":
-        merges = scipy_linkage(d, method="single")
-    else:
-        merges = _nn_chain(d, method)
+    merges = np.empty((0, 4)) if len(D) == 1 else _linkage(d, method)
     return cd.Dendrogram(days(len(D)), merges)
 
 
@@ -66,7 +60,7 @@ def test_distribution_normalizes_and_dates(small_vol):
 def test_all_zero_day_is_degenerate():
     vol = make_vol(np.array([[0.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(cd.InputError, match="need at least 2 valid dates"):
-        cd.dispersion_matrix(vol)
+        _condensed_distances(vol)
     with pytest.raises(cd.InputError, match="need at least 2 valid dates"):
         cd.hierarchical_cluster(vol)
     var = cd.variance_series(vol)
@@ -131,12 +125,12 @@ def test_variance_never_exceeds_either_bound():
         assert np.all(values <= 1.0 - 1.0 / n**2 + 1e-12)  # published envelope
 
 
-def test_dispersion_matrix_entries_are_pairwise_distances(small_vol):
-    dm = cd.dispersion_matrix(small_vol)
-    n_dates = len(dm.dates)
-    assert dm.distances.shape == (n_dates * (n_dates - 1) // 2,)
-    assert dm.excluded_dates == ()
-    D = squareform(dm.distances)
+def test_condensed_distances_are_pairwise_wasserstein(small_vol):
+    dates, distances, excluded = _condensed_distances(small_vol)
+    n_dates = len(dates)
+    assert distances.shape == (n_dates * (n_dates - 1) // 2,)
+    assert excluded == ()
+    D = squareform(distances)
     assert small_vol.n_assets == 6  # 720 matchings per pair
     sig = small_vol.sigmas
     idx = [0, 7, n_dates - 1]
@@ -147,13 +141,14 @@ def test_dispersion_matrix_entries_are_pairwise_distances(small_vol):
             assert math.isclose(D[a, b], want, abs_tol=1e-12)
 
 
-def test_dispersion_matrix_excludes_all_zero_days():
+def test_distances_exclude_all_zero_days():
     sig = np.array([[0.1, 0.0, 0.3, 0.2],
                     [0.2, 0.0, 0.1, 0.2]])
     vol = make_vol(sig)
-    dm = cd.dispersion_matrix(vol)
-    assert len(dm.dates) == 3
-    assert dm.excluded_dates == (vol.dates[1],)
+    dates, distances, excluded = _condensed_distances(vol)
+    assert dates == vol.dates[:1] + vol.dates[2:] and len(distances) == 3
+    assert excluded == (vol.dates[1],)
+    assert cd.hierarchical_cluster(vol).dates == dates
     var = cd.variance_series(vol)
     assert var.excluded_dates == (vol.dates[1],)
     assert len(var.values) == 3
@@ -283,13 +278,6 @@ def test_one_and_two_leaf_dendrograms(method):
     assert two.dates == vol.dates and two.merges.tolist() == [[0, 1, 0.25, 2]]
 
 
-def test_non_finite_distances_rejected():
-    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
-    for bad in (np.inf, -np.inf, np.nan):
-        with pytest.raises(cd.InputError, match="must be finite"):
-            cd.DispersionMatrix(dates, [bad], 2)
-
-
 def test_two_cluster_cut_separates_planted_regimes():
     rng = np.random.default_rng(8)
     left = rng.uniform(0.0, 0.05, 25)
@@ -318,28 +306,15 @@ def test_dendrogram_tree_shape(tmp_path):
     }
 
 
-def test_dispersion_matrix_validation():
-    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2), dt.date(2020, 1, 3))
-    good = cd.DispersionMatrix(dates, [0.1, 0.2, 0.375], 4, ())  # bound (2/4)(3/4)
-    assert not good.distances.flags.writeable
-    for bad in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], np.zeros((3, 3)),
-                [0.1, -0.01, 0.2], [0.1, 0.38, 0.2],
-                [0.1, np.nan, 0.2], [0.1, np.inf, 0.2]):
-        with pytest.raises(cd.InputError):
-            cd.DispersionMatrix(dates, bad, 4, ())
-    with pytest.raises(cd.InputError, match="must be finite"):
-        cd.DispersionMatrix(dates, [0.1, np.nan, 0.2], 4, ())
-
-
 def test_distances_match_sorted_row_oracle():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 7):
         sig = rng.uniform(0.0, 1.0, (n, 9))
         sig[:, 4] = 0.0  # excluded, so condensed order skips a date
         vol = make_vol(sig)
-        dm = cd.dispersion_matrix(vol)
+        distances = _condensed_distances(vol)[1]
         P = [sig[:, k] / sig[:, k].sum() for k in range(9) if k != 4]
-        np.testing.assert_allclose(dm.distances, reference.sorted_l1_distances(P),
+        np.testing.assert_allclose(distances, reference.sorted_l1_distances(P),
                                    rtol=0.0, atol=1e-15)
 
 
@@ -351,7 +326,7 @@ def test_clustering_is_scipy_linkage_bit_for_bit(method, w):
     got = cd.hierarchical_cluster(vol, method)
     assert got.dates == vol.dates
     np.testing.assert_array_equal(
-        got.merges, scipy_linkage(cd.dispersion_matrix(vol).distances, method=method))
+        got.merges, scipy_linkage(_condensed_distances(vol)[1], method=method))
     if method == "single":
         return  # scipy's own path: the port's ties are checked below
     x = rng.integers(0, 11, w).astype(float)

@@ -1,9 +1,12 @@
 import datetime as dt
+import errno
+import os
 import socket
 
 import pytest
 
 import cryptodynamics as cd
+from cryptodynamics import fetch
 from cryptodynamics.fetch import (
     fetch_daily_history,
     fetch_dataset,
@@ -114,6 +117,12 @@ def test_parse_history_rejects_malformed_payloads(text, fragment):
         parse_history_csv(text, "BTC")
 
 
+def test_parse_history_rejects_a_repeated_date():
+    text = "date,close,market_cap\n2021-01-01,1,2\n2021-01-01,3,4\n"
+    with pytest.raises(cd.SchemaError, match="^BTC: line 3: duplicate date 2021-01-01$"):
+        parse_history_csv(text, "BTC")
+
+
 def test_fetch_dataset_assembles_union_of_dates(local_http, tmp_path):
     base, routes = local_http
     routes["/hist/BTC.csv"] = (200, BTC_CSV)
@@ -177,3 +186,43 @@ def test_fetch_dataset_needs_tickers(tmp_path):
     with pytest.raises(cd.InputError):
         fetch_dataset("http://x/{ticker}", [], START, END,
                       tmp_path / "p.csv", tmp_path / "c.csv")
+
+
+def test_a_failed_write_leaves_the_previous_panel_pair(local_http, tmp_path, monkeypatch):
+    base, routes = local_http
+    routes["/hist/BTC.csv"] = (200, BTC_CSV)
+    routes["/hist/ETH.csv"] = (200, ETH_CSV)
+    price, caps = tmp_path / "price.csv", tmp_path / "marketcap.csv"
+    fetch_dataset(template(base), ["BTC"], START, END, price, caps)
+    before = price.read_bytes(), caps.read_bytes()
+
+    class DiskFull:
+        """A file whose second write fails, as on a full disk."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+    opened = []
+
+    def second_file_fails(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return DiskFull(opened[-1]) if len(opened) == 2 else opened[-1]
+
+    monkeypatch.setattr(fetch, "open", second_file_fails, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        fetch_dataset(template(base), ["BTC", "ETH"], START, END, price, caps)
+    assert len(opened) == 2
+    assert (price.read_bytes(), caps.read_bytes()) == before
+    assert sorted(os.listdir(tmp_path)) == ["marketcap.csv", "price.csv"]

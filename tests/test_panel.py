@@ -93,6 +93,26 @@ def test_drop_missing_cap_column(tmp_path):
     assert drops[0].first_missing_date == JAN1
 
 
+def test_cap_column_without_a_price_column_is_reported(tmp_path):
+    # Cap-only columns follow the price-header drops, in cap-header order.
+    price = ("date,AAA,BBB\n"
+             "2020-01-01,10.0,5.0\n"
+             "2020-01-02,11.0,\n"
+             "2020-01-03,10.5,4.8\n")
+    cap = ("date,EEE,AAA,BBB,CCC\n"
+           "2020-01-01,1.0,100.0,50.0,10.0\n"
+           "2020-01-02,1.0,110.0,45.0,11.0\n"
+           "2020-01-03,1.0,105.0,48.0,12.0\n")
+    p, c = files(tmp_path, price, cap)
+    panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
+    assert panel.tickers == ["AAA"]
+    expected = [("BBB", "missing value", dt.date(2020, 1, 2)),
+                ("EEE", "missing price column", JAN1),
+                ("CCC", "missing price column", JAN1)]
+    assert [(d.ticker, d.reason, d.first_missing_date) for d in drops] == expected
+    assert reference.load_reference(p, c, JAN1, JAN3)[4] == expected
+
+
 def test_drop_missing_value_records_first_bad_day(tmp_path):
     price = PRICE.replace("2020-01-02,11.0,4.5,1.1", "2020-01-02,11.0,,1.1")
     p, c = files(tmp_path, price)
@@ -386,6 +406,8 @@ def _files(draw):
     cap_tickers = draw(st.permutations(tickers))
     if n > 1 and draw(st.booleans()):
         cap_tickers = cap_tickers[:-1]
+    if draw(st.booleans()):  # a cap column with no price column
+        cap_tickers.insert(draw(st.integers(0, len(cap_tickers))), "C0")
     dates = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(days)]
 
     def table(header, cell):

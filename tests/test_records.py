@@ -4,7 +4,7 @@ Each array field of each record is converted by ``errors.frozen_array``:
 input that is not numeric, holds a NaN or infinity, or has the wrong
 shape raises InputError; what is stored is a read-only, C-contiguous
 float64 array, and a C-contiguous float64 input is stored as it is, not
-copied (the dispersion layer's W(W−1)/2 distances would double otherwise).
+copied (a panel's (N, T) blocks would double otherwise).
 """
 
 import datetime as dt
@@ -50,8 +50,6 @@ CASES = {
         lambda a: cd.InconsistencySeries(days(2), a, NORMS), NORMS, (0,)),
     "InconsistencySeries.nu_MSigma": (
         lambda a: cd.InconsistencySeries(days(2), NORMS, a), NORMS, (1,)),
-    "DispersionMatrix.distances": (
-        lambda a: cd.DispersionMatrix(days(3), a, 4), [0.1, 0.2, 0.375], (2,)),
     "Dendrogram.merges": (
         lambda a: cd.Dendrogram(days(3), a), [[0, 1, 0.1, 2], [2, 3, 0.2, 3]], (1, 2)),
     "VarianceSeries.values": (
