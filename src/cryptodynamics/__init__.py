@@ -27,7 +27,6 @@ from .errors import (
     InputError,
     NumericalError,
     ParseError,
-    SchemaError,
     TransportError,
 )
 from .inconsistency import (

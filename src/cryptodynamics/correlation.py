@@ -93,6 +93,8 @@ _OPENBLAS_SYMBOLS = (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas"
 _PASS_LOCK = threading.Lock()
 # Eigenvalues below minus this are an error; rounding leaves smaller ones.
 NEGATIVE_EIGENVALUE_TOL = 1e-10
+# Grid points of each period's kernel-density curve.
+_DENSITY_POINTS = 256
 STATISTICS = ("norm", "lambda1", "sigma")
 
 
@@ -596,7 +598,7 @@ def _gaussian_densities(estimates):
 
 
 def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
-                       exclude_diagonal=False, density_points=256):
+                       exclude_diagonal=False):
     """Per-period correlation-entry statistics and kernel-density curves.
 
     For each period, one correlation matrix is built over every return day
@@ -605,7 +607,7 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
     Reported are the signed mean and population standard deviation of all
     N² entries (or the N²−N off-diagonal entries when
     ``exclude_diagonal``), plus a Gaussian kernel-density estimate of the
-    same pool on ``density_points`` points spanning the pool's range
+    same pool on ``_DENSITY_POINTS`` (256) points spanning the pool's range
     widened by 3 bandwidths on each side. The bandwidth is Silverman's,
     (3n/4)^(−1/5) times the pool's sample standard deviation for a pool
     of n entries. The estimates are computed in numpy by
@@ -639,7 +641,7 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
             if std > 0.0:
                 bw = (0.75 * pool.size) ** -0.2 * float(pool.std(ddof=1))
                 grid = np.linspace(pool.min() - 3.0 * bw, pool.max() + 3.0 * bw,
-                                   int(density_points))
+                                   _DENSITY_POINTS)
                 estimates.append((pool, grid, bw))
             summaries.append((period.label, lo, hi, n_days, mean, std, grid))
         densities = iter(_gaussian_densities(estimates))

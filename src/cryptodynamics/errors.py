@@ -104,7 +104,3 @@ class TransportError(AnalysisError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-
-
-class SchemaError(AnalysisError):
-    """Fetched payload does not match the expected CSV schema."""

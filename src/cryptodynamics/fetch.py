@@ -1,26 +1,28 @@
 """Minimal HTTP client for daily close/market-cap history.
 
 Fetching is deliberately isolated from analysis: this module downloads
-per-ticker CSV text and assembles the two-file panel layout on disk, and
-the analysis pipelines only ever read those persisted files. That keeps
-every analysis run reproducible and offline-testable.
+per-ticker CSV payloads and assembles the two-file panel layout on disk,
+and the analysis pipelines only ever read those persisted files. That
+keeps every analysis run reproducible and offline-testable. The CSV
+layout itself, read and written, is ``panel``'s.
 
-A history endpoint is configured as a URL template with ``{ticker}``,
-``{start}`` and ``{end}`` placeholders (config key ``data.url_template``)
-and must return UTF-8 CSV (a byte-order mark is accepted) with the header
-``date,close,market_cap``.
+A history endpoint is configured as a URL template with ``{ticker}``
+(percent-encoded), ``{start}`` and ``{end}`` placeholders (config key
+``data.url_template``) and must return UTF-8 CSV (a byte-order mark is
+accepted) with the header ``date,close,market_cap``.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import io
 from pathlib import Path
+from urllib.parse import quote
 
+import numpy as np
 import requests
 
-from .errors import InputError, SchemaError, TransportError
+from . import panel
+from .errors import InputError, ParseError, TransportError
 
 RAW_HEADER = ("date", "close", "market_cap")
 _TIMEOUT_SECONDS = 30.0
@@ -28,7 +30,7 @@ _TIMEOUT_SECONDS = 30.0
 
 def history_url(url_template, ticker, start, end) -> str:
     try:
-        return url_template.format(ticker=ticker, start=start.isoformat(),
+        return url_template.format(ticker=quote(ticker, safe=""), start=start.isoformat(),
                                    end=end.isoformat())
     except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"bad url template {url_template!r}: {exc}") from None
@@ -54,99 +56,42 @@ def fetch_daily_history(url_template, ticker, start, end, session=None) -> bytes
     return response.content
 
 
-def _csv_rows(text, source):
-    reader = csv.reader(io.StringIO(text))
-    try:
-        yield from reader
-    except csv.Error as exc:  # a field over csv.field_size_limit(), say
-        raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from None
-
-
-def parse_history_csv(text, source="<response>"):
-    """Rows of (date, close, market_cap) from raw history text.
-
-    Raises SchemaError when the payload does not match the expected
-    three-column layout or repeats a date.
-    """
-    reader = _csv_rows(text, source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{source}: empty response") from None
-    if tuple(h.strip().lower() for h in header) != RAW_HEADER:
-        raise SchemaError(
-            f"{source}: expected header {','.join(RAW_HEADER)!r}, "
-            f"got {','.join(header)!r}"
-        )
-    rows, seen = [], set()
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"{source}: line {lineno}: expected 3 cells, got {len(row)}")
-        try:
-            day = dt.date.fromisoformat(row[0].strip())
-            close = float(row[1])
-            cap = float(row[2])
-        except ValueError as exc:
-            raise SchemaError(f"{source}: line {lineno}: {exc}") from None
-        if day in seen:
-            raise SchemaError(f"{source}: line {lineno}: duplicate date {day}")
-        seen.add(day)
-        rows.append((day, close, cap))
-    return rows
-
-
 def fetch_dataset(url_template, tickers, start, end,
-                  price_csv_path, marketcap_csv_path,
-                  raw_dir=None, session=None):
-    """Fetch every ticker and assemble the two panel CSVs.
+                  price_csv_path, marketcap_csv_path, raw_dir, session=None):
+    """Fetch every ticker and assemble the two panel CSVs; returns the dates written.
 
-    Payloads are decoded as UTF-8, a byte-order mark accepted, whatever
-    charset the server declares. Panel rows cover the union of returned
-    dates, with blank cells where a ticker has no data (the loader's drop
-    policy deals with those).
-    When ``raw_dir`` is given, each ticker's raw response is also written
-    there as ``<ticker>.csv``, byte for byte as received.
-
-    Both panel files are written to ``<name>.tmp`` beside them first and
-    replace the old pair only once both are complete, so a failed write
-    leaves the previous pair as it was and no temp file behind.
+    Each ticker's response is written to ``<raw_dir>/<ticker>.csv`` byte
+    for byte as received and read back by the panel loader's reader, so a
+    payload is held to the panel files' CSV dialect: UTF-8 whatever charset
+    the server declares, else an InputError naming the file, and a fault
+    in it is a ParseError naming the file, its row and its column. Only
+    its rows in [start, end] are converted. Panel rows cover the union of
+    returned dates in range, with blank cells where a ticker has no value
+    (the loader's drop policy deals with those). The pair replaces the old
+    one only once both files are written (``panel._write_pair``).
     """
     tickers = list(tickers)
     if not tickers:
         raise InputError("no tickers to fetch")
-    per_ticker = {}
-    for ticker in tickers:
-        payload = fetch_daily_history(url_template, ticker, start, end, session=session)
-        if raw_dir is not None:
-            raw_dir = Path(raw_dir)
-            raw_dir.mkdir(parents=True, exist_ok=True)
-            (raw_dir / f"{ticker}.csv").write_bytes(payload)
-        try:
-            text = payload.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{ticker}: not UTF-8 text: {exc}") from None
-        per_ticker[ticker] = {day: (close, cap)
-                              for day, close, cap in parse_history_csv(text, ticker)}
+    if end < start:
+        raise InputError(f"date range end {end} before start {start}")
+    raw_dir = Path(raw_dir)
+    raw_dir.mkdir(parents=True, exist_ok=True)
+    shape = ((end - start).days + 1, len(tickers))
+    closes, caps = np.full(shape, np.nan), np.full(shape, np.nan)
+    any_row = np.zeros(shape[0], dtype=bool)
+    for k, ticker in enumerate(tickers):
+        raw = raw_dir / f"{ticker}.csv"
+        raw.write_bytes(fetch_daily_history(url_template, ticker, start, end, session=session))
+        header, values, _, present = panel._read_range(raw, start, end)
+        if [h.lower() for h in header] != list(RAW_HEADER[1:]):
+            raise ParseError(raw, 1, "", f"expected header {','.join(RAW_HEADER)!r}, "
+                                         f"got {','.join(['date'] + header)!r}")
+        closes[present, k], caps[present, k] = values[present].T
+        any_row |= present
 
-    all_dates = sorted({day for rows in per_ticker.values() for day in rows})
-    temps = [(Path(path).with_name(Path(path).name + ".tmp"), path)
-             for path in (price_csv_path, marketcap_csv_path)]
-    try:
-        for pick, (temp, _) in enumerate(temps):
-            with open(temp, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["date"] + tickers)
-                for day in all_dates:
-                    row = [day.isoformat()]
-                    for ticker in tickers:
-                        values = per_ticker[ticker].get(day)
-                        row.append("" if values is None else repr(values[pick]))
-                    writer.writerow(row)
-        for temp, path in temps:
-            temp.replace(path)
-    finally:
-        for temp, _ in temps:  # only a failed write leaves one
-            temp.unlink(missing_ok=True)
-    return all_dates
+    days = np.flatnonzero(any_row)
+    dates = [start + dt.timedelta(days=int(d)) for d in days]
+    panel._write_pair(price_csv_path, marketcap_csv_path, dates, tickers,
+                      closes[days].T, caps[days].T)
+    return dates

@@ -13,6 +13,9 @@ cells and converted, each straight into its day's row of a (T, N) float64
 block, so memory grows with range x N, not with the file. A line holding a
 ``"`` is split by the csv module's rules; a quoted field may not run onto
 the next line. The drop checks run as masks over the (T, N) blocks.
+This module alone reads and writes the layout: ``fetch`` reads its raw
+``date,close,market_cap`` payloads with the same reader and writes the
+pair with the same writer.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -340,15 +344,32 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
 
 
 def write_panel(panel: PricePanel, price_csv_path, marketcap_csv_path):
-    """Write a panel back to the two-file CSV layout, round-trip exact.
+    """Write a panel back to the two-file CSV layout, round-trip exact."""
+    _write_pair(price_csv_path, marketcap_csv_path, panel.dates, panel.tickers,
+                panel.closes, panel.market_caps)
 
-    Values use repr() formatting so reloading reproduces every float
-    bit-exactly.
+
+def _write_pair(price_csv_path, marketcap_csv_path, dates, tickers, closes, caps):
+    """Write the (N, T) ``closes`` and ``caps`` over ``dates`` as the two panel CSVs.
+
+    Cells use repr() formatting, so reloading reproduces every float
+    bit-exactly; a NaN cell is written blank. Both files are written to
+    ``<name>.tmp`` beside them first and replace the old pair only once
+    both are complete, so a failed write leaves the previous pair as it
+    was and no temp file behind.
     """
-    for path, matrix in ((price_csv_path, panel.closes),
-                         (marketcap_csv_path, panel.market_caps)):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date"] + panel.tickers)
-            for j, day in enumerate(panel.dates):
-                writer.writerow([day.isoformat()] + [repr(float(v)) for v in matrix[:, j]])
+    temps = [(Path(path).with_name(Path(path).name + ".tmp"), path, matrix)
+             for path, matrix in ((price_csv_path, closes), (marketcap_csv_path, caps))]
+    try:
+        for temp, _, matrix in temps:
+            with open(temp, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["date", *tickers])
+                for day, column in zip(dates, matrix.T):
+                    writer.writerow([day.isoformat()]
+                                    + [repr(v) if v == v else "" for v in column.tolist()])
+        for temp, path, _ in temps:
+            temp.replace(path)
+    finally:
+        for temp, _, _ in temps:  # only a failed write leaves one
+            temp.unlink(missing_ok=True)

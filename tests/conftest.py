@@ -1,5 +1,7 @@
 import datetime as dt
+import errno
 import http.server
+import os
 import threading
 
 import pytest
@@ -102,3 +104,40 @@ def local_http():
         server.shutdown()
         server.server_close()
         thread.join()
+
+
+@pytest.fixture()
+def second_panel_file_fails(monkeypatch):
+    """Make the panel writer's second file fail on its second write, as on a full disk.
+
+    Returns the list of the files opened for writing.
+    """
+    from cryptodynamics import panel
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+    opened = []
+
+    def second_file_fails(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" not in mode:  # the loader's reader shares the module
+            return fh
+        opened.append(fh)
+        return DiskFull(fh) if len(opened) == 2 else fh
+
+    monkeypatch.setattr(panel, "open", second_file_fails, raising=False)
+    return opened

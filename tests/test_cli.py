@@ -343,8 +343,9 @@ def test_payload_over_the_csv_field_limit_is_one_error_line_naming_the_ticker(
                  "--out-dir", str(tmp_path / "out"),
                  "--url-template", base + "/hist/{ticker}.csv", "--tickers", "BTC"])
     assert code == 1
+    raw = tmp_path / "data" / "raw" / "BTC.csv"
     assert one_error_line(capsys.readouterr().err) == (
-        "error: BTC: line 2: field larger than field limit (131072)")
+        f"error: {raw}: row 2, column '': field larger than field limit (131072)")
 
 
 def test_numerical_failure_is_exit_code_2(small_dataset_dir, tmp_path, monkeypatch, capsys):

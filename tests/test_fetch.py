@@ -1,18 +1,11 @@
 import datetime as dt
-import errno
 import os
 import socket
 
 import pytest
 
 import cryptodynamics as cd
-from cryptodynamics import fetch
-from cryptodynamics.fetch import (
-    fetch_daily_history,
-    fetch_dataset,
-    history_url,
-    parse_history_csv,
-)
+from cryptodynamics.fetch import fetch_daily_history, fetch_dataset, history_url
 
 START = dt.date(2019, 6, 1)
 END = dt.date(2019, 6, 5)
@@ -44,6 +37,19 @@ def test_history_url_fills_placeholders():
     url = history_url("https://api.example/v1/{ticker}?a={start}&b={end}",
                       "BTC", START, END)
     assert url == "https://api.example/v1/BTC?a=2019-06-01&b=2019-06-05"
+
+
+def test_history_url_percent_encodes_the_ticker(local_http, tmp_path):
+    # Unencoded, "#B" would be a fragment and A's history saved as A#B's.
+    base, routes = local_http
+    routes["/hist/A.csv"] = (200, ETH_CSV)
+    routes["/hist/A%23B.csv"] = (200, BTC_CSV)
+    raw = tmp_path / "raw"
+    fetch_dataset(template(base), ["A#B"], START, END,
+                  tmp_path / "price.csv", tmp_path / "marketcap.csv", raw)
+    assert (raw / "A#B.csv").read_text() == BTC_CSV
+    assert (tmp_path / "price.csv").read_text().splitlines()[:2] == [
+        "date,A#B", "2019-06-01,100.0"]
 
 
 def test_history_url_rejects_unknown_placeholder():
@@ -91,36 +97,119 @@ def test_connection_failure_has_no_status():
     assert info.value.status is None
 
 
-def test_parse_history_rows():
-    rows = parse_history_csv(BTC_CSV, "BTC")
-    assert len(rows) == 5
-    assert rows[0] == (dt.date(2019, 6, 1), 100.0, 2000.0)
-    assert rows[-1] == (dt.date(2019, 6, 5), 103.0, 2060.0)
+def fetch_one(local_http, tmp_path, payload, start=START, end=END):
+    """Serve ``payload`` as BTC's history and fetch it; returns the raw file's path."""
+    base, routes = local_http
+    routes["/hist/BTC.csv"] = (200, payload)
+    raw = tmp_path / "raw"
+    fetch_dataset(template(base), ["BTC"], start, end,
+                  tmp_path / "price.csv", tmp_path / "marketcap.csv", raw)
+    return raw / "BTC.csv"
 
 
-def test_parse_history_accepts_mixed_case_header_and_blank_lines():
-    text = "Date,Close,MARKET_CAP\n\n2019-06-01,1.0,2.0\n  ,  ,\n"
-    assert parse_history_csv(text) == [(dt.date(2019, 6, 1), 1.0, 2.0)]
+def panel_lines(tmp_path):
+    return [(tmp_path / name).read_text().splitlines() for name in ("price.csv", "marketcap.csv")]
 
 
-@pytest.mark.parametrize("text,fragment", [
-    ("", "empty response"),
+def test_parse_history_rows(local_http, tmp_path):
+    fetch_one(local_http, tmp_path, BTC_CSV)
+    price, caps = panel_lines(tmp_path)
+    assert price[0] == caps[0] == "date,BTC"
+    assert len(price) == len(caps) == 6
+    assert (price[1], caps[1]) == ("2019-06-01,100.0", "2019-06-01,2000.0")
+    assert (price[-1], caps[-1]) == ("2019-06-05,103.0", "2019-06-05,2060.0")
+
+
+def test_parse_history_accepts_mixed_case_header_and_blank_lines(local_http, tmp_path):
+    fetch_one(local_http, tmp_path, " Date,Close , MARKET_CAP\n\n2019-06-01,1.0,2.0\n  ,  ,\n")
+    assert panel_lines(tmp_path) == [["date,BTC", "2019-06-01,1.0"],
+                                     ["date,BTC", "2019-06-01,2.0"]]
+
+
+# The ids name each payload and the line its fault is on; each fault is the
+# panel loader's ParseError on the raw file.
+@pytest.mark.parametrize("text,row,detail", [
+    pytest.param("", 1, "empty file", id="-empty response"),
     pytest.param('date,close,market_cap\n2019-06-01,"' + "1" * 140_000 + '",2.0\n',
-                 "line 2: field larger than field limit", id="over-long-quoted-cell"),
-    ("date,price,market_cap\n", "expected header"),
-    ("date,close,market_cap\n2019-06-01,1.0\n", "expected 3 cells"),
-    ("date,close,market_cap\n2019-06-01,abc,2.0\n", "line 2"),
-    ("date,close,market_cap\nJune 1st,1.0,2.0\n", "line 2"),
+                 2, "field larger than field limit", id="over-long-quoted-cell"),
+    pytest.param("date,price,market_cap\n", 1, "expected header 'date,close,market_cap', "
+                 "got 'date,price,market_cap'", id="date,price,market_cap\n-expected header"),
+    pytest.param("date,close,market_cap\n2019-06-01,1.0\n", 2, "expected 3 cells, got 2",
+                 id="date,close,market_cap\n2019-06-01,1.0\n-expected 3 cells"),
+    pytest.param("date,close,market_cap\n2019-06-01,abc,2.0\n", 2, "not a number: 'abc'",
+                 id="date,close,market_cap\n2019-06-01,abc,2.0\n-line 2"),
+    pytest.param("date,close,market_cap\nJune 1st,1.0,2.0\n", 2, "Invalid isoformat",
+                 id="date,close,market_cap\nJune 1st,1.0,2.0\n-line 2"),
 ])
-def test_parse_history_rejects_malformed_payloads(text, fragment):
-    with pytest.raises(cd.SchemaError, match=fragment):
-        parse_history_csv(text, "BTC")
+def test_parse_history_rejects_malformed_payloads(local_http, tmp_path, text, row, detail):
+    with pytest.raises(cd.ParseError) as info:
+        fetch_one(local_http, tmp_path, text)
+    assert info.value.path == tmp_path / "raw" / "BTC.csv"
+    assert info.value.row == row
+    assert detail in str(info.value)
+    assert not (tmp_path / "price.csv").exists()
 
 
-def test_parse_history_rejects_a_repeated_date():
+def test_parse_history_rejects_a_repeated_date(local_http, tmp_path):
     text = "date,close,market_cap\n2021-01-01,1,2\n2021-01-01,3,4\n"
-    with pytest.raises(cd.SchemaError, match="^BTC: line 3: duplicate date 2021-01-01$"):
-        parse_history_csv(text, "BTC")
+    with pytest.raises(cd.ParseError, match="row 3, column 'date': duplicate date 2021-01-01$"):
+        fetch_one(local_http, tmp_path, text, dt.date(2021, 1, 1), dt.date(2021, 1, 1))
+
+
+def test_a_quoted_cell_may_not_run_onto_the_next_line_of_a_payload(local_http, tmp_path):
+    text = 'date,close,market_cap\n2021-01-01,"1\n",2\n2021-01-01,3,4\n'
+    with pytest.raises(cd.ParseError) as info:
+        fetch_one(local_http, tmp_path, text, dt.date(2021, 1, 1), dt.date(2021, 1, 1))
+    assert info.value.row == 2
+    assert str(info.value).endswith("quoted field runs onto the next line")
+
+
+@pytest.mark.parametrize("cell", ["nan", " "])
+def test_a_payload_nan_or_blank_cell_is_a_missing_value(local_http, tmp_path, cell):
+    # Written blank, so the loader drops the asset as of that day.
+    base, routes = local_http
+    routes["/hist/BTC.csv"] = (200, BTC_CSV)
+    routes["/hist/ETH.csv"] = (200, BTC_CSV.replace("2019-06-02,101.5", f"2019-06-02,{cell}"))
+    price, caps = tmp_path / "price.csv", tmp_path / "marketcap.csv"
+    fetch_dataset(template(base), ["BTC", "ETH"], START, END, price, caps, tmp_path / "raw")
+    assert price.read_text().splitlines()[2] == "2019-06-02,101.5,"
+    panel, (drop,) = cd.load_panel_with_report(price, caps, START, END)
+    assert panel.tickers == ["BTC"]
+    assert (drop.ticker, drop.reason, drop.first_missing_date) == (
+        "ETH", "missing value", dt.date(2019, 6, 2))
+
+
+def test_payload_rows_outside_the_range_are_checked_but_not_copied(local_http, tmp_path):
+    fetch_one(local_http, tmp_path,
+              "date,close,market_cap\n2019-05-31,oops,1.0\n2019-06-01,1.0,2.0\n"
+              "2019-06-06,3.0,4.0\n")
+    assert panel_lines(tmp_path)[0] == ["date,BTC", "2019-06-01,1.0"]
+    with pytest.raises(cd.ParseError, match="row 3, column 'date': expected 3 cells"):
+        fetch_one(local_http, tmp_path, "date,close,market_cap\n2019-06-01,1.0,2.0\n"
+                                        "2019-06-06,3.0\n")
+
+
+def test_fetch_dataset_rejects_end_before_start(tmp_path):
+    with pytest.raises(cd.InputError, match="before start"):
+        fetch_dataset("http://127.0.0.1:9/{ticker}", ["BTC"], END, START,
+                      tmp_path / "p.csv", tmp_path / "c.csv", tmp_path / "raw")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_writes_the_files_write_panel_writes(local_http, tmp_path, small_panel,
+                                                   small_dataset_dir):
+    base, routes = local_http
+    for ticker, closes, caps in zip(small_panel.tickers, small_panel.closes,
+                                    small_panel.market_caps):
+        rows = [f"{day},{close!r},{cap!r}"
+                for day, close, cap in zip(small_panel.dates, closes.tolist(), caps.tolist())]
+        routes[f"/hist/{ticker}.csv"] = (200, "\n".join(["date,close,market_cap"] + rows))
+    dates = fetch_dataset(template(base), small_panel.tickers, small_panel.dates[0],
+                          small_panel.dates[-1], tmp_path / "price.csv",
+                          tmp_path / "marketcap.csv", tmp_path / "raw")
+    assert tuple(dates) == small_panel.dates
+    for name in ("price.csv", "marketcap.csv"):
+        assert (tmp_path / name).read_bytes() == (small_dataset_dir / name).read_bytes()
 
 
 def test_fetch_dataset_assembles_union_of_dates(local_http, tmp_path):
@@ -176,7 +265,7 @@ def test_payloads_decode_as_utf8_and_raw_files_keep_their_bytes(local_http, tmp_
     assert (tmp_path / "marketcap.csv").read_text().splitlines() == [
         "date,BTC", "2019-06-01,2000.0", "2019-06-02,2030.0"]
 
-    with pytest.raises(cd.SchemaError, match="^ETH: not UTF-8 text"):
+    with pytest.raises(cd.InputError, match=f"^{raw / 'ETH.csv'}: not UTF-8 text"):
         fetch_dataset(template(base), ["ETH"], START, END,
                       tmp_path / "price.csv", tmp_path / "marketcap.csv", raw_dir=raw)
     assert (raw / "ETH.csv").read_bytes() == eth.encode("latin-1")
@@ -185,44 +274,21 @@ def test_payloads_decode_as_utf8_and_raw_files_keep_their_bytes(local_http, tmp_
 def test_fetch_dataset_needs_tickers(tmp_path):
     with pytest.raises(cd.InputError):
         fetch_dataset("http://x/{ticker}", [], START, END,
-                      tmp_path / "p.csv", tmp_path / "c.csv")
+                      tmp_path / "p.csv", tmp_path / "c.csv", tmp_path / "raw")
 
 
-def test_a_failed_write_leaves_the_previous_panel_pair(local_http, tmp_path, monkeypatch):
+def test_a_failed_write_leaves_the_previous_panel_pair(local_http, tmp_path,
+                                                       second_panel_file_fails):
+    # The pair writer's own test is in test_panel.py; this one checks that
+    # fetch writes through it, its raw files aside.
     base, routes = local_http
     routes["/hist/BTC.csv"] = (200, BTC_CSV)
     routes["/hist/ETH.csv"] = (200, ETH_CSV)
     price, caps = tmp_path / "price.csv", tmp_path / "marketcap.csv"
-    fetch_dataset(template(base), ["BTC"], START, END, price, caps)
-    before = price.read_bytes(), caps.read_bytes()
-
-    class DiskFull:
-        """A file whose second write fails, as on a full disk."""
-
-        def __init__(self, fh):
-            self.fh, self.writes = fh, 0
-
-        def write(self, text):
-            self.writes += 1
-            if self.writes > 1:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return self.fh.write(text)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self.fh.close()
-
-    opened = []
-
-    def second_file_fails(*args, **kwargs):
-        opened.append(open(*args, **kwargs))
-        return DiskFull(opened[-1]) if len(opened) == 2 else opened[-1]
-
-    monkeypatch.setattr(fetch, "open", second_file_fails, raising=False)
+    price.write_text("date,BTC\n")
+    caps.write_text("date,BTC\n")
     with pytest.raises(OSError, match="No space left"):
-        fetch_dataset(template(base), ["BTC", "ETH"], START, END, price, caps)
-    assert len(opened) == 2
-    assert (price.read_bytes(), caps.read_bytes()) == before
-    assert sorted(os.listdir(tmp_path)) == ["marketcap.csv", "price.csv"]
+        fetch_dataset(template(base), ["BTC", "ETH"], START, END, price, caps, tmp_path / "raw")
+    assert len(second_panel_file_fails) == 2
+    assert (price.read_text(), caps.read_text()) == ("date,BTC\n", "date,BTC\n")
+    assert sorted(os.listdir(tmp_path)) == ["marketcap.csv", "price.csv", "raw"]

@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import io
 import json
+import os
 import pathlib
 import tempfile
 import tracemalloc
@@ -80,6 +81,29 @@ def test_round_trip_is_bit_exact(tmp_path, small_panel):
     cd.write_panel(again, p2, c2)
     assert p1.read_bytes() == p2.read_bytes()
     assert c1.read_bytes() == c2.read_bytes()
+
+
+def test_a_failed_write_leaves_the_previous_panel_pair(tmp_path, small_panel,
+                                                       second_panel_file_fails):
+    p, c = tmp_path / "price.csv", tmp_path / "marketcap.csv"
+    p.write_text("date,AAA\n")
+    c.write_text("date,AAA\n")
+    with pytest.raises(OSError, match="No space left"):
+        cd.write_panel(small_panel, p, c)
+    assert len(second_panel_file_fails) == 2
+    assert (p.read_text(), c.read_text()) == ("date,AAA\n", "date,AAA\n")
+    assert sorted(os.listdir(tmp_path)) == ["marketcap.csv", "price.csv"]
+
+
+def test_the_pair_writer_writes_a_nan_cell_blank(tmp_path):
+    from cryptodynamics.panel import _write_pair
+
+    p, c = tmp_path / "price.csv", tmp_path / "marketcap.csv"
+    _write_pair(p, c, [JAN1, JAN1 + dt.timedelta(days=1)], ["AAA", "B,B"],
+                np.array([[1.5, np.nan], [0.1, 2.0]]), np.array([[np.nan, 3.0], [4.0, 5.0]]))
+    assert p.read_bytes() == b'date,AAA,"B,B"\r\n2020-01-01,1.5,0.1\r\n2020-01-02,,2.0\r\n'
+    assert c.read_bytes() == b'date,AAA,"B,B"\r\n2020-01-01,,4.0\r\n2020-01-02,3.0,5.0\r\n'
+    assert sorted(os.listdir(tmp_path)) == ["marketcap.csv", "price.csv"]
 
 
 def test_drop_missing_cap_column(tmp_path):
