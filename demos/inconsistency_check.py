@@ -15,7 +15,7 @@ S = 90
 panel = cd.simulated_market()
 returns = cd.log_returns(panel)
 vol = inconsistency.rolling_volatility(returns, S)
-series = inconsistency.inconsistency_norms(panel, returns, vol, S)
+series = inconsistency.inconsistency_norms(panel, returns, vol)
 
 frac = np.mean(series.nu_MSigma < series.nu_MR)
 print(f"{len(series.dates)} windows ({series.dates[0]} .. {series.dates[-1]})")

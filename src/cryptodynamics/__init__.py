@@ -36,7 +36,6 @@ from .inconsistency import (
     rolling_volatility,
 )
 from .panel import (
-    AssetMeta,
     Period,
     PeriodPartition,
     PricePanel,

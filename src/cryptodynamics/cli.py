@@ -165,7 +165,7 @@ def cmd_spectral(cfg, panel, returns, days, stats):
 
 def cmd_inconsistency(cfg, panel, returns, days, stats):
     vol = inconsistency.rolling_volatility(returns, days, stats)
-    series = inconsistency.inconsistency_norms(panel, returns, vol, days)
+    series = inconsistency.inconsistency_norms(panel, returns, vol)
     return [exports.write_csv(cfg.out_dir / "inconsistency_norms.csv", date=series.dates,
                               nu_MR=series.nu_MR, nu_MSigma=series.nu_MSigma)]
 

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .correlation import DEFAULT_SG_DEGREE, DEFAULT_SG_WINDOW, DEFAULT_WINDOW_DAYS
 from .dispersion import LINKAGES
 from .errors import ConfigError
 from .panel import DEFAULT_TICKERS
@@ -51,15 +52,15 @@ class RunConfig:
     out_dir: Path = Path("out")
     start: dt.date = dt.date(2019, 1, 1)
     end: dt.date = dt.date(2021, 6, 30)
-    correlation_days: int = 90
-    spectral_days: int = 90
-    inconsistency_days: int = 90
-    volatility_days: int = 90
-    tp_l: int = 17
-    tp_delta: float = 0.2
-    tp_epsilon: float = 0.01
-    sg_window: int = 31
-    sg_degree: int = 3
+    correlation_days: int = DEFAULT_WINDOW_DAYS
+    spectral_days: int = DEFAULT_WINDOW_DAYS
+    inconsistency_days: int = DEFAULT_WINDOW_DAYS
+    volatility_days: int = DEFAULT_WINDOW_DAYS
+    tp_l: int = TurningPointParams.l
+    tp_delta: float = TurningPointParams.delta
+    tp_epsilon: float = TurningPointParams.epsilon
+    sg_window: int = DEFAULT_SG_WINDOW
+    sg_degree: int = DEFAULT_SG_DEGREE
     exclude_diagonal: bool = False
     linkage: str = "average"
     url_template: str = ""

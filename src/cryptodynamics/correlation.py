@@ -100,21 +100,23 @@ STATISTICS = ("norm", "lambda1", "sigma")
 
 @dataclass(frozen=True)
 class ReturnsPanel:
-    """N×T matrix of daily log returns, dated t = 1..T."""
+    """N×T matrix of daily log returns, one row per ticker, dated t = 1..T."""
 
     dates: tuple
-    assets: tuple
+    tickers: tuple
     returns: np.ndarray
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        assets = tuple(self.assets)
-        set_fields(self, dates=dates, assets=assets,
-                   returns=frozen_array(self.returns, "returns", (len(assets), len(dates))))
+        tickers = tuple(self.tickers)
+        if not all(tickers):
+            raise InputError("asset ticker must be non-empty")
+        set_fields(self, dates=dates, tickers=tickers,
+                   returns=frozen_array(self.returns, "returns", (len(tickers), len(dates))))
 
     @property
     def n_assets(self):
-        return len(self.assets)
+        return len(self.tickers)
 
     @property
     def n_days(self):
@@ -197,7 +199,7 @@ def log_returns(panel: PricePanel) -> ReturnsPanel:
     if panel.n_days < 2:
         raise InputError("need at least two days of prices to form returns")
     matrix = np.diff(np.log(panel.closes), axis=1)
-    return ReturnsPanel(panel.dates[1:], panel.assets, matrix)
+    return ReturnsPanel(panel.dates[1:], panel.tickers, matrix)
 
 
 def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatrix:
@@ -266,7 +268,7 @@ def fill_chunk(returns: ReturnsPanel, window_days, rows, centered, stack=None, g
         w, i = dead[0]
         t = rows.start + int(w) + S
         raise DegenerateDataError(
-            f"asset {returns.assets[i].ticker!r} has zero variance on return days "
+            f"asset {returns.tickers[i]!r} has zero variance on return days "
             f"[{t - S + 1}:{t}] (window ending {returns.dates[t - 1]})"
         )
     Z = centered

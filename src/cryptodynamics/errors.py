@@ -96,6 +96,7 @@ class TransportError(AnalysisError):
     prefix = "transport: "
 
     def __init__(self, url, status=None, detail=""):
+        detail = " ".join(detail.split())  # an HTML error page spans lines
         self.url = url
         self.status = status
         msg = f"fetch failed for {url}"

@@ -36,7 +36,7 @@ def history_url(url_template, ticker, start, end) -> str:
         raise InputError(f"bad url template {url_template!r}: {exc}") from None
 
 
-def fetch_daily_history(url_template, ticker, start, end, session=None) -> bytes:
+def fetch_daily_history(url_template, ticker, start, end) -> bytes:
     """Download one ticker's raw history CSV and return its bytes as received.
 
     The caller persists them; nothing here feeds analysis directly.
@@ -46,9 +46,8 @@ def fetch_daily_history(url_template, ticker, start, end, session=None) -> bytes
     if not url_template:
         raise InputError("no url template configured (data.url_template)")
     url = history_url(url_template, ticker, start, end)
-    http = session if session is not None else requests
     try:
-        response = http.get(url, timeout=_TIMEOUT_SECONDS)
+        response = requests.get(url, timeout=_TIMEOUT_SECONDS)
     except requests.RequestException as exc:
         raise TransportError(url, None, str(exc)) from None
     if response.status_code != 200:
@@ -57,7 +56,7 @@ def fetch_daily_history(url_template, ticker, start, end, session=None) -> bytes
 
 
 def fetch_dataset(url_template, tickers, start, end,
-                  price_csv_path, marketcap_csv_path, raw_dir, session=None):
+                  price_csv_path, marketcap_csv_path, raw_dir):
     """Fetch every ticker and assemble the two panel CSVs; returns the dates written.
 
     Each ticker's response is written to ``<raw_dir>/<ticker>.csv`` byte
@@ -82,7 +81,7 @@ def fetch_dataset(url_template, tickers, start, end,
     any_row = np.zeros(shape[0], dtype=bool)
     for k, ticker in enumerate(tickers):
         raw = raw_dir / f"{ticker}.csv"
-        raw.write_bytes(fetch_daily_history(url_template, ticker, start, end, session=session))
+        raw.write_bytes(fetch_daily_history(url_template, ticker, start, end))
         header, values, _, present = panel._read_range(raw, start, end)
         if [h.lower() for h in header] != list(RAW_HEADER[1:]):
             raise ParseError(raw, 1, "", f"expected header {','.join(RAW_HEADER)!r}, "

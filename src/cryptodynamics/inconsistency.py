@@ -103,25 +103,18 @@ def rolling_volatility(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     """Population standard deviation of each asset's trailing S returns.
 
     ``stats``, a ``rolling_statistics`` result for the same window length
-    that holds "sigma", stands in for the kernel pass.
+    that holds "sigma", stands in for the kernel pass. S < 2 or S > T is an
+    InputError: the kernel pass's, or given ``stats``, ``VolatilityPanel``'s.
     """
     S = int(window_days)
-    if S < 2:
-        raise InputError(f"window must be >= 2 days, got {S}")
-    if returns.n_days < S:
-        raise InputError(f"need at least {S} return days, have {returns.n_days}")
     if stats is None:
         stats = rolling_statistics(returns, S, ("sigma",))
     return VolatilityPanel(returns.dates[S - 1:], stats["sigma"], S)
 
 
-def _window_feature_tracks(panel, returns, vol, window_days):
-    """Cap means, return sums and volatilities per window, all (N, W)."""
-    S = int(window_days)
-    if vol.window_days != S:
-        raise InputError(
-            f"volatility panel was built with window {vol.window_days}, expected {S}"
-        )
+def _window_feature_tracks(panel, returns, vol):
+    """Cap means, return sums and volatilities per window of ``vol``'s length S, all (N, W)."""
+    S = vol.window_days
     if returns.n_days != panel.n_days - 1 or returns.dates[0] != panel.dates[1]:
         raise InputError("returns panel does not derive from the given price panel")
     if vol.n_dates != returns.n_days - S + 1 or vol.dates[0] != returns.dates[S - 1]:
@@ -160,11 +153,9 @@ def _pair_sums(z):
 
 
 def inconsistency_norms(panel: PricePanel, returns: ReturnsPanel,
-                        vol: VolatilityPanel,
-                        window_days=DEFAULT_WINDOW_DAYS) -> InconsistencySeries:
-    """ν^{INC} series for size-vs-returns and size-vs-volatility, t = S..T."""
-    S = int(window_days)
-    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, returns, vol, S)
+                        vol: VolatilityPanel) -> InconsistencySeries:
+    """ν^{INC} series for size-vs-returns and size-vs-volatility, t = S = vol.window_days..T."""
+    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, returns, vol)
     n, n_windows = cap_means.shape
     step = max(1, _BLOCK_BYTES // (8 * n))
     norms = np.empty((2, n_windows))

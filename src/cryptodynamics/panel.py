@@ -44,54 +44,42 @@ DEFAULT_TICKERS = (
 
 
 @dataclass(frozen=True)
-class AssetMeta:
-    ticker: str
-
-    def __post_init__(self):
-        if not self.ticker:
-            raise InputError("asset ticker must be non-empty")
-
-
-@dataclass(frozen=True)
 class PricePanel:
-    """Aligned daily closes and market caps for N assets over T+1 days."""
+    """Aligned daily closes and market caps for the N assets named by ``tickers`` over T+1 days."""
 
     dates: tuple
-    assets: tuple
+    tickers: tuple
     closes: np.ndarray       # (N, T+1), strictly positive
     market_caps: np.ndarray  # (N, T+1), non-negative
 
     def __post_init__(self):
         dates = tuple(self.dates)
-        assets = tuple(self.assets)
+        tickers = tuple(self.tickers)
+        if not all(tickers):
+            raise InputError("asset ticker must be non-empty")
         if len(dates) < 1:
             raise InputError("panel needs at least one date")
         gaps = [a + _DAY for a, b in zip(dates, dates[1:]) if b != a + _DAY]
         if gaps:
             raise GapError(gaps)
-        tickers = [a.ticker for a in assets]
         if len(set(tickers)) != len(tickers):
             raise InputError("duplicate tickers in panel")
-        shape = (len(assets), len(dates))
+        shape = (len(tickers), len(dates))
         closes = frozen_array(self.closes, "closes", shape)
         caps = frozen_array(self.market_caps, "market caps", shape)
         if np.any(closes <= 0):
             raise InputError("closes must be strictly positive")
         if np.any(caps < 0):
             raise InputError("market caps must be non-negative")
-        set_fields(self, dates=dates, assets=assets, closes=closes, market_caps=caps)
+        set_fields(self, dates=dates, tickers=tickers, closes=closes, market_caps=caps)
 
     @property
     def n_assets(self):
-        return len(self.assets)
+        return len(self.tickers)
 
     @property
     def n_days(self):
         return len(self.dates)
-
-    @property
-    def tickers(self):
-        return [a.ticker for a in self.assets]
 
 
 @dataclass(frozen=True)
@@ -338,8 +326,7 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
     kept = [t for t, good in zip(paired, ok) if good]
     if not kept:
         raise EmptyPanelError("no asset survived alignment over the requested range")
-    assets = tuple(AssetMeta(t) for t in kept)
-    panel = PricePanel(tuple(days), assets, close[:, ok].T, cap[:, ok].T)
+    panel = PricePanel(tuple(days), kept, close[:, ok].T, cap[:, ok].T)
     return panel, drops
 
 

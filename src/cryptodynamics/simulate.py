@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .panel import (
     DEFAULT_TICKERS,
-    AssetMeta,
     PeriodPartition,
     PricePanel,
     default_periods,
@@ -241,9 +240,7 @@ def simulated_market(seed=DEFAULT_SEED, n_assets=DEFAULT_N_ASSETS,
     supply = initial_caps / initial_prices
     caps = supply[:, None] * closes
 
-    tickers = _tickers(n)
-    assets = tuple(AssetMeta(t) for t in tickers)
-    return PricePanel(dates, assets, closes, caps)
+    return PricePanel(dates, _tickers(n), closes, caps)
 
 
 def write_simulated_dataset(price_csv_path, marketcap_csv_path, **kwargs):

@@ -117,18 +117,18 @@ def test_4_inconsistency_ordering(sim_panel, sim_returns, capsys):
     """Size-vs-volatility disagreement stays below size-vs-returns on >95%
     of dates; clone panels show exactly zero disagreement."""
     vol = inconsistency.rolling_volatility(sim_returns, 90)
-    series = inconsistency.inconsistency_norms(sim_panel, sim_returns, vol, 90)
+    series = inconsistency.inconsistency_norms(sim_panel, sim_returns, vol)
     frac = float(np.mean(series.nu_MSigma < series.nu_MR))
 
     rng = np.random.default_rng(4)
     path = 50.0 * np.exp(np.cumsum(0.02 * rng.standard_normal(200)))
     days = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(200))
-    assets = tuple(cd.AssetMeta(f"A{k}") for k in range(4))
-    clones = cd.PricePanel(days, assets, np.tile(path, (4, 1)),
+    tickers = tuple(f"A{k}" for k in range(4))
+    clones = cd.PricePanel(days, tickers, np.tile(path, (4, 1)),
                            np.tile(7.0 * path, (4, 1)))
     cret = cd.log_returns(clones)
     cvol = inconsistency.rolling_volatility(cret, 90)
-    cseries = inconsistency.inconsistency_norms(clones, cret, cvol, 90)
+    cseries = inconsistency.inconsistency_norms(clones, cret, cvol)
     zero = (np.all(cseries.nu_MR == 0.0) and np.all(cseries.nu_MSigma == 0.0))
 
     ok = frac > 0.95 and zero

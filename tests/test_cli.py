@@ -348,6 +348,18 @@ def test_payload_over_the_csv_field_limit_is_one_error_line_naming_the_ticker(
         f"error: {raw}: row 2, column '': field larger than field limit (131072)")
 
 
+def test_a_multi_line_http_error_page_is_one_error_line(local_http, tmp_path, capsys):
+    base, routes = local_http
+    routes["/hist/BTC.csv"] = (404, "<html>\n  <body>\n\t<h1>Not Found</h1>\n</body>\n</html>\n")
+    code = main(["fetch", "--data-dir", str(tmp_path / "data"),
+                 "--out-dir", str(tmp_path / "out"),
+                 "--url-template", base + "/hist/{ticker}.csv", "--tickers", "BTC"])
+    assert code == 3
+    assert one_error_line(capsys.readouterr().err) == (
+        f"error: transport: fetch failed for {base}/hist/BTC.csv (HTTP 404): "
+        "<html> <body> <h1>Not Found</h1> </body> </html>")
+
+
 def test_numerical_failure_is_exit_code_2(small_dataset_dir, tmp_path, monkeypatch, capsys):
     from cryptodynamics import correlation
 

@@ -19,15 +19,15 @@ def make_returns(X):
     X = np.asarray(X, dtype=float)
     n, t = X.shape
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k + 1) for k in range(t))
-    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(n))
-    return cd.ReturnsPanel(dates, assets, X)
+    tickers = tuple(f"A{i}" for i in range(n))
+    return cd.ReturnsPanel(dates, tickers, X)
 
 
 def test_log_returns_by_hand():
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in range(3))
-    assets = (cd.AssetMeta("AAA"),)
+    tickers = ("AAA",)
     closes = np.array([[1.0, math.e, math.e**3]])
-    panel = cd.PricePanel(dates, assets, closes, np.ones((1, 3)))
+    panel = cd.PricePanel(dates, tickers, closes, np.ones((1, 3)))
     r = cd.log_returns(panel)
     np.testing.assert_allclose(r.returns, [[1.0, 2.0]], atol=1e-15)
     assert r.dates == panel.dates[1:]

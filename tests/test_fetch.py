@@ -174,7 +174,7 @@ def test_a_payload_nan_or_blank_cell_is_a_missing_value(local_http, tmp_path, ce
     fetch_dataset(template(base), ["BTC", "ETH"], START, END, price, caps, tmp_path / "raw")
     assert price.read_text().splitlines()[2] == "2019-06-02,101.5,"
     panel, (drop,) = cd.load_panel_with_report(price, caps, START, END)
-    assert panel.tickers == ["BTC"]
+    assert panel.tickers == ("BTC",)
     assert (drop.ticker, drop.reason, drop.first_missing_date) == (
         "ETH", "missing value", dt.date(2019, 6, 2))
 
@@ -232,7 +232,7 @@ def test_fetch_dataset_assembles_union_of_dates(local_http, tmp_path):
 
     # the loader's drop policy turns the blank cells into a dropped asset
     panel, drops = cd.load_panel_with_report(price, caps, START, END)
-    assert panel.tickers == ["BTC"]
+    assert panel.tickers == ("BTC",)
     (drop,) = drops
     assert drop.ticker == "ETH"
     assert drop.first_missing_date == dt.date(2019, 6, 3)

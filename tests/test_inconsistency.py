@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cryptodynamics as cd
 from cryptodynamics import inconsistency
+from cryptodynamics.correlation import rolling_statistics
 from cryptodynamics.inconsistency import _window_feature_tracks
 
 import reference
@@ -27,18 +28,23 @@ def test_rolling_volatility_matches_two_pass_loop():
 
 
 def test_rolling_volatility_window_validation():
-    X = np.zeros((2, 10))
-    with pytest.raises(cd.InputError):
-        cd.rolling_volatility(make_returns(X), 1)
-    with pytest.raises(cd.InputError):
-        cd.rolling_volatility(make_returns(X), 11)
+    returns = make_returns(np.zeros((2, 10)))
+    for S in (1, 11):  # the kernel pass's checks
+        with pytest.raises(cd.InputError):
+            cd.rolling_volatility(returns, S)
+    # a pass made at another window length: VolatilityPanel's shape check,
+    # or at S = 0 its window check, rejects it
+    for made_at, S in ((5, 4), (5, 6), (5, 1), (5, 11), (10, 0)):
+        stats = rolling_statistics(returns, made_at, ("sigma",))
+        with pytest.raises(cd.InputError):
+            cd.rolling_volatility(returns, S, stats)
 
 
 def test_distance_matrices_match_loop_oracle(small_panel, small_returns, small_vol):
     # inconsistency_norms takes each window's distances |f_i - f_j| from
     # these per-window features
     S = 30
-    features = _window_feature_tracks(small_panel, small_returns, small_vol, S)
+    features = _window_feature_tracks(small_panel, small_returns, small_vol)
     n = small_panel.n_assets
     rets = np.diff(np.log(small_panel.closes), axis=1)
     for t in (S, 100, small_returns.n_days):
@@ -67,7 +73,8 @@ def test_to_affinity_all_zero_distances_give_all_ones():
 
 def test_inconsistency_matches_loop_oracle(small_panel, small_returns, small_vol):
     S = 30
-    inc = cd.inconsistency_norms(small_panel, small_returns, small_vol, S)
+    assert small_vol.window_days == S  # inconsistency_norms reads S from here
+    inc = cd.inconsistency_norms(small_panel, small_returns, small_vol)
     assert inc.dates == small_vol.dates
     for t in (S, 77, 150, small_returns.n_days):
         want_mr, want_ms = reference.inconsistency_at(
@@ -77,7 +84,7 @@ def test_inconsistency_matches_loop_oracle(small_panel, small_returns, small_vol
 
 
 def test_inconsistency_values_are_bounded(small_panel, small_returns, small_vol):
-    inc = cd.inconsistency_norms(small_panel, small_returns, small_vol, 30)
+    inc = cd.inconsistency_norms(small_panel, small_returns, small_vol)
     for series in (inc.nu_MR, inc.nu_MSigma):
         assert np.all(series >= 0.0)
         assert np.all(series <= 1.0)
@@ -92,28 +99,27 @@ def test_identical_assets_give_exactly_zero_norms():
     path = 100.0 * np.exp(np.cumsum(rng.standard_normal(n_days) * 0.01))
     closes = np.tile(path, (5, 1))
     caps = np.tile(path * 7.0, (5, 1))
-    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(5))
-    panel = cd.PricePanel(dates, assets, closes, caps)
+    tickers = tuple(f"A{i}" for i in range(5))
+    panel = cd.PricePanel(dates, tickers, closes, caps)
     r = cd.log_returns(panel)
     vol = cd.rolling_volatility(r, 20)
-    inc = cd.inconsistency_norms(panel, r, vol, 20)
+    inc = cd.inconsistency_norms(panel, r, vol)
     assert np.all(inc.nu_MR == 0.0)
     assert np.all(inc.nu_MSigma == 0.0)
 
 
 def test_window_alignment_is_enforced(small_panel, small_returns, small_vol):
-    with pytest.raises(cd.InputError):
-        cd.inconsistency_norms(small_panel, small_returns, small_vol, 40)
-    wrong_vol = cd.rolling_volatility(small_returns, 40)
-    with pytest.raises(cd.InputError):
-        cd.inconsistency_norms(small_panel, small_returns, wrong_vol, 30)
+    shifted = cd.VolatilityPanel(small_vol.dates[1:], small_vol.sigmas[:, 1:],
+                                 small_vol.window_days)
+    with pytest.raises(cd.InputError, match="does not align"):
+        cd.inconsistency_norms(small_panel, small_returns, shifted)
 
 
 def test_returns_must_derive_from_panel(small_panel, small_vol):
     rng = np.random.default_rng(8)
     other = make_returns(rng.standard_normal((6, 213)))
     with pytest.raises(cd.InputError):
-        cd.inconsistency_norms(small_panel, other, small_vol, 30)
+        cd.inconsistency_norms(small_panel, other, small_vol)
 
 
 def test_inconsistency_series_rejects_out_of_range():
@@ -136,8 +142,8 @@ def test_inconsistency_series_rejects_non_finite(bad):
 def make_panel(closes, caps):
     n, n_days = closes.shape
     dates = tuple(dt.date(2021, 1, 1) + dt.timedelta(days=k) for k in range(n_days))
-    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(n))
-    return cd.PricePanel(dates, assets, closes, caps)
+    tickers = tuple(f"A{i}" for i in range(n))
+    return cd.PricePanel(dates, tickers, closes, caps)
 
 
 def test_large_cap_offset_keeps_full_precision():
@@ -150,8 +156,8 @@ def test_large_cap_offset_keeps_full_precision():
     panel = make_panel(closes, caps)
     r = cd.log_returns(panel)
     vol = cd.rolling_volatility(r, S)
-    inc = cd.inconsistency_norms(panel, r, vol, S)
-    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, r, vol, S)
+    inc = cd.inconsistency_norms(panel, r, vol)
+    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, r, vol)
     for w in range(W):
         want_mr = reference.affinity_gap_norm_exact(cap_means[:, w], ret_sums[:, w])
         want_ms = reference.affinity_gap_norm_exact(cap_means[:, w], sigmas[:, w])
@@ -162,14 +168,14 @@ def test_large_cap_offset_keeps_full_precision():
 def test_window_blocks_do_not_change_the_norms(small_panel, small_returns, small_vol,
                                                monkeypatch):
     # blocks of 7 windows, the last one partial, against a single block
-    whole = cd.inconsistency_norms(small_panel, small_returns, small_vol, 30)
+    whole = cd.inconsistency_norms(small_panel, small_returns, small_vol)
     monkeypatch.setattr(inconsistency, "_BLOCK_BYTES", 7 * 8 * small_panel.n_assets)
-    blocked = cd.inconsistency_norms(small_panel, small_returns, small_vol, 30)
+    blocked = cd.inconsistency_norms(small_panel, small_returns, small_vol)
     assert len(whole.dates) % 7 != 0
     np.testing.assert_array_equal(blocked.nu_MR, whole.nu_MR)
     np.testing.assert_array_equal(blocked.nu_MSigma, whole.nu_MSigma)
     cap_means, ret_sums, sigmas = _window_feature_tracks(small_panel, small_returns,
-                                                         small_vol, 30)
+                                                         small_vol)
     for got, feature in ((blocked.nu_MR, ret_sums), (blocked.nu_MSigma, sigmas)):
         np.testing.assert_allclose(got, reference.affinity_gap_norms(cap_means, feature),
                                    rtol=0.0, atol=1e-14)
@@ -186,7 +192,7 @@ def test_memory_stays_linear_in_assets():
     vol = cd.rolling_volatility(r, S)
     tracemalloc.start()
     try:
-        cd.inconsistency_norms(panel, r, vol, S)
+        cd.inconsistency_norms(panel, r, vol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -216,10 +222,10 @@ def test_inconsistency_with_ties_matches_loop_oracle(shape, tie, seed):
     panel = make_panel(closes, caps)
     r = cd.log_returns(panel)
     vol = cd.rolling_volatility(r, S)
-    inc = cd.inconsistency_norms(panel, r, vol, S)
+    inc = cd.inconsistency_norms(panel, r, vol)
     assert np.all(inc.nu_MR >= 0.0) and np.all(inc.nu_MSigma >= 0.0)
     # the same per-window features through one N×N matrix pair per window
-    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, r, vol, S)
+    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, r, vol)
     for got, feature in ((inc.nu_MR, ret_sums), (inc.nu_MSigma, sigmas)):
         np.testing.assert_allclose(got, reference.affinity_gap_norms(cap_means, feature),
                                    rtol=0.0, atol=1e-14)

@@ -44,7 +44,7 @@ def files(tmp_path, price=PRICE, cap=CAP):
 def test_load_basic(tmp_path):
     p, c = files(tmp_path)
     panel = cd.load_panel_with_report(p, c, JAN1, JAN3)[0]
-    assert panel.tickers == ["AAA", "BBB", "CCC"]
+    assert panel.tickers == ("AAA", "BBB", "CCC")
     assert panel.n_days == 3
     assert panel.dates[0] == JAN1 and panel.dates[-1] == JAN3
     np.testing.assert_array_equal(panel.closes[0], [10.0, 11.0, 10.5])
@@ -63,7 +63,7 @@ def test_column_order_follows_price_header(tmp_path):
     price = "date,AAA,BBB,CCC\n2020-01-01,10.0,5.0,1.0\n"
     p, c = files(tmp_path, price, cap)
     panel = cd.load_panel_with_report(p, c, JAN1, JAN1)[0]
-    assert panel.tickers == ["AAA", "BBB", "CCC"]
+    assert panel.tickers == ("AAA", "BBB", "CCC")
     np.testing.assert_array_equal(panel.market_caps[:, 0], [100.0, 50.0, 10.0])
 
 
@@ -110,7 +110,7 @@ def test_drop_missing_cap_column(tmp_path):
     cap = "\n".join(line.rsplit(",", 1)[0] for line in CAP.splitlines()) + "\n"
     p, c = files(tmp_path, PRICE, cap)
     panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
-    assert panel.tickers == ["AAA", "BBB"]
+    assert panel.tickers == ("AAA", "BBB")
     assert len(drops) == 1
     assert drops[0].ticker == "CCC"
     assert drops[0].reason == "missing market-cap column"
@@ -129,7 +129,7 @@ def test_cap_column_without_a_price_column_is_reported(tmp_path):
            "2020-01-03,1.0,105.0,48.0,12.0\n")
     p, c = files(tmp_path, price, cap)
     panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
-    assert panel.tickers == ["AAA"]
+    assert panel.tickers == ("AAA",)
     expected = [("BBB", "missing value", dt.date(2020, 1, 2)),
                 ("EEE", "missing price column", JAN1),
                 ("CCC", "missing price column", JAN1)]
@@ -141,7 +141,7 @@ def test_drop_missing_value_records_first_bad_day(tmp_path):
     price = PRICE.replace("2020-01-02,11.0,4.5,1.1", "2020-01-02,11.0,,1.1")
     p, c = files(tmp_path, price)
     panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
-    assert panel.tickers == ["AAA", "CCC"]
+    assert panel.tickers == ("AAA", "CCC")
     assert [(d.ticker, d.reason, d.first_missing_date) for d in drops] == [
         ("BBB", "missing value", dt.date(2020, 1, 2))
     ]
@@ -151,7 +151,7 @@ def test_drop_non_positive_close(tmp_path):
     price = PRICE.replace("10.5,4.8,1.2", "10.5,0.0,1.2")
     p, c = files(tmp_path, price)
     panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
-    assert panel.tickers == ["AAA", "CCC"]
+    assert panel.tickers == ("AAA", "CCC")
     assert drops[0].reason == "non-positive close"
     assert drops[0].first_missing_date == JAN3
 
@@ -160,7 +160,7 @@ def test_drop_negative_market_cap(tmp_path):
     cap = CAP.replace("110.0,45.0,11.0", "110.0,-45.0,11.0")
     p, c = files(tmp_path, PRICE, cap)
     panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
-    assert panel.tickers == ["AAA", "CCC"]
+    assert panel.tickers == ("AAA", "CCC")
     assert drops[0].reason == "negative market cap"
 
 
@@ -169,7 +169,7 @@ def test_drop_non_finite_value(tmp_path, cell):
     cap = CAP.replace("110.0,45.0,11.0", f"110.0,45.0,{cell}")
     p, c = files(tmp_path, PRICE, cap)
     panel, drops = cd.load_panel_with_report(p, c, JAN1, JAN3)
-    assert panel.tickers == ["AAA", "BBB"]
+    assert panel.tickers == ("AAA", "BBB")
     assert [(d.ticker, d.reason, d.first_missing_date) for d in drops] == [
         ("CCC", "non-finite value", dt.date(2020, 1, 2))
     ]
@@ -339,7 +339,7 @@ def test_reason_priority_on_a_day_with_several_faults(tmp_path):
                 ("CCC", "non-positive close", day2), ("DDD", "negative market cap", day2)]
     assert [(d.ticker, d.reason, d.first_missing_date) for d in drops] == expected
     assert reference.load_reference(p, c, JAN1, JAN3)[4] == expected
-    assert panel.tickers == ["EEE"]
+    assert panel.tickers == ("EEE",)
 
 
 def test_duplicate_date_rejected(tmp_path):
@@ -370,22 +370,33 @@ def test_drop_report_serialization(tmp_path):
 
 def test_panel_rejects_gapped_dates():
     dates = (JAN1, dt.date(2020, 1, 3))
-    assets = (cd.AssetMeta("AAA"),)
+    tickers = ("AAA",)
     with pytest.raises(cd.GapError):
-        cd.PricePanel(dates, assets, np.ones((1, 2)), np.ones((1, 2)))
+        cd.PricePanel(dates, tickers, np.ones((1, 2)), np.ones((1, 2)))
 
 
 def test_panel_rejects_duplicate_tickers():
-    assets = (cd.AssetMeta("AAA"), cd.AssetMeta("AAA"))
+    tickers = ("AAA", "AAA")
     dates = (JAN1,)
     with pytest.raises(cd.InputError):
-        cd.PricePanel(dates, assets, np.ones((2, 1)), np.ones((2, 1)))
+        cd.PricePanel(dates, tickers, np.ones((2, 1)), np.ones((2, 1)))
+
+
+def test_panels_reject_an_empty_ticker_and_carry_a_ticker_tuple():
+    with pytest.raises(cd.InputError, match="ticker must be non-empty"):
+        cd.PricePanel((JAN1,), ("AAA", ""), np.ones((2, 1)), np.ones((2, 1)))
+    with pytest.raises(cd.InputError, match="ticker must be non-empty"):
+        cd.ReturnsPanel((JAN1,), ("AAA", ""), np.zeros((2, 1)))
+    panel = cd.PricePanel((JAN1, JAN1 + dt.timedelta(days=1)), ["AAA", "BBB"],
+                          np.ones((2, 2)), np.ones((2, 2)))
+    assert panel.tickers == ("AAA", "BBB")
+    assert cd.log_returns(panel).tickers == ("AAA", "BBB")
 
 
 def test_panel_rejects_non_positive_close():
-    assets = (cd.AssetMeta("AAA"),)
+    tickers = ("AAA",)
     with pytest.raises(cd.InputError):
-        cd.PricePanel((JAN1,), assets, np.zeros((1, 1)), np.ones((1, 1)))
+        cd.PricePanel((JAN1,), tickers, np.zeros((1, 1)), np.ones((1, 1)))
 
 
 def test_default_periods_skip_leap_day():
@@ -472,7 +483,7 @@ def test_loader_matches_the_cell_by_cell_reference(drawn):
         panel, drops = cd.load_panel_with_report(p, c, start, end)
     assert [(d.ticker, d.reason, d.first_missing_date) for d in drops] == ref_drops
     assert panel.dates == tuple(days)
-    assert panel.tickers == kept
+    assert panel.tickers == tuple(kept)
     assert panel.closes.tobytes() == np.array(closes).tobytes()
     assert panel.market_caps.tobytes() == np.array(caps).tobytes()
 
@@ -489,8 +500,8 @@ def test_rows_outside_the_range_cost_no_memory(tmp_path):
     rng = np.random.default_rng(0)
     n, t = 100, 1500
     dates = tuple(JAN1 + dt.timedelta(days=k) for k in range(t))
-    assets = tuple(cd.AssetMeta(f"A{i}") for i in range(n))
-    panel = cd.PricePanel(dates, assets, np.exp(rng.standard_normal((n, t))),
+    tickers = tuple(f"A{i}" for i in range(n))
+    panel = cd.PricePanel(dates, tickers, np.exp(rng.standard_normal((n, t))),
                           np.exp(rng.standard_normal((n, t))))
     p, c = tmp_path / "price.csv", tmp_path / "marketcap.csv"
     cd.write_panel(panel, p, c)

@@ -19,7 +19,7 @@ def days(n):
     return tuple(dt.date(2021, 1, 1) + dt.timedelta(days=k) for k in range(n))
 
 
-ASSETS = (cd.AssetMeta("A"), cd.AssetMeta("B"))
+TICKERS = ("A", "B")
 CLOSES = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 NORMS = [0.2, 0.4]
 
@@ -27,7 +27,7 @@ NORMS = [0.2, 0.4]
 # index where a NaN or infinity goes).
 CASES = {
     "ReturnsPanel.returns": (
-        lambda a: cd.ReturnsPanel(days(3), ASSETS, a), [[0.1, -0.2, 0.0], [0.3, 0.1, -0.1]],
+        lambda a: cd.ReturnsPanel(days(3), TICKERS, a), [[0.1, -0.2, 0.0], [0.3, 0.1, -0.1]],
         (1, 2)),
     "CorrelationMatrix.matrix": (
         lambda a: cd.CorrelationMatrix((1, 3), a), [[1.0, 0.5], [0.5, 1.0]], (1, 1)),
@@ -55,9 +55,9 @@ CASES = {
     "VarianceSeries.values": (
         lambda a: cd.dispersion.VarianceSeries(days(2), a), [0.01, 0.02], (0,)),
     "PricePanel.closes": (
-        lambda a: cd.PricePanel(days(3), ASSETS, a, CLOSES), CLOSES, (0, 2)),
+        lambda a: cd.PricePanel(days(3), TICKERS, a, CLOSES), CLOSES, (0, 2)),
     "PricePanel.market_caps": (
-        lambda a: cd.PricePanel(days(3), ASSETS, CLOSES, a), CLOSES, (1, 0)),
+        lambda a: cd.PricePanel(days(3), TICKERS, CLOSES, a), CLOSES, (1, 0)),
 }
 
 

@@ -91,7 +91,7 @@ def test_extra_assets_get_generated_tickers():
                                 start=dt.date(2020, 6, 1), end=dt.date(2020, 7, 15),
                                 periods=periods,
                                 phases={"calm": SMALL_PHASES["calm"]})
-    assert panel.tickers[-2:] == ["X000", "X001"]
+    assert panel.tickers[-2:] == ("X000", "X001")
     assert np.all(np.isfinite(panel.closes)) and np.all(panel.closes > 0.0)
 
 
