@@ -55,10 +55,7 @@ from .turning_points import (
     TurningPoint,
     TurningPointParams,
     TurningPointSequence,
-    detect_candidates,
     find_turning_points,
-    min_adjust,
-    refine,
 )
 
 __version__ = "0.1.0"

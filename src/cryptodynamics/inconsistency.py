@@ -64,6 +64,8 @@ class VolatilityPanel:
 
     def __post_init__(self):
         dates = tuple(self.dates)
+        if not dates:
+            raise InputError("volatility panel needs at least one date")
         sigmas = frozen_array(self.sigmas, "volatilities", (None, len(dates)))
         if np.any(sigmas < 0.0):
             raise InputError("volatilities must be non-negative")
@@ -117,7 +119,7 @@ def _window_feature_tracks(panel, returns, vol):
     S = vol.window_days
     if returns.n_days != panel.n_days - 1 or returns.dates[0] != panel.dates[1]:
         raise InputError("returns panel does not derive from the given price panel")
-    if vol.n_dates != returns.n_days - S + 1 or vol.dates[0] != returns.dates[S - 1]:
+    if vol.dates != returns.dates[S - 1:]:
         raise InputError("volatility panel does not align with the returns panel")
     cap_means = sliding_window_view(panel.market_caps[:, 1:], S, axis=1).mean(axis=2)
     ret_sums = sliding_window_view(returns.returns, S, axis=1).sum(axis=2)

@@ -1,23 +1,25 @@
 """Two-step turning-point extraction for smoothed norm series.
 
-Step one (detection) walks the series once, collecting indices whose value
-is the exact maximum (peak) or minimum (trough) of a clamped ±l window,
-and enforces alternation inductively: an opposite-kind candidate is
-appended only if it strictly improves on the last point (non-triviality);
-a same-kind candidate replaces the last point only if strictly better.
-Indices whose window is flat (both conditions fire) carry no information
-and are skipped, so a constant series yields no turning points.
+Both steps work on a list of ``(index, kind)`` pairs over the
+minimum-adjusted series (global minimum shifted to zero); only the points
+that survive them become ``TurningPoint`` records.
+
+Step one (detection) walks the indices whose value is the exact maximum
+(peak) or minimum (trough) of a clamped ±l window. A candidate that
+improves on the last kept point (strictly higher for a peak, strictly
+lower for a trough) replaces it when it has the same kind and follows it
+otherwise; a candidate that does not improve is dropped. Indices whose
+window is flat (both conditions fire) carry no information and are
+skipped, so a constant series yields no turning points.
 
 Step two (refinement) prunes insignificant structure: consecutive peaks
 whose later/earlier height ratio falls below ``delta`` lose the later
 peak (resolving the resulting double trough by dropping the larger), and
 adjacent points whose absolute log-gradient per day falls below
-``epsilon`` are removed pairwise. Both rules re-scan to a fixpoint, which
-restores the peak-dominance invariant after every removal.
-
-All refinement arithmetic happens on the minimum-adjusted series (global
-minimum shifted to zero); a zero-valued turning point makes the
-log-gradient infinite, so the global minimum always survives rule two.
+``epsilon`` are removed pairwise. Both rules re-scan from the left after
+every removal until nothing fires, which restores the peak-dominance
+invariant. A zero-valued turning point makes the log-gradient infinite,
+so the global minimum always survives rule two.
 """
 
 from __future__ import annotations
@@ -99,20 +101,6 @@ class TurningPointSequence:
         return len(self.points)
 
 
-def _require_finite(values):
-    if not np.all(np.isfinite(values)):
-        raise InputError("turning points need a finite series")
-
-
-def min_adjust(series):
-    """Shift a series so its global minimum becomes exactly 0."""
-    values = np.asarray(series, dtype=float)
-    if values.size == 0:
-        raise InputError("cannot min-adjust an empty series")
-    _require_finite(values)
-    return values - values.min()
-
-
 def _window_conditions(values, l):
     """Boolean masks: value equals the max / min of its clamped ±l window.
 
@@ -124,98 +112,72 @@ def _window_conditions(values, l):
     return values == windows.max(axis=1), values == windows.min(axis=1)
 
 
-def detect_candidates(series, params: TurningPointParams = DEFAULT_PARAMS
-                      ) -> TurningPointSequence:
-    """Alternating window-extremum candidates of a min-adjusted series."""
-    values = np.asarray(series, dtype=float)
-    _require_finite(values)
-    n = values.size
-    if n <= 2 * params.l:
-        raise InputError(
-            f"series of length {n} too short for l={params.l} (need > {2 * params.l})"
-        )
-    is_max, is_min = _window_conditions(values, params.l)
-    seq = []
-    for t in range(n):
-        peak_fires, trough_fires = is_max[t], is_min[t]
-        if peak_fires == trough_fires:
-            continue  # neither, or a flat window satisfying both
-        kind = PEAK if peak_fires else TROUGH
-        value = values[t]
-        if not seq:
-            seq.append(TurningPoint(t, None, float(value), kind))
-            continue
-        last = seq[-1]
-        if kind == last.kind:
-            better = value > last.value if kind == PEAK else value < last.value
-            if better:
-                seq[-1] = TurningPoint(t, None, float(value), kind)
-        else:
-            nontrivial = value < last.value if kind == TROUGH else value > last.value
-            if nontrivial:
-                seq.append(TurningPoint(t, None, float(value), kind))
-    return TurningPointSequence(tuple(seq))
+def _detect(values, l):
+    """Alternating ``(index, kind)`` window extrema of a min-adjusted series."""
+    is_max, is_min = _window_conditions(values, l)
+    pairs = []
+    for t in np.flatnonzero(is_max != is_min).tolist():
+        kind = PEAK if is_max[t] else TROUGH
+        if pairs:
+            last, last_kind = pairs[-1]
+            improves = values[t] > values[last] if kind == PEAK else values[t] < values[last]
+            if not improves:
+                continue
+            if kind == last_kind:
+                pairs.pop()
+        pairs.append((t, kind))
+    return pairs
 
 
-def _peak_ratio_pass(points, values, delta):
-    pts = list(points)
+def _peak_ratio_pass(pairs, values, delta):
+    pairs = list(pairs)
     while True:
-        peak_slots = [k for k, p in enumerate(pts) if p.kind == PEAK]
+        peak_slots = [k for k, (_, kind) in enumerate(pairs) if kind == PEAK]
         for k1, k3 in zip(peak_slots, peak_slots[1:]):
-            v1 = values[pts[k1].index]
-            v3 = values[pts[k3].index]
+            v1 = values[pairs[k1][0]]
+            v3 = values[pairs[k3][0]]
             if v1 > 0.0 and v3 / v1 < delta:
-                del pts[k3]
-                if k3 < len(pts):  # troughs now adjacent at k3-1, k3
-                    v2 = values[pts[k3 - 1].index]
-                    v4 = values[pts[k3].index]
-                    del pts[k3 - 1 if v2 > v4 else k3]
+                del pairs[k3]
+                if k3 < len(pairs):  # troughs now adjacent at k3-1, k3
+                    v2 = values[pairs[k3 - 1][0]]
+                    v4 = values[pairs[k3][0]]
+                    del pairs[k3 - 1 if v2 > v4 else k3]
                 break
         else:
-            return pts
+            return pairs
 
 
-def _log_gradient_pass(points, values, epsilon):
-    pts = list(points)
+def _log_gradient_pass(pairs, values, epsilon):
+    pairs = list(pairs)
     while True:
-        for k in range(len(pts) - 1):
-            v1 = values[pts[k].index]
-            v2 = values[pts[k + 1].index]
+        for k in range(len(pairs) - 1):
+            (t1, _), (t2, _) = pairs[k], pairs[k + 1]
+            v1, v2 = values[t1], values[t2]
             if v1 <= 0.0 or v2 <= 0.0:
                 continue  # gradient through zero is +inf, never below epsilon
-            gradient = abs(math.log(v2) - math.log(v1)) / (pts[k + 1].index - pts[k].index)
-            if gradient < epsilon:
-                is_final = k + 1 == len(pts) - 1
-                del pts[k + 1]
+            if abs(math.log(v2) - math.log(v1)) / (t2 - t1) < epsilon:
+                is_final = k + 1 == len(pairs) - 1
+                del pairs[k + 1]
                 if not is_final:
-                    del pts[k]
+                    del pairs[k]
                 break
         else:
-            return pts
-
-
-def refine(seq: TurningPointSequence, series,
-           params: TurningPointParams = DEFAULT_PARAMS) -> TurningPointSequence:
-    """Prune a candidate sequence by the peak-ratio and log-gradient rules.
-
-    ``series`` must be the same min-adjusted series the candidates were
-    detected on. Each rule re-scans from the left after every removal
-    until nothing fires. Idempotent on already-refined sequences.
-    """
-    values = np.asarray(series, dtype=float)
-    pts = _peak_ratio_pass(list(seq.points), values, params.delta)
-    pts = _log_gradient_pass(pts, values, params.epsilon)
-    return TurningPointSequence(tuple(pts))
+            return pairs
 
 
 def find_turning_points(series, params: TurningPointParams = DEFAULT_PARAMS,
                         dates=None) -> TurningPointSequence:
     """Min-adjust, detect and refine in one call.
 
+    Detection and both refinement rules work on ``(index, kind)`` pairs
+    over the min-adjusted series; one ``TurningPoint`` is built per point
+    that survives them.
+
     Parameters
     ----------
     series : array_like
-        The (smoothed) norm series; min-adjustment happens internally.
+        The (smoothed) norm series, finite and longer than 2·l;
+        min-adjustment happens internally.
     params : TurningPointParams
         Neighborhood half-width l, peak-ratio delta, log-gradient epsilon.
     dates : sequence of date, optional
@@ -226,13 +188,20 @@ def find_turning_points(series, params: TurningPointParams = DEFAULT_PARAMS,
     internal to the algorithm).
     """
     values = np.asarray(series, dtype=float)
-    if dates is not None and len(dates) != values.size:
+    n = values.size
+    if dates is not None and len(dates) != n:
         raise InputError("dates length must match series length")
-    adjusted = min_adjust(values)
-    seq = refine(detect_candidates(adjusted, params), adjusted, params)
-    points = tuple(
-        TurningPoint(p.index, dates[p.index] if dates is not None else None,
-                     float(values[p.index]), p.kind)
-        for p in seq
-    )
-    return TurningPointSequence(points)
+    if not np.all(np.isfinite(values)):
+        raise InputError("turning points need a finite series")
+    if n <= 2 * params.l:
+        raise InputError(
+            f"series of length {n} too short for l={params.l} (need > {2 * params.l})"
+        )
+    adjusted = values - values.min()
+    pairs = _detect(adjusted, params.l)
+    pairs = _peak_ratio_pass(pairs, adjusted, params.delta)
+    pairs = _log_gradient_pass(pairs, adjusted, params.epsilon)
+    return TurningPointSequence(tuple(
+        TurningPoint(t, None if dates is None else dates[t], float(values[t]), kind)
+        for t, kind in pairs
+    ))

@@ -113,6 +113,17 @@ def test_window_alignment_is_enforced(small_panel, small_returns, small_vol):
                                  small_vol.window_days)
     with pytest.raises(cd.InputError, match="does not align"):
         cd.inconsistency_norms(small_panel, small_returns, shifted)
+    # right count and first date, wrong last date
+    late_end = small_vol.dates[:-1] + (small_vol.dates[-1] + dt.timedelta(days=1),)
+    misdated = cd.VolatilityPanel(late_end, small_vol.sigmas, small_vol.window_days)
+    with pytest.raises(cd.InputError, match="does not align"):
+        cd.inconsistency_norms(small_panel, small_returns, misdated)
+
+
+def test_volatility_panel_needs_a_date(small_panel, small_returns):
+    with pytest.raises(cd.InputError, match="at least one date"):
+        cd.VolatilityPanel((), np.empty((small_panel.n_assets, 0)),
+                           small_returns.n_days + 1)
 
 
 def test_returns_must_derive_from_panel(small_panel, small_vol):

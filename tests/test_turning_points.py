@@ -10,10 +10,10 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 import cryptodynamics as cd
 from cryptodynamics.turning_points import (
     DEFAULT_PARAMS,
+    _detect,
+    _log_gradient_pass,
+    _peak_ratio_pass,
     _window_conditions,
-    detect_candidates,
-    min_adjust,
-    refine,
 )
 
 import reference
@@ -31,16 +31,10 @@ def test_params_are_validated():
     assert DEFAULT_PARAMS == cd.TurningPointParams(17, 0.2, 0.01)
 
 
-def test_min_adjust_zeroes_the_minimum():
-    y = min_adjust([3.0, 1.5, 9.0])
-    np.testing.assert_array_equal(y, [1.5, 0.0, 7.5])
-    with pytest.raises(cd.InputError):
-        min_adjust([])
-
-
 def test_short_series_rejected():
-    with pytest.raises(cd.InputError):
-        cd.find_turning_points(np.arange(34.0))  # need > 2*17
+    for short in (np.arange(34.0), []):  # need > 2*17
+        with pytest.raises(cd.InputError, match="too short"):
+            cd.find_turning_points(short)
     cd.find_turning_points(np.arange(36.0))
 
 
@@ -62,9 +56,8 @@ def test_window_conditions_match_scipy_filters(values, l):
 def test_non_finite_series_rejected(bad):
     y = np.arange(40.0)
     y[20] = bad
-    for step in (detect_candidates, min_adjust, cd.find_turning_points):
-        with pytest.raises(cd.InputError, match="finite"):
-            step(y)
+    with pytest.raises(cd.InputError, match="finite"):
+        cd.find_turning_points(y)
 
 
 def test_constant_series_has_no_turning_points():
@@ -156,12 +149,15 @@ def test_matches_reference_with_other_parameters():
 
 
 def test_refinement_is_idempotent():
+    def refine(pairs, y):
+        pairs = _peak_ratio_pass(pairs, y, DEFAULT_PARAMS.delta)
+        return _log_gradient_pass(pairs, y, DEFAULT_PARAMS.epsilon)
+
     for seed in range(30):
-        y = min_adjust(_series_family(seed))
-        seq = refine(detect_candidates(y), y)
-        again = refine(seq, y)
-        assert [(p.index, p.kind) for p in again] == \
-               [(p.index, p.kind) for p in seq]
+        y = _series_family(seed)
+        y = y - y.min()
+        pairs = refine(_detect(y, DEFAULT_PARAMS.l), y)
+        assert refine(pairs, y) == pairs
 
 
 def test_structural_invariants_hold():
@@ -172,7 +168,22 @@ def test_structural_invariants_hold():
         assert idx == sorted(idx)
         kinds = [p.kind for p in seq]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
-        adjusted = min_adjust(y)
+        adjusted = y - y.min()
         for a, b in zip(seq.points, seq.points[1:]):
             hi, lo = (a, b) if a.kind == "peak" else (b, a)
             assert adjusted[hi.index] > adjusted[lo.index]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), l=st.integers(1, 20),
+       delta=st.floats(0.0, 1.0, exclude_min=True),
+       epsilon=st.floats(1e-4, 0.5),
+       offset=st.sampled_from([0.0, -7.0, 1e3]))
+def test_matches_reference_under_random_parameters_and_ties(data, l, delta, epsilon, offset):
+    # integer values tie often: equal window extrema, equal peaks, zero log-gradients
+    values = data.draw(st.lists(st.integers(0, 6), min_size=2 * l + 1, max_size=250))
+    y = np.asarray(values, dtype=float) + offset
+    seq = cd.find_turning_points(y, cd.TurningPointParams(l, delta, epsilon))
+    assert [(p.index, p.kind) for p in seq] == \
+        reference.turning_points(y, l=l, delta=delta, epsilon=epsilon)
+    assert all(p.value == y[p.index] for p in seq)
