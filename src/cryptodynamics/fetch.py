@@ -15,11 +15,13 @@ accepted) with the header ``date,close,market_cap``.
 from __future__ import annotations
 
 import datetime as dt
+import http.client
+import urllib.error
+import urllib.request
 from pathlib import Path
 from urllib.parse import quote
 
 import numpy as np
-import requests
 
 from . import panel
 from .errors import InputError, ParseError, TransportError
@@ -36,10 +38,31 @@ def history_url(url_template, ticker, start, end) -> str:
         raise InputError(f"bad url template {url_template!r}: {exc}") from None
 
 
+def _opener():
+    """urllib's default opener without its file:, ftp: and data: handlers.
+
+    A scheme other than http and https, a redirect's target included, is a
+    URLError "unknown url type". Proxies come from the environment, as
+    for ``urllib.request.urlopen``, for those two schemes only.
+    """
+    proxies = {scheme: url for scheme, url in urllib.request.getproxies().items()
+               if scheme in ("http", "https")}
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(proxies), urllib.request.UnknownHandler(),
+                    urllib.request.HTTPHandler(), urllib.request.HTTPSHandler(),
+                    urllib.request.HTTPDefaultErrorHandler(),
+                    urllib.request.HTTPRedirectHandler(), urllib.request.HTTPErrorProcessor()):
+        opener.add_handler(handler)
+    return opener
+
+
 def fetch_daily_history(url_template, ticker, start, end) -> bytes:
     """Download one ticker's raw history CSV and return its bytes as received.
 
-    The caller persists them; nothing here feeds analysis directly.
+    The caller persists them; nothing here feeds analysis directly. Any
+    status but 200 is a TransportError carrying it and the start of the
+    body; a failure to connect, read or parse the URL is one without a
+    status.
     """
     if not ticker:
         raise InputError("ticker must be non-empty")
@@ -47,12 +70,17 @@ def fetch_daily_history(url_template, ticker, start, end) -> bytes:
         raise InputError("no url template configured (data.url_template)")
     url = history_url(url_template, ticker, start, end)
     try:
-        response = requests.get(url, timeout=_TIMEOUT_SECONDS)
-    except requests.RequestException as exc:
+        try:
+            response = _opener().open(url, timeout=_TIMEOUT_SECONDS)
+        except urllib.error.HTTPError as exc:  # a status outside 2xx, with its body
+            response = exc
+        with response:
+            status, body = response.status, response.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise TransportError(url, None, str(exc)) from None
-    if response.status_code != 200:
-        raise TransportError(url, response.status_code, response.text[:200])
-    return response.content
+    if status != 200:
+        raise TransportError(url, status, body.decode("utf-8", "replace")[:200])
+    return body
 
 
 def fetch_dataset(url_template, tickers, start, end,

@@ -176,7 +176,7 @@ def find_turning_points(series, params: TurningPointParams = DEFAULT_PARAMS,
     Parameters
     ----------
     series : array_like
-        The (smoothed) norm series, finite and longer than 2·l;
+        The (smoothed) norm series, 1-d, finite and longer than 2·l;
         min-adjustment happens internally.
     params : TurningPointParams
         Neighborhood half-width l, peak-ratio delta, log-gradient epsilon.
@@ -188,6 +188,8 @@ def find_turning_points(series, params: TurningPointParams = DEFAULT_PARAMS,
     internal to the algorithm).
     """
     values = np.asarray(series, dtype=float)
+    if values.ndim != 1:
+        raise InputError(f"turning points need a 1-d series, got shape {values.shape}")
     n = values.size
     if dates is not None and len(dates) != n:
         raise InputError("dates length must match series length")

@@ -75,18 +75,21 @@ def small_dataset_dir(tmp_path_factory, small_panel):
 def local_http():
     """A loopback HTTP server backed by a mutable {path: (status, body)} map.
 
-    A str body is served UTF-8 encoded, a bytes body as it is.
+    A str body is served UTF-8 encoded, a bytes body as it is. A route may
+    add a third item, a {name: value} dict of further headers.
     """
     routes = {}
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
             path = self.path.split("?", 1)[0]
-            status, body = routes.get(path, (404, "no such route"))
+            status, body, *headers = routes.get(path, (404, "no such route"))
             payload = body if isinstance(body, bytes) else body.encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "text/csv")
             self.send_header("Content-Length", str(len(payload)))
+            for name, value in dict(*headers).items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(payload)
 

@@ -262,15 +262,16 @@ def test_unknown_command_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("tickers", ["BTC,ETH,BTC", "BTC/USD"])
 def test_bad_tickers_fail_before_any_request(tmp_path, monkeypatch, capsys, tickers):
-    import requests
+    import urllib.request
 
     requested = []
 
-    def record(url, **kwargs):
+    def record(self, url, *args, **kwargs):
         requested.append(url)
-        raise requests.ConnectionError("no request should be made")
+        raise OSError("no request should be made")
 
-    monkeypatch.setattr(requests, "get", record)
+    # every urllib opener, fetch's own included, opens through this method
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", record)
     code = main(["fetch", "--data-dir", str(tmp_path / "data"),
                  "--out-dir", str(tmp_path / "out"),
                  "--url-template", "http://127.0.0.1:9/{ticker}", "--tickers", tickers])
@@ -521,8 +522,8 @@ def test_import_loads_no_unused_heavy_modules(module):
     assert [m for m in loaded if m.startswith(("scipy.optimize", "scipy.ndimage"))] == []
     if module == "cryptodynamics.cli":
         # scipy.cluster is imported by the clustering call, not by the CLI
-        assert [m for m in loaded if m.startswith(("scipy.stats", "scipy.cluster", "requests"))
-                or m == "cryptodynamics.fetch"] == []
+        assert [m for m in loaded if m.startswith(("scipy.stats", "scipy.cluster"))
+                or m in ("cryptodynamics.fetch", "urllib.request", "http.client")] == []
 
 
 @pytest.mark.parametrize("linkage, imported", [(None, False), ("single", True)],

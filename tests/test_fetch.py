@@ -5,6 +5,7 @@ import socket
 import pytest
 
 import cryptodynamics as cd
+from cryptodynamics.cli import main
 from cryptodynamics.fetch import fetch_daily_history, fetch_dataset, history_url
 
 START = dt.date(2019, 6, 1)
@@ -79,6 +80,45 @@ def test_http_error_status_is_reported(local_http):
     assert info.value.status == 503
     assert "upstream down" in str(info.value)
     assert "/hist/BTC.csv" in info.value.url
+
+
+def test_a_2xx_status_other_than_200_is_reported(local_http):
+    base, routes = local_http
+    routes["/hist/BTC.csv"] = (201, BTC_CSV)
+    with pytest.raises(cd.TransportError) as info:
+        fetch_daily_history(template(base), "BTC", START, END)
+    assert info.value.status == 201
+    assert "date,close,market_cap 2019-06-01" in str(info.value)
+
+
+@pytest.mark.parametrize("target", ["file", "ftp", "unparsable", "redirect to ftp"])
+def test_only_http_and_https_urls_are_opened(local_http, tmp_path, capsys, target):
+    # urllib's default opener reads file: and ftp: URLs, and follows a
+    # redirect to ftp:; each must end the fetch as a transport error,
+    # exit 3, without reading the file or connecting to the port.
+    base, routes = local_http
+    (tmp_path / "BTC.csv").write_text(BTC_CSV)
+    with socket.socket() as ftp_server:
+        ftp_server.bind(("127.0.0.1", 0))
+        ftp_server.listen()
+        ftp_server.setblocking(False)
+        ftp = f"ftp://127.0.0.1:{ftp_server.getsockname()[1]}/{{ticker}}.csv"
+        routes["/hist/BTC.csv"] = (302, "", {"Location": ftp.format(ticker="BTC")})
+        url_template = {"file": tmp_path.as_uri() + "/{ticker}.csv", "ftp": ftp,
+                        "unparsable": "http://[::1/{ticker}",
+                        "redirect to ftp": template(base)}[target]
+        with pytest.raises(cd.TransportError) as info:
+            fetch_daily_history(url_template, "BTC", START, END)
+        assert info.value.status is None
+        assert "2019-06-01,100.0" not in str(info.value)
+        code = main(["fetch", "--data-dir", str(tmp_path / "data"),
+                     "--out-dir", str(tmp_path / "out"), "--url-template", url_template,
+                     "--tickers", "BTC"])
+        with pytest.raises(BlockingIOError):
+            ftp_server.accept()
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: transport: fetch failed for "), err
 
 
 def test_missing_route_is_a_404(local_http):

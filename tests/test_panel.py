@@ -408,6 +408,12 @@ def test_default_periods_skip_leap_day():
     assert periods.periods[1].start == dt.date(2020, 3, 1)
 
 
+def test_a_period_may_end_on_its_first_day():
+    assert cd.Period("day", JAN1, JAN1).end == JAN1
+    with pytest.raises(cd.InputError, match="end before start"):
+        cd.Period("back", JAN1, JAN1 - dt.timedelta(days=1))
+
+
 def test_period_partition_rejects_overlap():
     with pytest.raises(cd.InputError):
         cd.PeriodPartition((

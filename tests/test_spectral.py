@@ -94,6 +94,27 @@ def test_market_size_is_windowed_mean_of_cap_totals(small_panel):
         assert math.isclose(series.values[k], want, rel_tol=1e-12)
 
 
+def test_market_size_window_bounds(small_panel):
+    # S = 2 is the shortest window, and S + 1 panel days are the fewest
+    total = small_panel.market_caps.sum(axis=0)
+    assert math.isclose(cd.rolling_market_size(small_panel, 2).values[0], total[1:3].mean(),
+                        rel_tol=1e-12)
+    with pytest.raises(cd.InputError, match="window must be >= 2 days"):
+        cd.rolling_market_size(small_panel, 1)
+    short = cd.PricePanel(small_panel.dates[:31], small_panel.tickers,
+                          small_panel.closes[:, :31], small_panel.market_caps[:, :31])
+    assert cd.rolling_market_size(short, 30).dates == (short.dates[30],)
+    with pytest.raises(cd.InputError, match="need at least 32 panel days, have 31"):
+        cd.rolling_market_size(short, 31)
+
+
+def test_market_sizes_may_be_zero_but_not_negative():
+    days = (dt.date(2021, 1, 1), dt.date(2021, 1, 2))
+    assert cd.MarketSizeSeries(days, [0.0, 1.0]).values[0] == 0.0
+    with pytest.raises(cd.InputError, match="non-negative"):
+        cd.MarketSizeSeries(days, [-5e-324, 1.0])
+
+
 def test_market_size_dates_align_with_lambda1(small_panel, small_returns):
     lam = cd.lambda1_series(small_returns, 30)
     siz = cd.rolling_market_size(small_panel, 30)
@@ -108,6 +129,7 @@ def test_series_correlation_matches_numpy():
     want = float(np.corrcoef(x, y)[0, 1])
     assert math.isclose(got, want, abs_tol=1e-12)
     assert cd.series_correlation(x, -x) == pytest.approx(-1.0, abs=1e-12)
+    assert cd.series_correlation([1.0, 2.0], [3.0, 1.0]) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_series_correlation_rejects_degenerate_input():
@@ -115,3 +137,5 @@ def test_series_correlation_rejects_degenerate_input():
         cd.series_correlation(np.ones(10), np.arange(10.0))
     with pytest.raises(cd.InputError):
         cd.series_correlation(np.arange(5.0), np.arange(6.0))
+    with pytest.raises(cd.InputError, match="at least 2 points"):
+        cd.series_correlation([1.0], [2.0])

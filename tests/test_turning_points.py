@@ -38,6 +38,12 @@ def test_short_series_rejected():
     cd.find_turning_points(np.arange(36.0))
 
 
+@pytest.mark.parametrize("series", [np.arange(80.0).reshape(2, 40), [[1.0] * 40]])
+def test_series_that_is_not_1d_rejected(series):
+    with pytest.raises(cd.InputError, match=r"1-d series, got shape \((2, 40|1, 40)\)"):
+        cd.find_turning_points(series)
+
+
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0]),
                        min_size=1, max_size=120),
@@ -88,6 +94,21 @@ def test_flat_log_gradient_removes_the_pair():
         (0, "trough"), (6, "peak"), (30, "trough"), (36, "peak")]
 
 
+def test_log_gradient_prunes_strictly_below_epsilon():
+    # The (12, 22) pair of the series above survives at epsilon equal to
+    # its own gradient, computed as the pass computes it, and goes one ulp
+    # above; every other pair is steeper.
+    y = np.interp(np.arange(37), [0, 6, 12, 22, 30, 36],
+                  [0.0, 5.0, 2.0, 2.2, 0.5, 3.0])
+    adjusted = y - y.min()
+    g = abs(math.log(adjusted[22]) - math.log(adjusted[12])) / (22 - 12)
+    full = [(0, "trough"), (6, "peak"), (12, "trough"), (22, "peak"), (30, "trough"),
+            (36, "peak")]
+    for epsilon, want in ((g, full), (np.nextafter(g, np.inf), full[:2] + full[4:])):
+        seq = cd.find_turning_points(y, cd.TurningPointParams(l=3, epsilon=epsilon))
+        assert [(p.index, p.kind) for p in seq] == want, epsilon
+
+
 def test_reported_values_come_from_the_unadjusted_series():
     y = np.interp(np.arange(33), [0, 8, 16, 24, 32], [2.0, 10.0, 2.4, 3.2, 2.0])
     seq = cd.find_turning_points(y, cd.TurningPointParams(l=3))
@@ -112,6 +133,12 @@ def test_sequence_validates_alternation_and_dominance():
         cd.TurningPointSequence((mk(3, None, 1.0, "peak"), mk(7, None, 2.0, "trough")))
     with pytest.raises(cd.InputError):
         cd.TurningPointSequence((mk(7, None, 1.0, "peak"), mk(3, None, 0.5, "trough")))
+    with pytest.raises(cd.InputError, match="strictly increase"):
+        cd.TurningPointSequence((mk(3, None, 1.0, "peak"), mk(3, None, 0.5, "trough")))
+    for pair in ((mk(3, None, 1.0, "peak"), mk(7, None, 1.0, "trough")),
+                 (mk(3, None, 1.0, "trough"), mk(7, None, 1.0, "peak"))):
+        with pytest.raises(cd.InputError, match="not above"):
+            cd.TurningPointSequence(pair)
 
 
 def _series_family(seed):
