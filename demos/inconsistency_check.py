@@ -12,10 +12,9 @@ from cryptodynamics import inconsistency
 
 S = 90
 
-panel = cd.simulated_market()
-returns = cd.log_returns(panel)
+returns = cd.log_returns(cd.simulated_market())
 vol = inconsistency.rolling_volatility(returns, S)
-series = inconsistency.inconsistency_norms(panel, returns, vol)
+series = inconsistency.inconsistency_norms(returns, vol)
 
 frac = np.mean(series.nu_MSigma < series.nu_MR)
 print(f"{len(series.dates)} windows ({series.dates[0]} .. {series.dates[-1]})")

@@ -13,11 +13,10 @@ from cryptodynamics import correlation, spectral
 
 S = 90
 
-panel = cd.simulated_market()
-returns = cd.log_returns(panel)
+returns = cd.log_returns(cd.simulated_market())
 
 lam = spectral.lambda1_series(returns, S)
-size = spectral.rolling_market_size(panel, S)
+size = spectral.rolling_market_size(returns, S)
 
 print(f"{len(lam.dates)} windows of {S} return days, N={lam.n_assets}")
 print(f"lambda1/N range: {lam.lambda1.min():.3f} .. {lam.lambda1.max():.3f}")

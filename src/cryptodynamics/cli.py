@@ -78,8 +78,12 @@ def _prepare_out_dir(cfg):
                                                      encoding="utf-8")
 
 
-def _read_panel(cfg):
-    """The panel, and the path of the drop report written beside the outputs."""
+def _load_returns(cfg):
+    """The loaded panel's returns, after its drop report is written and its path printed.
+
+    The returns panel carries the caps, so the price panel, closes
+    included, is freed when this returns.
+    """
     for path in (cfg.price_csv, cfg.marketcap_csv):
         if not path.exists():
             raise InputError(f"data file not found: {path}")
@@ -87,7 +91,8 @@ def _read_panel(cfg):
             raise InputError(f"data path is not a regular file: {path}")
     panel, drops = load_panel_with_report(cfg.price_csv, cfg.marketcap_csv,
                                           cfg.start, cfg.end)
-    return panel, write_drop_report(drops, cfg.out_dir / "drop_report.json")
+    print(write_drop_report(drops, cfg.out_dir / "drop_report.json"))
+    return correlation.log_returns(panel)
 
 
 def cmd_fetch(cfg):
@@ -99,7 +104,7 @@ def cmd_fetch(cfg):
     return [cfg.price_csv, cfg.marketcap_csv]
 
 
-def cmd_correlation(cfg, panel, returns, days, stats):
+def cmd_correlation(cfg, returns, days, stats):
     out = cfg.out_dir
     series = correlation.rolling_norm_series(returns, days, stats)
     series = series.with_smoothed(cfg.sg_window, cfg.sg_degree)
@@ -113,8 +118,10 @@ def cmd_correlation(cfg, panel, returns, days, stats):
         }),
     ]
 
-    points = find_turning_points(series.smoothed, cfg.turning_point_params(),
-                                 dates=series.dates)
+    # one asset has no co-movement to segment: ν is 1 up to rounding noise
+    points = (find_turning_points(series.smoothed, cfg.turning_point_params(),
+                                  dates=series.dates)
+              if returns.n_assets >= 2 else [])
     written.append(exports.write_csv(
         out / "turning_points.csv", index=[p.index for p in points],
         date=[p.date for p in points], value=[p.value for p in points],
@@ -143,10 +150,10 @@ def cmd_correlation(cfg, panel, returns, days, stats):
     return written
 
 
-def cmd_spectral(cfg, panel, returns, days, stats):
+def cmd_spectral(cfg, returns, days, stats):
     out = cfg.out_dir
     lam = spectral.lambda1_series(returns, days, stats=stats)
-    size = spectral.rolling_market_size(panel, days)
+    size = spectral.rolling_market_size(returns, days)
     written = [
         exports.write_csv(out / "lambda1_series.csv", date=lam.dates, lambda1=lam.lambda1),
         exports.write_csv(out / "market_size.csv", date=size.dates,
@@ -163,14 +170,14 @@ def cmd_spectral(cfg, panel, returns, days, stats):
     return written
 
 
-def cmd_inconsistency(cfg, panel, returns, days, stats):
+def cmd_inconsistency(cfg, returns, days, stats):
     vol = inconsistency.rolling_volatility(returns, days, stats)
-    series = inconsistency.inconsistency_norms(panel, returns, vol)
+    series = inconsistency.inconsistency_norms(returns, vol)
     return [exports.write_csv(cfg.out_dir / "inconsistency_norms.csv", date=series.dates,
                               nu_MR=series.nu_MR, nu_MSigma=series.nu_MSigma)]
 
 
-def cmd_dispersion(cfg, panel, returns, days, stats):
+def cmd_dispersion(cfg, returns, days, stats):
     out = cfg.out_dir
     vol = inconsistency.rolling_volatility(returns, days, stats)
     variances = dispersion.variance_series(vol)
@@ -191,7 +198,7 @@ def cmd_dispersion(cfg, panel, returns, days, stats):
 
 
 class _Analysis(NamedTuple):
-    run: Callable     # (cfg, panel, returns, days, stats): writes its outputs,
+    run: Callable     # (cfg, returns, days, stats): writes its outputs,
                       # returns every path it wrote, in write order
     statistic: str    # what it reads from the kernel pass (correlation.STATISTICS)
     window: str       # the RunConfig field holding its window length in days
@@ -212,15 +219,13 @@ _ANALYSES = {
 
 
 def _run_analyses(cfg, analyses):
-    """Load the panel, make one kernel pass per distinct window length, run ``analyses``.
+    """Load the returns, make one kernel pass per distinct window length, run ``analyses``.
 
     Analyses reading the same window length share its pass. The drop
     report's path is printed after the load, and each analysis's output
     paths after it has run.
     """
-    panel, report = _read_panel(cfg)
-    print(report)
-    returns = correlation.log_returns(panel)
+    returns = _load_returns(cfg)
     windows = [getattr(cfg, analysis.window) for analysis in analyses]
     wanted = {}
     for analysis, days in zip(analyses, windows):
@@ -228,7 +233,7 @@ def _run_analyses(cfg, analyses):
     stats = {days: correlation.rolling_statistics(returns, days, what)
              for days, what in wanted.items()}
     for analysis, days in zip(analyses, windows):
-        print(*analysis.run(cfg, panel, returns, days, stats[days]), sep="\n")
+        print(*analysis.run(cfg, returns, days, stats[days]), sep="\n")
 
 
 def main(argv=None) -> int:

@@ -100,19 +100,29 @@ STATISTICS = ("norm", "lambda1", "sigma")
 
 @dataclass(frozen=True)
 class ReturnsPanel:
-    """N×T matrix of daily log returns, one row per ticker, dated t = 1..T."""
+    """N×T daily log returns and market caps, one row per ticker, dated t = 1..T.
+
+    ``market_caps[:, t-1]`` is each asset's cap at the close of return day
+    t; ``log_returns`` aligns them, so the analyses that window caps beside
+    returns read both from here.
+    """
 
     dates: tuple
     tickers: tuple
     returns: np.ndarray
+    market_caps: np.ndarray
 
     def __post_init__(self):
         dates = tuple(self.dates)
         tickers = tuple(self.tickers)
         if not all(tickers):
             raise InputError("asset ticker must be non-empty")
+        shape = (len(tickers), len(dates))
+        caps = frozen_array(self.market_caps, "market caps", shape)
+        if np.any(caps < 0):
+            raise InputError("market caps must be non-negative")
         set_fields(self, dates=dates, tickers=tickers,
-                   returns=frozen_array(self.returns, "returns", (len(tickers), len(dates))))
+                   returns=frozen_array(self.returns, "returns", shape), market_caps=caps)
 
     @property
     def n_assets(self):
@@ -195,11 +205,14 @@ class PeriodEntryStats:
 
 
 def log_returns(panel: PricePanel) -> ReturnsPanel:
-    """Daily log returns ln(c(t)/c(t−1)) for every asset; dates shift to t=1..T."""
+    """Daily log returns ln(c(t)/c(t−1)) for every asset; dates shift to t=1..T.
+
+    Each return day t keeps the caps at its own close, panel day t.
+    """
     if panel.n_days < 2:
         raise InputError("need at least two days of prices to form returns")
     matrix = np.diff(np.log(panel.closes), axis=1)
-    return ReturnsPanel(panel.dates[1:], panel.tickers, matrix)
+    return ReturnsPanel(panel.dates[1:], panel.tickers, matrix, panel.market_caps[:, 1:])
 
 
 def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatrix:
@@ -225,12 +238,11 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
     return CorrelationMatrix((a, b), stack[0])
 
 
-def window_chunks(returns: ReturnsPanel, window_days, workers):
-    """The trailing S-day windows, dated t = S..T, as row slices of one chunk each.
+def window_length(returns: ReturnsPanel, window_days) -> int:
+    """S as an int, once ``returns`` is known to hold a trailing S-day window.
 
-    Window w (0-based) covers return days [w+1, w+S]. All chunks but the
-    last hold c windows, c sized so that ``workers`` chunks share
-    ``_CHUNK_BYTES`` of (c, N, N) stack or of (c, N, S) Z.
+    Every rolling series takes its windows by this rule: S < 2 is a
+    ConfigError, fewer than S return days an InputError.
     """
     S = int(window_days)
     if S < 2:
@@ -238,7 +250,18 @@ def window_chunks(returns: ReturnsPanel, window_days, workers):
     T = returns.n_days
     if T < S:
         raise InputError(f"need at least {S} return days, have {T}")
-    W = T - S + 1
+    return S
+
+
+def window_chunks(returns: ReturnsPanel, window_days, workers):
+    """The trailing S-day windows, dated t = S..T, as row slices of one chunk each.
+
+    Window w (0-based) covers return days [w+1, w+S]. All chunks but the
+    last hold c windows, c sized so that ``workers`` chunks share
+    ``_CHUNK_BYTES`` of (c, N, N) stack or of (c, N, S) Z.
+    """
+    S = window_length(returns, window_days)
+    W = returns.n_days - S + 1
     n = returns.n_assets
     step = max(1, _CHUNK_BYTES // (8 * n * max(n, S) * workers))
     return [slice(lo, min(lo + step, W)) for lo in range(0, W, step)]

@@ -34,7 +34,9 @@ windows go through in blocks of about ``_BLOCK_BYTES`` per (windows, N)
 array, so beside the feature tracks the temporaries stay small.
 
 The volatilities come from ``rolling_volatility``, a wrapper of the
-chunked window kernel in ``correlation``.
+chunked window kernel in ``correlation``, and the caps from the returns
+panel, where ``log_returns`` put each asset's cap at the close of each
+return day.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics
+from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics, window_length
 from .errors import InputError, frozen_array, set_fields
-from .panel import PricePanel
 
 # Bytes of one (windows, N) array of a block of windows. A block holds three
 # such arrays; whole (W, N) temporaries would stay in the allocator's heap
@@ -114,14 +115,12 @@ def rolling_volatility(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     return VolatilityPanel(returns.dates[S - 1:], stats["sigma"], S)
 
 
-def _window_feature_tracks(panel, returns, vol):
+def _window_feature_tracks(returns, vol):
     """Cap means, return sums and volatilities per window of ``vol``'s length S, all (N, W)."""
-    S = vol.window_days
-    if returns.n_days != panel.n_days - 1 or returns.dates[0] != panel.dates[1]:
-        raise InputError("returns panel does not derive from the given price panel")
+    S = window_length(returns, vol.window_days)
     if vol.dates != returns.dates[S - 1:]:
         raise InputError("volatility panel does not align with the returns panel")
-    cap_means = sliding_window_view(panel.market_caps[:, 1:], S, axis=1).mean(axis=2)
+    cap_means = sliding_window_view(returns.market_caps, S, axis=1).mean(axis=2)
     ret_sums = sliding_window_view(returns.returns, S, axis=1).sum(axis=2)
     return cap_means, ret_sums, vol.sigmas
 
@@ -154,10 +153,9 @@ def _pair_sums(z):
     return 2.0 * z.sum(axis=1)
 
 
-def inconsistency_norms(panel: PricePanel, returns: ReturnsPanel,
-                        vol: VolatilityPanel) -> InconsistencySeries:
+def inconsistency_norms(returns: ReturnsPanel, vol: VolatilityPanel) -> InconsistencySeries:
     """ν^{INC} series for size-vs-returns and size-vs-volatility, t = S = vol.window_days..T."""
-    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, returns, vol)
+    cap_means, ret_sums, sigmas = _window_feature_tracks(returns, vol)
     n, n_windows = cap_means.shape
     step = max(1, _BLOCK_BYTES // (8 * n))
     norms = np.empty((2, n_windows))

@@ -12,6 +12,10 @@ holds more than one chunk of matrices. A window's matrix is (1/S)·Z Zᵀ
 with Z its N×S standardized returns; when S < N the kernel solves the
 S×S Gram matrix (1/S)·ZᵀZ instead, which has the same λ₁. Memory is
 O(c·N·max(N, S) + W·N) for c windows per chunk.
+
+``rolling_market_size`` averages the summed caps over the same windows.
+It reads them from the returns panel, where ``log_returns`` put each
+asset's cap at the close of each return day.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics
+from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics, window_length
 from .errors import DegenerateDataError, InputError, frozen_array, set_fields
-from .panel import PricePanel
 
 
 @dataclass(frozen=True)
@@ -73,21 +76,17 @@ def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     return SpectralSeries(returns.dates[int(window_days) - 1:], stats["lambda1"] / n, n)
 
 
-def rolling_market_size(panel: PricePanel,
+def rolling_market_size(returns: ReturnsPanel,
                         window_days=DEFAULT_WINDOW_DAYS) -> MarketSizeSeries:
     """M̃(t): trailing S-day average of the summed market caps, t = S..T.
 
-    Windows cover panel days t−S+1..t, matching the correlation windows
-    over return days, so the output dates align with lambda1_series.
+    Windows cover the caps at the closes of return days t−S+1..t, as
+    ``log_returns`` aligned them, so the output dates align with
+    lambda1_series.
     """
-    S = int(window_days)
-    if S < 2:
-        raise InputError(f"window must be >= 2 days, got {S}")
-    if panel.n_days - 1 < S:
-        raise InputError(f"need at least {S + 1} panel days, have {panel.n_days}")
-    total = panel.market_caps.sum(axis=0)
-    values = sliding_window_view(total[1:], S).mean(axis=1)
-    return MarketSizeSeries(panel.dates[S:], values)
+    S = window_length(returns, window_days)
+    total = returns.market_caps.sum(axis=0)
+    return MarketSizeSeries(returns.dates[S - 1:], sliding_window_view(total, S).mean(axis=1))
 
 
 def series_correlation(x, y) -> float:

@@ -87,13 +87,13 @@ def kernel_trace_deviations(returns, S):
     return np.concatenate(devs)
 
 
-def test_3_market_mode_and_identities(sim_panel, sim_returns, capsys):
+def test_3_market_mode_and_identities(sim_returns, capsys):
     """Market size and market mode anticorrelate in the planted band; the
     operator-norm identity holds on every rolling window of the lambda1
     series the CLI writes, and the trace identity on every matrix the
     kernel solves, on the stack route (S = 90) and the Gram route (S = 30)."""
     lam = spectral.lambda1_series(sim_returns, 90)
-    size = spectral.rolling_market_size(sim_panel, 90)
+    size = spectral.rolling_market_size(sim_returns, 90)
     rho = spectral.series_correlation(size.values, lam.lambda1)
     ok_rho = -0.20 <= rho <= -0.05
 
@@ -113,11 +113,11 @@ def test_3_market_mode_and_identities(sim_panel, sim_returns, capsys):
             f"kernel matrices (S = 90, 30)")
 
 
-def test_4_inconsistency_ordering(sim_panel, sim_returns, capsys):
+def test_4_inconsistency_ordering(sim_returns, capsys):
     """Size-vs-volatility disagreement stays below size-vs-returns on >95%
     of dates; clone panels show exactly zero disagreement."""
     vol = inconsistency.rolling_volatility(sim_returns, 90)
-    series = inconsistency.inconsistency_norms(sim_panel, sim_returns, vol)
+    series = inconsistency.inconsistency_norms(sim_returns, vol)
     frac = float(np.mean(series.nu_MSigma < series.nu_MR))
 
     rng = np.random.default_rng(4)
@@ -128,7 +128,7 @@ def test_4_inconsistency_ordering(sim_panel, sim_returns, capsys):
                            np.tile(7.0 * path, (4, 1)))
     cret = cd.log_returns(clones)
     cvol = inconsistency.rolling_volatility(cret, 90)
-    cseries = inconsistency.inconsistency_norms(clones, cret, cvol)
+    cseries = inconsistency.inconsistency_norms(cret, cvol)
     zero = (np.all(cseries.nu_MR == 0.0) and np.all(cseries.nu_MSigma == 0.0))
 
     ok = frac > 0.95 and zero

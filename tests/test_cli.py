@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import datetime as dt
+import gc
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,63 @@ def test_all_runs_are_byte_identical(small_dataset_dir, tmp_path):
         if name == "resolved_config.txt":
             continue  # records each run's own output.dir by design
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def small_all_names(small_dataset_dir, tmp_path_factory):
+    """The files a full `all` run on the small market writes."""
+    out = tmp_path_factory.mktemp("small_all")
+    assert run("all", small_dataset_dir, out) == 0
+    return sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("n_assets, days", [(1, 30), (2, 30), (3, 30), (6, 2)])
+def test_degenerate_sizes_run_end_to_end(small_panel, small_all_names, tmp_path,
+                                         n_assets, days):
+    # The small market cut to its first assets, or every window at S = 2.
+    whole = small_panel
+    data = tmp_path / "data"
+    data.mkdir()
+    cryptodynamics.write_panel(
+        cryptodynamics.PricePanel(whole.dates, whole.tickers[:n_assets],
+                                  whole.closes[:n_assets], whole.market_caps[:n_assets]),
+        data / "price.csv", data / "marketcap.csv")
+    out = tmp_path / "out"
+    assert run("all", data, out, *(arg for window in ("correlation", "spectral",
+                                                      "inconsistency", "volatility")
+                                   for arg in (f"--{window}-days", str(days)))) == 0
+    assert sorted(p.name for p in out.iterdir()) == small_all_names
+    summary = json.loads((out / "correlation_summary.json").read_text())
+    degenerate = n_assets == 1 or days == 2  # λ₁/N is 1 on every window
+    assert (summary["rho_market_size_lambda1"] == "degenerate") == degenerate
+    # one asset has no co-movement to segment, so no turning points
+    points = (out / "turning_points.csv").read_text().splitlines()
+    assert points[0] == "index,date,value,kind"
+    assert (len(points) == 1) == (n_assets == 1)
+
+
+def test_no_price_panel_outlives_the_load(small_dataset_dir, tmp_path, monkeypatch):
+    # Once the load step has handed back the returns panel, which carries
+    # the caps, the price panel and its closes are freed for the analyses.
+    from cryptodynamics import cli, correlation
+
+    loaded, alive = [], []
+    load, rolling_statistics = cli.load_panel_with_report, correlation.rolling_statistics
+
+    def tracked_load(*args):
+        panel, drops = load(*args)
+        loaded.append(weakref.ref(panel))
+        return panel, drops
+
+    def checked_pass(*args):
+        gc.collect()
+        alive.append(loaded[0]() is not None)
+        return rolling_statistics(*args)
+
+    monkeypatch.setattr(cli, "load_panel_with_report", tracked_load)
+    monkeypatch.setattr(correlation, "rolling_statistics", checked_pass)
+    assert run("all", small_dataset_dir, tmp_path / "out") == 0
+    assert len(loaded) == 1 and alive == [False]
 
 
 def test_missing_data_is_exit_code_1(tmp_path, capsys):

@@ -15,12 +15,12 @@ from conftest import SMALL_PERIODS, SMALL_PHASES
 
 
 def make_returns(X):
-    """Wrap a raw (N, T) array in a ReturnsPanel with synthetic dates."""
+    """Wrap a raw (N, T) array in a ReturnsPanel with synthetic dates and unit caps."""
     X = np.asarray(X, dtype=float)
     n, t = X.shape
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k + 1) for k in range(t))
     tickers = tuple(f"A{i}" for i in range(n))
-    return cd.ReturnsPanel(dates, tickers, X)
+    return cd.ReturnsPanel(dates, tickers, X, np.ones((n, t)))
 
 
 def test_log_returns_by_hand():
@@ -31,6 +31,13 @@ def test_log_returns_by_hand():
     r = cd.log_returns(panel)
     np.testing.assert_allclose(r.returns, [[1.0, 2.0]], atol=1e-15)
     assert r.dates == panel.dates[1:]
+
+
+def test_log_returns_keep_the_caps_at_each_return_days_close(small_panel, small_returns):
+    caps = small_returns.market_caps
+    assert caps.shape == small_returns.returns.shape
+    assert caps.tobytes() == small_panel.market_caps[:, 1:].tobytes()
+    assert not caps.flags.writeable
 
 
 def test_correlation_matches_pairwise_pearson():

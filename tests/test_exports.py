@@ -69,7 +69,7 @@ def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path, monkeypatch):
         dates=days(3), values=[1.0, 2.0, 3.0]))
     monkeypatch.setattr(cli.inconsistency, "rolling_volatility", lambda *args: None)
     cfg = SimpleNamespace(out_dir=tmp_path, linkage="average")
-    written = cli.cmd_dispersion(cfg, None, None, 3, {})
+    written = cli.cmd_dispersion(cfg, None, 3, {})
     path = tmp_path / "dendrogram.csv"
     assert path in written
     assert path.read_text().splitlines() == [

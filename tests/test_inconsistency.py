@@ -44,7 +44,7 @@ def test_distance_matrices_match_loop_oracle(small_panel, small_returns, small_v
     # inconsistency_norms takes each window's distances |f_i - f_j| from
     # these per-window features
     S = 30
-    features = _window_feature_tracks(small_panel, small_returns, small_vol)
+    features = _window_feature_tracks(small_returns, small_vol)
     n = small_panel.n_assets
     rets = np.diff(np.log(small_panel.closes), axis=1)
     for t in (S, 100, small_returns.n_days):
@@ -74,7 +74,7 @@ def test_to_affinity_all_zero_distances_give_all_ones():
 def test_inconsistency_matches_loop_oracle(small_panel, small_returns, small_vol):
     S = 30
     assert small_vol.window_days == S  # inconsistency_norms reads S from here
-    inc = cd.inconsistency_norms(small_panel, small_returns, small_vol)
+    inc = cd.inconsistency_norms(small_returns, small_vol)
     assert inc.dates == small_vol.dates
     for t in (S, 77, 150, small_returns.n_days):
         want_mr, want_ms = reference.inconsistency_at(
@@ -83,8 +83,8 @@ def test_inconsistency_matches_loop_oracle(small_panel, small_returns, small_vol
         assert math.isclose(inc.nu_MSigma[t - S], want_ms, abs_tol=1e-10)
 
 
-def test_inconsistency_values_are_bounded(small_panel, small_returns, small_vol):
-    inc = cd.inconsistency_norms(small_panel, small_returns, small_vol)
+def test_inconsistency_values_are_bounded(small_returns, small_vol):
+    inc = cd.inconsistency_norms(small_returns, small_vol)
     for series in (inc.nu_MR, inc.nu_MSigma):
         assert np.all(series >= 0.0)
         assert np.all(series <= 1.0)
@@ -103,34 +103,27 @@ def test_identical_assets_give_exactly_zero_norms():
     panel = cd.PricePanel(dates, tickers, closes, caps)
     r = cd.log_returns(panel)
     vol = cd.rolling_volatility(r, 20)
-    inc = cd.inconsistency_norms(panel, r, vol)
+    inc = cd.inconsistency_norms(r, vol)
     assert np.all(inc.nu_MR == 0.0)
     assert np.all(inc.nu_MSigma == 0.0)
 
 
-def test_window_alignment_is_enforced(small_panel, small_returns, small_vol):
+def test_window_alignment_is_enforced(small_returns, small_vol):
     shifted = cd.VolatilityPanel(small_vol.dates[1:], small_vol.sigmas[:, 1:],
                                  small_vol.window_days)
     with pytest.raises(cd.InputError, match="does not align"):
-        cd.inconsistency_norms(small_panel, small_returns, shifted)
+        cd.inconsistency_norms(small_returns, shifted)
     # right count and first date, wrong last date
     late_end = small_vol.dates[:-1] + (small_vol.dates[-1] + dt.timedelta(days=1),)
     misdated = cd.VolatilityPanel(late_end, small_vol.sigmas, small_vol.window_days)
     with pytest.raises(cd.InputError, match="does not align"):
-        cd.inconsistency_norms(small_panel, small_returns, misdated)
+        cd.inconsistency_norms(small_returns, misdated)
 
 
 def test_volatility_panel_needs_a_date(small_panel, small_returns):
     with pytest.raises(cd.InputError, match="at least one date"):
         cd.VolatilityPanel((), np.empty((small_panel.n_assets, 0)),
                            small_returns.n_days + 1)
-
-
-def test_returns_must_derive_from_panel(small_panel, small_vol):
-    rng = np.random.default_rng(8)
-    other = make_returns(rng.standard_normal((6, 213)))
-    with pytest.raises(cd.InputError):
-        cd.inconsistency_norms(small_panel, other, small_vol)
 
 
 def test_inconsistency_series_rejects_out_of_range():
@@ -167,8 +160,8 @@ def test_large_cap_offset_keeps_full_precision():
     panel = make_panel(closes, caps)
     r = cd.log_returns(panel)
     vol = cd.rolling_volatility(r, S)
-    inc = cd.inconsistency_norms(panel, r, vol)
-    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, r, vol)
+    inc = cd.inconsistency_norms(r, vol)
+    cap_means, ret_sums, sigmas = _window_feature_tracks(r, vol)
     for w in range(W):
         want_mr = reference.affinity_gap_norm_exact(cap_means[:, w], ret_sums[:, w])
         want_ms = reference.affinity_gap_norm_exact(cap_means[:, w], sigmas[:, w])
@@ -176,17 +169,15 @@ def test_large_cap_offset_keeps_full_precision():
         assert math.isclose(inc.nu_MSigma[w], want_ms, abs_tol=1e-14)
 
 
-def test_window_blocks_do_not_change_the_norms(small_panel, small_returns, small_vol,
-                                               monkeypatch):
+def test_window_blocks_do_not_change_the_norms(small_returns, small_vol, monkeypatch):
     # blocks of 7 windows, the last one partial, against a single block
-    whole = cd.inconsistency_norms(small_panel, small_returns, small_vol)
-    monkeypatch.setattr(inconsistency, "_BLOCK_BYTES", 7 * 8 * small_panel.n_assets)
-    blocked = cd.inconsistency_norms(small_panel, small_returns, small_vol)
+    whole = cd.inconsistency_norms(small_returns, small_vol)
+    monkeypatch.setattr(inconsistency, "_BLOCK_BYTES", 7 * 8 * small_returns.n_assets)
+    blocked = cd.inconsistency_norms(small_returns, small_vol)
     assert len(whole.dates) % 7 != 0
     np.testing.assert_array_equal(blocked.nu_MR, whole.nu_MR)
     np.testing.assert_array_equal(blocked.nu_MSigma, whole.nu_MSigma)
-    cap_means, ret_sums, sigmas = _window_feature_tracks(small_panel, small_returns,
-                                                         small_vol)
+    cap_means, ret_sums, sigmas = _window_feature_tracks(small_returns, small_vol)
     for got, feature in ((blocked.nu_MR, ret_sums), (blocked.nu_MSigma, sigmas)):
         np.testing.assert_allclose(got, reference.affinity_gap_norms(cap_means, feature),
                                    rtol=0.0, atol=1e-14)
@@ -203,7 +194,7 @@ def test_memory_stays_linear_in_assets():
     vol = cd.rolling_volatility(r, S)
     tracemalloc.start()
     try:
-        cd.inconsistency_norms(panel, r, vol)
+        cd.inconsistency_norms(r, vol)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -233,10 +224,10 @@ def test_inconsistency_with_ties_matches_loop_oracle(shape, tie, seed):
     panel = make_panel(closes, caps)
     r = cd.log_returns(panel)
     vol = cd.rolling_volatility(r, S)
-    inc = cd.inconsistency_norms(panel, r, vol)
+    inc = cd.inconsistency_norms(r, vol)
     assert np.all(inc.nu_MR >= 0.0) and np.all(inc.nu_MSigma >= 0.0)
     # the same per-window features through one N×N matrix pair per window
-    cap_means, ret_sums, sigmas = _window_feature_tracks(panel, r, vol)
+    cap_means, ret_sums, sigmas = _window_feature_tracks(r, vol)
     for got, feature in ((inc.nu_MR, ret_sums), (inc.nu_MSigma, sigmas)):
         np.testing.assert_allclose(got, reference.affinity_gap_norms(cap_means, feature),
                                    rtol=0.0, atol=1e-14)

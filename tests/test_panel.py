@@ -386,7 +386,7 @@ def test_panels_reject_an_empty_ticker_and_carry_a_ticker_tuple():
     with pytest.raises(cd.InputError, match="ticker must be non-empty"):
         cd.PricePanel((JAN1,), ("AAA", ""), np.ones((2, 1)), np.ones((2, 1)))
     with pytest.raises(cd.InputError, match="ticker must be non-empty"):
-        cd.ReturnsPanel((JAN1,), ("AAA", ""), np.zeros((2, 1)))
+        cd.ReturnsPanel((JAN1,), ("AAA", ""), np.zeros((2, 1)), np.ones((2, 1)))
     panel = cd.PricePanel((JAN1, JAN1 + dt.timedelta(days=1)), ["AAA", "BBB"],
                           np.ones((2, 2)), np.ones((2, 2)))
     assert panel.tickers == ("AAA", "BBB")

@@ -21,14 +21,16 @@ def days(n):
 
 TICKERS = ("A", "B")
 CLOSES = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+RETURNS = [[0.1, -0.2, 0.0], [0.3, 0.1, -0.1]]
 NORMS = [0.2, 0.4]
 
 # "Record.field": (record built around the given array, a valid array, the
 # index where a NaN or infinity goes).
 CASES = {
     "ReturnsPanel.returns": (
-        lambda a: cd.ReturnsPanel(days(3), TICKERS, a), [[0.1, -0.2, 0.0], [0.3, 0.1, -0.1]],
-        (1, 2)),
+        lambda a: cd.ReturnsPanel(days(3), TICKERS, a, CLOSES), RETURNS, (1, 2)),
+    "ReturnsPanel.market_caps": (
+        lambda a: cd.ReturnsPanel(days(3), TICKERS, RETURNS, a), CLOSES, (0, 1)),
     "CorrelationMatrix.matrix": (
         lambda a: cd.CorrelationMatrix((1, 3), a), [[1.0, 0.5], [0.5, 1.0]], (1, 1)),
     "NormSeries.raw": (lambda a: cd.NormSeries(days(2), a), NORMS, (1,)),
@@ -94,3 +96,11 @@ def test_arrays_are_read_only_float64_and_not_copied(field):
         assert array.dtype == np.float64 and array.flags.c_contiguous
         assert not array.flags.writeable
         np.testing.assert_array_equal(array, np.asarray(valid, dtype=float))
+
+
+@pytest.mark.parametrize("record", ["PricePanel", "ReturnsPanel"])
+def test_negative_market_caps_are_input_errors(record):
+    build = CASES[f"{record}.market_caps"][0]
+    build([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])  # a zero cap passes
+    with pytest.raises(cd.InputError, match="market caps must be non-negative"):
+        build([[0.0, 1.0, 2.0], [3.0, -5e-324, 5.0]])

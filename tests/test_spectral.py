@@ -83,9 +83,9 @@ def test_identity_verification_runs_on_every_window(small_returns):
         assert 0.0 < opnorm <= 1.0 + 1e-12
 
 
-def test_market_size_is_windowed_mean_of_cap_totals(small_panel):
+def test_market_size_is_windowed_mean_of_cap_totals(small_panel, small_returns):
     S = 30
-    series = cd.rolling_market_size(small_panel, S)
+    series = cd.rolling_market_size(small_returns, S)
     total = small_panel.market_caps.sum(axis=0)
     assert series.dates[0] == small_panel.dates[S]
     assert series.dates[-1] == small_panel.dates[-1]
@@ -94,17 +94,19 @@ def test_market_size_is_windowed_mean_of_cap_totals(small_panel):
         assert math.isclose(series.values[k], want, rel_tol=1e-12)
 
 
-def test_market_size_window_bounds(small_panel):
-    # S = 2 is the shortest window, and S + 1 panel days are the fewest
+def test_market_size_window_bounds(small_panel, small_returns):
+    # S = 2 is the shortest window, and S return days are the fewest
     total = small_panel.market_caps.sum(axis=0)
-    assert math.isclose(cd.rolling_market_size(small_panel, 2).values[0], total[1:3].mean(),
-                        rel_tol=1e-12)
-    with pytest.raises(cd.InputError, match="window must be >= 2 days"):
-        cd.rolling_market_size(small_panel, 1)
-    short = cd.PricePanel(small_panel.dates[:31], small_panel.tickers,
-                          small_panel.closes[:, :31], small_panel.market_caps[:, :31])
-    assert cd.rolling_market_size(short, 30).dates == (short.dates[30],)
-    with pytest.raises(cd.InputError, match="need at least 32 panel days, have 31"):
+    assert math.isclose(cd.rolling_market_size(small_returns, 2).values[0],
+                        total[1:3].mean(), rel_tol=1e-12)
+    with pytest.raises(cd.InputError, match="rolling window must be >= 2 days, got 1"):
+        cd.rolling_market_size(small_returns, 1)
+    short = cd.log_returns(cd.PricePanel(
+        small_panel.dates[:31], small_panel.tickers, small_panel.closes[:, :31],
+        small_panel.market_caps[:, :31]))
+    assert short.n_days == 30
+    assert cd.rolling_market_size(short, 30).dates == (short.dates[-1],)
+    with pytest.raises(cd.InputError, match="need at least 31 return days, have 30"):
         cd.rolling_market_size(short, 31)
 
 
@@ -115,9 +117,9 @@ def test_market_sizes_may_be_zero_but_not_negative():
         cd.MarketSizeSeries(days, [-5e-324, 1.0])
 
 
-def test_market_size_dates_align_with_lambda1(small_panel, small_returns):
+def test_market_size_dates_align_with_lambda1(small_returns):
     lam = cd.lambda1_series(small_returns, 30)
-    siz = cd.rolling_market_size(small_panel, 30)
+    siz = cd.rolling_market_size(small_returns, 30)
     assert lam.dates == siz.dates
 
 
