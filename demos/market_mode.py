@@ -26,7 +26,7 @@ print(f"lambda1/N range: {lam.lambda1.min():.3f} .. {lam.lambda1.max():.3f}")
 n = lam.n_assets
 side = min(n, S)
 residual = 0.0
-for rows in correlation.window_chunks(returns, S, 1):
+for rows in correlation.window_chunks(returns, S, 1, ("lambda1",)):
     c = rows.stop - rows.start
     matrices = np.empty((c, side, side))
     correlation.fill_chunk(returns, S, rows, np.empty((c, n, S)),

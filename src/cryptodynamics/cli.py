@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import correlation, dispersion, exports, inconsistency, spectral
 from .config import KEY_FIELDS, RunConfig, resolve_config, config_echo_text
 from .errors import AnalysisError, InputError
@@ -25,6 +27,12 @@ _FLAG_NAMES = {"start": "--from", "end": "--to"}
 # Key parsers argparse applies itself, so that a bad value is a usage error;
 # the others raise ConfigError, which has to reach main's handler.
 _ARGPARSE_TYPES = (int, float, str, Path)
+# A smoothed norm series whose max − min is at most this many float
+# spacings at its largest magnitude counts as flat. Smoothing a constant
+# series wobbles by about 10 spacings at the default fit (31 points,
+# degree 3) and by under 200 at fits up to 801 points and degree 10; the
+# default simulated market's smoothed norm series spans about 4e15.
+_FLAT_ULPS = 1024
 
 
 def _add_common_flags(parser):
@@ -118,10 +126,13 @@ def cmd_correlation(cfg, returns, days, stats):
         }),
     ]
 
-    # one asset has no co-movement to segment: ν is 1 up to rounding noise
-    points = (find_turning_points(series.smoothed, cfg.turning_point_params(),
-                                  dates=series.dates)
-              if returns.n_assets >= 2 else [])
+    # A series flat up to rounding (one asset, clone assets, or S = 2, where
+    # every correlation is ±1) has no co-movement to segment: its wobble is
+    # smoothing noise, not turning points.
+    smoothed = series.smoothed
+    flat = np.ptp(smoothed) <= _FLAT_ULPS * np.spacing(np.abs(smoothed).max())
+    points = [] if flat else find_turning_points(smoothed, cfg.turning_point_params(),
+                                                 dates=series.dates)
     written.append(exports.write_csv(
         out / "turning_points.csv", index=[p.index for p in points],
         date=[p.date for p in points], value=[p.value for p in points],

@@ -6,17 +6,19 @@ standard deviation (divisor S) so that the matrix form (1/S)·Z Zᵀ of the
 standardized returns agrees with the entrywise Pearson formula exactly.
 
 Every rolling statistic comes from one kernel, ``rolling_statistics``.
-``window_chunks`` splits the W = T−S+1 windows into chunks of c windows,
-c sized so that the chunks in flight, one per worker, hold about
-``_CHUNK_BYTES`` of (c, N, N) stacks or of (c, N, S) standardized returns
-Z between them. ``fill_chunk`` computes each window's two-pass mean and
-variance, then Z, then the stack, into buffers its caller allocated.
-``rolling_statistics`` takes ν(t), λ₁ (solving the S×S Gram matrices
-ZᵀZ/S instead of the stack when S < N) and σ from the same pass, so
-memory is O(c·N·max(N, S) + W·N) per worker rather than the O(W·N²) of a
-full stack. A worker holds one (c, N, S) array, into which the windows
-are centred and which is then scaled in place into Z, plus its stack
-and/or Gram matrices; ν takes |stack| in place, after the eigensolver.
+``window_chunks`` splits the W = T−S+1 windows into chunks of c windows.
+A worker holds one (c, N, S) array, into which the windows are centred
+and which is then scaled in place into the standardized returns Z, plus
+its (c, N, N) stack and/or (c, S, S) Gram matrices, as the statistics
+asked for need them (``_window_shapes``). c is sized so that the chunks
+in flight, one per worker, hold about ``_CHUNK_BYTES`` of all those
+buffers between them, except that no chunk but the last holds fewer
+than ``_MIN_CHUNK_WINDOWS`` windows. ``fill_chunk`` computes each window's
+two-pass mean and variance, then Z, then the stack, into buffers its
+caller allocated. ``rolling_statistics`` takes ν(t), λ₁ (solving the S×S
+Gram matrices ZᵀZ/S instead of the stack when S < N) and σ from the same
+pass, so memory is O(c·N·(N + S) + W·N) per worker rather than the
+O(W·N²) of a full stack; ν takes |stack| in place, after the eigensolver.
 Neither product is symmetrised: numpy computes A·Aᵀ and Aᵀ·A by BLAS
 ``syrk`` and copies one triangle onto the other (its no-BLAS loop sums
 each entry and its mirror in the same order), so the products are
@@ -77,10 +79,18 @@ from .panel import PeriodPartition, PricePanel
 DEFAULT_WINDOW_DAYS = 90
 DEFAULT_SG_WINDOW = 31
 DEFAULT_SG_DEGREE = 3
-# Bytes of (c, N, N) stack, or of (c, N, S) Z, that the kernel's chunks in
-# flight hold together, one per worker; also the 8-byte (grid point,
-# centre) terms that the period KDE's blocks in flight cover together.
-_CHUNK_BYTES = 4 << 20
+# Bytes of buffers that the kernel's chunks in flight hold together, one
+# per worker: every window's Z, stack and Gram matrices that the pass needs
+# (``_window_shapes``). Also the 8-byte (grid point, centre) terms that the
+# period KDE's blocks in flight cover together.
+_CHUNK_BYTES = 2 << 20
+# Fewest windows in any kernel chunk but the last, whatever the budget
+# allows. Shorter chunks cost more in per-chunk calls than they save: a
+# pass over 200 assets at S = 90 on two workers (2-vCPU VM) took
+# 500–610 ms in chunks of 3 windows against 290–355 ms in chunks of 6.
+# From about N = 135 at S = 90 the floor, not the budget, sets the chunk;
+# at N = 400 six windows of Z, stack and Gram take 9.8 MB per worker.
+_MIN_CHUNK_WINDOWS = 6
 # Bandwidths beyond which a kernel term exp(-u²/2) falls below the smallest
 # normal double, 2.2e-308; numpy's exp takes a slow path there, so the
 # period KDE leaves those terms out. About 37.64.
@@ -253,17 +263,36 @@ def window_length(returns: ReturnsPanel, window_days) -> int:
     return S
 
 
-def window_chunks(returns: ReturnsPanel, window_days, workers):
+def _window_shapes(n_assets, window_days, wanted):
+    """The shapes of the buffers a kernel pass for ``wanted`` holds per window.
+
+    In order: the (N, S) centred returns, scaled into Z; the (N, N) stack,
+    for ν, and for λ₁ when S >= N; the (S, S) Gram matrix, for λ₁ when
+    S < N. None stands for a buffer the pass does not hold.
+    """
+    n, S = n_assets, int(window_days)
+    norm, eig = "norm" in wanted, "lambda1" in wanted
+    return [(n, S), (n, n) if norm or (eig and S >= n) else None,
+            (S, S) if eig and S < n else None]
+
+
+def _window_bytes(shapes):
+    """Bytes of float64 buffers of ``_window_shapes``, for one window."""
+    return 8 * sum(a * b for a, b in filter(None, shapes))
+
+
+def window_chunks(returns: ReturnsPanel, window_days, workers, wanted):
     """The trailing S-day windows, dated t = S..T, as row slices of one chunk each.
 
     Window w (0-based) covers return days [w+1, w+S]. All chunks but the
-    last hold c windows, c sized so that ``workers`` chunks share
-    ``_CHUNK_BYTES`` of (c, N, N) stack or of (c, N, S) Z.
+    last hold c windows: as many as let ``workers`` chunks share
+    ``_CHUNK_BYTES`` of the buffers a pass for ``wanted`` holds
+    (``_window_shapes``), but at least ``_MIN_CHUNK_WINDOWS``.
     """
     S = window_length(returns, window_days)
     W = returns.n_days - S + 1
-    n = returns.n_assets
-    step = max(1, _CHUNK_BYTES // (8 * n * max(n, S) * workers))
+    per_window = _window_bytes(_window_shapes(returns.n_assets, S, wanted))
+    step = max(_MIN_CHUNK_WINDOWS, _CHUNK_BYTES // (per_window * workers))
     return [slice(lo, min(lo + step, W)) for lo in range(0, W, step)]
 
 
@@ -445,15 +474,13 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     S, n = int(window_days), returns.n_assets
     norm, eig, sigma = "norm" in wanted, "lambda1" in wanted, "sigma" in wanted
     workers = _worker_count()
-    chunks = window_chunks(returns, S, workers)
+    chunks = window_chunks(returns, S, workers, wanted)
     workers = min(workers, len(chunks))
     W, c = chunks[-1].stop, chunks[0].stop
     dates = returns.dates[S - 1:]
-    # Per worker: the (c, N, S) centred returns, scaled into Z, and the
-    # stack and/or the Gram matrices. The calling thread allocates them
-    # all, so that no worker thread's heap keeps a freed chunk.
-    shapes = [(n, S), (n, n) if norm or (eig and S >= n) else None,
-              (S, S) if eig and S < n else None]
+    # Per worker, c windows of each buffer. The calling thread allocates
+    # them all, so that no worker thread's heap keeps a freed chunk.
+    shapes = _window_shapes(n, S, wanted)
 
     def work(rows, bufs):
         centered, stack, gram = (b if b is None else b[:rows.stop - rows.start]
@@ -475,8 +502,7 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
             _map_chunks(work, chunks, buffers)
     except MemoryError:
         # Every worker's buffers, plus the (N, W) results.
-        per_window = sum(a * b for a, b in filter(None, shapes))
-        need = 8 * (workers * c * per_window + W * n)
+        need = workers * c * _window_bytes(shapes) + 8 * W * n
         raise MemoryError(
             f"estimated kernel working set {need / 2**20:.1f} MiB "
             f"(N={n}, S={S}, W={W})"

@@ -78,7 +78,7 @@ def kernel_trace_deviations(returns, S):
     n = returns.n_assets
     side = min(n, S)
     devs = []
-    for rows in correlation.window_chunks(returns, S, 1):
+    for rows in correlation.window_chunks(returns, S, 1, ("lambda1",)):
         c = rows.stop - rows.start
         matrices = np.empty((c, side, side))
         correlation.fill_chunk(returns, S, rows, np.empty((c, n, S)),

@@ -170,10 +170,29 @@ def test_degenerate_sizes_run_end_to_end(small_panel, small_all_names, tmp_path,
     summary = json.loads((out / "correlation_summary.json").read_text())
     degenerate = n_assets == 1 or days == 2  # λ₁/N is 1 on every window
     assert (summary["rho_market_size_lambda1"] == "degenerate") == degenerate
-    # one asset has no co-movement to segment, so no turning points
+    # ν is 1 on every window too, up to rounding: nothing to segment, so no
+    # turning points
     points = (out / "turning_points.csv").read_text().splitlines()
     assert points[0] == "index,date,value,kind"
-    assert (len(points) == 1) == (n_assets == 1)
+    assert (len(points) == 1) == degenerate
+
+
+def test_clone_assets_give_no_turning_points(small_panel, tmp_path):
+    # A clone of an asset (doubled closes, tripled caps) correlates with it
+    # at exactly 1, so ν is 1 on every window and its smoothed series only
+    # wobbles in the last bits: that is no turning point, whatever N is.
+    closes, caps = small_panel.closes[0], small_panel.market_caps[0]
+    data = tmp_path / "data"
+    data.mkdir()
+    cryptodynamics.write_panel(
+        cryptodynamics.PricePanel(small_panel.dates, ("A", "B"), [closes, 2.0 * closes],
+                                  [caps, 3.0 * caps]),
+        data / "price.csv", data / "marketcap.csv")
+    out = tmp_path / "out"
+    assert run("correlation", data, out) == 0
+    raw = json.loads((out / "norm_series.json").read_text())["raw"]
+    assert len(raw) > 100 and max(raw) - min(raw) < 1e-12
+    assert (out / "turning_points.csv").read_text().splitlines() == ["index,date,value,kind"]
 
 
 def test_no_price_panel_outlives_the_load(small_dataset_dir, tmp_path, monkeypatch):
@@ -546,7 +565,7 @@ def test_out_of_memory_is_exit_code_3(small_dataset_dir, tmp_path, monkeypatch, 
     # the estimate counts every worker's buffers.
     workers = 2 if correlation._openblas_threads() else 1
     monkeypatch.setattr(correlation, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(correlation, "_CHUNK_BYTES", 8 * 6 * 30 * 46 * workers)
+    monkeypatch.setattr(correlation, "_CHUNK_BYTES", 8 * (6 * 30 + 6 * 6) * 46 * workers)
     assert run("all", small_dataset_dir, tmp_path / "out2") == 3
     need = 8 * (workers * 46 * (6 * 30 + 6 * 6) + 184 * 6) / 2**20
     assert capsys.readouterr().err == (

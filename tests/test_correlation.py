@@ -103,7 +103,7 @@ def test_rolling_stack_agrees_with_individual_windows():
     r = make_returns(X)
     S = 20
     stacks = []
-    for rows in window_chunks(r, S, 2):
+    for rows in window_chunks(r, S, 2, ("norm",)):
         m = rows.stop - rows.start
         stacks.append(np.empty((m, 4, 4)))
         fill_chunk(r, S, rows, np.empty((m, 4, S)), stacks[-1])

@@ -122,6 +122,22 @@ def test_density_values_do_not_depend_on_the_workers(cases, blocks):
             np.testing.assert_array_equal(got, expected)
 
 
+def test_a_budget_below_one_point_gives_one_point_blocks():
+    pool = np.linspace(-1.0, 1.0, 50)
+    estimates = [(pool, np.linspace(-1.5, 1.5, 7), 0.1), (pool[:20], np.linspace(-1.0, 1.0, 5), 0.2)]
+    sizes, run = [], correlation._map_chunks
+
+    def recording(work, blocks, buffers):
+        sizes.extend(rows.stop - rows.start for _, rows in blocks)
+        return run(work, blocks, buffers)
+
+    with mock.patch.multiple(correlation, _CHUNK_BYTES=0, _map_chunks=recording):
+        got = densities(estimates, 2)
+    assert sizes == [1] * 12
+    for y, expected in zip(got, densities(estimates, 2)):
+        np.testing.assert_array_equal(y, expected)
+
+
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 30), days=st.integers(3, 60),
        exclude_diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1))

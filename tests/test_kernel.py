@@ -26,16 +26,17 @@ import reference
 from test_correlation import make_returns
 
 
-def chunked(n, S, c, workers=1):
+def chunked(c, workers=1):
     """Patch the kernel so that it walks c windows per chunk on ``workers`` threads.
 
-    Without an OpenBLAS setter the kernel runs one worker whatever the CPU
-    count, still with c windows per chunk.
+    With no byte budget the floor alone sets the chunk length, whatever
+    buffers a pass holds. Without an OpenBLAS setter the kernel runs one
+    worker whatever the CPU count, still with c windows per chunk.
     """
     if not correlation._openblas_threads():
         workers = 1
     return mock.patch.multiple(correlation, _cpu_count=lambda: workers,
-                               _CHUNK_BYTES=8 * n * max(n, S) * c * workers)
+                               _CHUNK_BYTES=0, _MIN_CHUNK_WINDOWS=c)
 
 
 def blas_threads():
@@ -57,8 +58,8 @@ def test_kernel_matches_per_window_oracles(n, S, W, c, k, seed):
     X = np.random.default_rng(seed).standard_normal((n, S + W - 1))
     r = make_returns(X)
     stack = reference.correlation_stack(X, S)
-    with chunked(n, S, c, k):
-        chunks = correlation.window_chunks(r, S, correlation._cpu_count())
+    with chunked(c, k):
+        chunks = correlation.window_chunks(r, S, correlation._cpu_count(), ("norm",))
         assert [rows.stop - rows.start for rows in chunks[:-1]] == [c] * (len(chunks) - 1)
         assert 1 <= chunks[-1].stop - chunks[-1].start <= c
         nu = cd.rolling_norm_series(r, S)
@@ -94,8 +95,9 @@ def test_products_are_exactly_symmetric(n, S, W, c, seed):
         return eigvalsh(a)
 
     products = []
-    with chunked(n, S, c, 2), mock.patch.object(np.linalg, "eigvalsh", recording):
-        for rows in correlation.window_chunks(r, S, correlation._cpu_count()):
+    with chunked(c, 2), mock.patch.object(np.linalg, "eigvalsh", recording):
+        for rows in correlation.window_chunks(r, S, correlation._cpu_count(),
+                                              correlation.STATISTICS):
             m = rows.stop - rows.start
             stack, gram = np.empty((m, n, n)), np.empty((m, S, S))
             correlation.fill_chunk(r, S, rows, np.empty((m, n, S)), stack, gram)
@@ -112,7 +114,7 @@ def test_products_are_exactly_symmetric(n, S, W, c, seed):
 def test_shared_pass_equals_separate_passes(n, S):
     X = np.random.default_rng(4).standard_normal((n, 60))
     r = make_returns(X)
-    with chunked(n, S, 7):
+    with chunked(7):
         stats = correlation.rolling_statistics(r, S, ("norm", "lambda1", "sigma"))
         nu = cd.rolling_norm_series(r, S)
         lam = cd.lambda1_series(r, S)
@@ -146,7 +148,7 @@ def test_zero_variance_names_lowest_asset_and_its_first_window():
     for panel, ticker in ((X, "A2"), (both, "A1")):
         r = make_returns(panel)
         for c, k in ((1, 1), (4, 1), (100, 1), (1, 3), (4, 2), (100, 2)):
-            with chunked(3, S, c, k):
+            with chunked(c, k):
                 with pytest.raises(cd.DegenerateDataError) as info:
                     cd.rolling_norm_series(r, S)
             assert str(info.value) == (
@@ -176,7 +178,7 @@ def near_constant_panel(n, S, W, kind):
 def test_near_constant_asset_matches_reference(n, S, kind):
     X = near_constant_panel(n, S, S, kind)
     r = make_returns(X)
-    with chunked(n, S, 3):
+    with chunked(3):
         nu = cd.rolling_norm_series(r, S).raw
         lam = cd.lambda1_series(r, S).lambda1
     assert np.all((nu >= 0.0) & (nu <= 1.0))
@@ -212,6 +214,41 @@ def test_negative_eigenvalue_names_the_window_date():
         chunk_lambda1(stack, dates)
 
 
+def test_eigenvalues_down_to_minus_the_tolerance_pass():
+    # An eigenvalue of exactly −tol passes; the error names the first window
+    # below it, not an earlier one at it or a later one below it.
+    tol = correlation.NEGATIVE_EIGENVALUE_TOL
+    dates = tuple(dt.date(2020, 1, day) for day in (1, 2, 3, 4))
+    stack = np.array([np.diag([v, 2.0]) for v in (-tol, 0.5, -tol, 0.5)])
+    assert chunk_lambda1(stack, dates).tolist() == [2.0] * 4
+    stack[2, 0, 0] = stack[3, 0, 0] = -2 * tol
+    with pytest.raises(cd.NumericalError, match="window ending 2020-01-03 has"):
+        chunk_lambda1(stack, dates)
+
+
+def test_without_an_openblas_setter_a_pass_runs_one_worker():
+    setter = (lambda: 1, lambda count: None)
+    for blas, workers in ((None, 1), (setter, 4)):
+        with mock.patch.multiple(correlation, _openblas_threads=lambda: blas,
+                                 _cpu_count=lambda: 4):
+            assert correlation._worker_count() == workers
+
+
+def test_every_buffer_set_gets_its_own_thread():
+    # Three chunks on three buffer sets: the three threads that hold them
+    # meet at a barrier, which two threads alone could never pass.
+    barrier = threading.Barrier(3, timeout=5)
+    seen = []
+
+    def work(chunk, bufs):
+        barrier.wait()
+        seen.append((chunk, bufs, threading.get_ident()))
+
+    correlation._map_chunks(work, [0, 1, 2], ["a", "b", "c"])
+    assert sorted(chunk for chunk, _, _ in seen) == [0, 1, 2]
+    assert len({bufs for _, bufs, _ in seen}) == len({t for _, _, t in seen}) == 3
+
+
 def test_kernel_memory_does_not_grow_with_window_count():
     X = np.random.default_rng(9).standard_normal((60, 3000))
     r = make_returns(X)
@@ -227,6 +264,112 @@ def test_kernel_memory_does_not_grow_with_window_count():
     assert peak < W * 60 * 60 * 8 / 4
 
 
+def chunk_lengths(n, S, W, workers, wanted):
+    """Windows per chunk that ``window_chunks`` plans for an N-asset, W-window panel."""
+    r = make_returns(np.zeros((n, S + W - 1)))
+    return [rows.stop - rows.start for rows in
+            correlation.window_chunks(r, S, workers, wanted)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 400), S=st.integers(2, 120), W=st.integers(1, 40),
+       workers=st.integers(1, 4), budget=st.integers(0, 4 << 20),
+       wanted=st.sampled_from([("norm",), ("lambda1",), ("sigma",), correlation.STATISTICS]))
+@example(n=3, S=5, W=5, workers=1, budget=0, wanted=("norm",))     # W below the floor
+@example(n=3, S=5, W=6, workers=1, budget=0, wanted=("norm",))     # W at the floor
+@example(n=3, S=5, W=7, workers=1, budget=0, wanted=("norm",))     # one window over it
+def test_every_chunk_but_the_last_holds_the_floor(n, S, W, workers, budget, wanted):
+    floor = correlation._MIN_CHUNK_WINDOWS
+    with mock.patch.object(correlation, "_CHUNK_BYTES", budget):
+        lengths = chunk_lengths(n, S, W, workers, wanted)
+    assert sum(lengths) == W
+    assert all(length == lengths[0] >= floor for length in lengths[:-1])
+    assert 1 <= lengths[-1] <= lengths[0]
+    if W <= floor:
+        assert lengths == [W]
+
+
+def test_production_chunk_lengths():
+    # 2 MiB of every buffer a pass holds, shared by two workers, floored at
+    # six windows: (N, S, statistics) of the benchmark's kernel passes.
+    assert correlation._MIN_CHUNK_WINDOWS == 6
+    everything = correlation.STATISTICS
+    assert chunk_lengths(52, 90, 100, 2, everything)[0] == 17   # Z + stack
+    assert chunk_lengths(40, 120, 100, 2, ("lambda1",))[0] == 20
+    assert chunk_lengths(52, 90, 100, 2, ("sigma",))[0] == 28   # Z alone
+    # Where the budget allows fewer windows than the floor, the floor
+    # decides: 3.4 windows at N = 135, 1.98 at N = 200, 0.64 at N = 400.
+    for n in (135, 200, 400):
+        lengths = chunk_lengths(n, 90, 1005, 2, everything)
+        assert lengths == [6] * 167 + [3], n
+
+
+@pytest.mark.parametrize("n, S, wanted, per_window", [
+    (8, 5, ("norm", "lambda1", "sigma"), 8 * 5 + 8 * 8 + 5 * 5),  # Z, stack, Gram
+    (8, 5, ("norm",), 8 * 5 + 8 * 8),                             # Z, stack
+    (8, 5, ("lambda1",), 8 * 5 + 5 * 5),                          # Z, Gram (S < N)
+    (5, 5, ("lambda1",), 5 * 5 + 5 * 5),                          # Z, stack (S = N)
+    (8, 5, ("sigma",), 8 * 5),                                    # Z alone
+])
+def test_chunk_length_and_allocation_count_the_same_buffers(n, S, wanted, per_window):
+    # The budget for exactly 10 windows per worker gives 10, one byte less
+    # gives 9, and each worker's buffers hold that many windows of exactly
+    # those buffers. Without an OpenBLAS setter the pass runs one worker.
+    W = 60
+    workers = 2 if correlation._openblas_threads() else 1
+    r = make_returns(np.random.default_rng(15).standard_normal((n, S + W - 1)))
+    budget = 8 * per_window * workers * 10
+    with mock.patch.multiple(correlation, _MIN_CHUNK_WINDOWS=1, _CHUNK_BYTES=budget - 1):
+        assert chunk_lengths(n, S, W, workers, wanted)[0] == 9
+    allocated = []
+    fill = correlation.fill_chunk
+
+    def recording(returns, days, rows, centered, stack=None, gram=None):
+        allocated.append(sum(b.base.size for b in (centered, stack, gram) if b is not None))
+        return fill(returns, days, rows, centered, stack, gram)
+
+    with mock.patch.multiple(correlation, _MIN_CHUNK_WINDOWS=1, _CHUNK_BYTES=budget,
+                             _cpu_count=lambda: workers, fill_chunk=recording):
+        assert chunk_lengths(n, S, W, workers, wanted)[0] == 10
+        correlation.rolling_statistics(r, S, wanted)
+    assert len(allocated) == 6 and set(allocated) == {10 * per_window}
+
+
+def test_out_of_memory_estimates_every_buffer():
+    # One worker, chunks of 34 windows (2 MiB // 60800 bytes) of Z, stack
+    # and Gram at N = 60, S = 40, plus the (N, W) results.
+    n, S, W = 60, 40, 3000
+    r = make_returns(np.random.default_rng(16).standard_normal((n, S + W - 1)))
+
+    def exhausted(stack):
+        raise MemoryError
+
+    with mock.patch.multiple(correlation, _cpu_count=lambda: 1, chunk_norms=exhausted):
+        with pytest.raises(MemoryError) as info:
+            correlation.rolling_statistics(r, S, correlation.STATISTICS)
+    need = 8 * (34 * (60 * 40 + 60 * 60 + 40 * 40) + 3000 * 60) / 2**20
+    assert str(info.value) == (f"estimated kernel working set {need:.1f} MiB "
+                               "(N=60, S=40, W=3000)")
+
+
+def test_negative_eigenvalue_in_a_pass_names_its_window():
+    # The second chunk's second window fails: the error names its end date.
+    S = 5
+    r = make_returns(np.random.default_rng(17).standard_normal((3, 30)))
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def shifted(a):
+        values = eigvalsh(a)
+        calls.append(None)
+        if len(calls) == 2:
+            values[1] -= 2.0
+        return values
+
+    with chunked(4), mock.patch.object(np.linalg, "eigvalsh", shifted):
+        with pytest.raises(cd.NumericalError, match=f"window ending {r.dates[S - 1 + 5]} "):
+            cd.lambda1_series(r, S)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 9), S=st.integers(2, 12), W=st.integers(1, 40),
        seed=st.integers(0, 2**32 - 1))
@@ -237,11 +380,11 @@ def test_worker_count_does_not_change_results(n, S, W, seed):
     # on the thread that runs it, so outputs do not depend on the CPUs.
     r = make_returns(np.random.default_rng(seed).standard_normal((n, S + W - 1)))
     wanted = ("norm", "lambda1", "sigma")
-    with chunked(n, S, W):
+    with chunked(W):
         want = correlation.rolling_statistics(r, S, wanted)
     for k in (1, 2, 3):
         for c in (1, 2, 5):
-            with chunked(n, S, c, k):
+            with chunked(c, k):
                 got = correlation.rolling_statistics(r, S, wanted)
             assert sorted(got) == sorted(want)
             for key in want:
@@ -262,7 +405,7 @@ def test_earliest_failing_chunk_wins():
         raise cd.NumericalError(f"window ending {dates[0]}")
 
     for k in (1, 3):
-        with chunked(3, 5, 2, k), mock.patch.object(correlation, "chunk_lambda1", failing):
+        with chunked(2, k), mock.patch.object(correlation, "chunk_lambda1", failing):
             with pytest.raises(cd.NumericalError, match=f"window ending {r.dates[4]}$"):
                 cd.lambda1_series(r, 5)
 
@@ -283,7 +426,7 @@ def test_pass_holds_blas_at_one_thread_and_restores_it():
     before = get()
     try:
         put(3)
-        with chunked(4, 5, 8, 2), mock.patch.object(np.linalg, "eigvalsh", recording):
+        with chunked(8, 2), mock.patch.object(np.linalg, "eigvalsh", recording):
             cd.lambda1_series(r, 5)
             assert get() == 3
             with pytest.raises(cd.DegenerateDataError, match=r"'A2'.*\[11:15\]"):
@@ -318,7 +461,7 @@ def test_concurrent_passes_share_the_cores_safely():
     # pass fills it, and the OpenBLAS thread count ends where it began.
     X = np.random.default_rng(12).standard_normal((6, 120))
     r = make_returns(X)
-    with chunked(6, 8, 113):
+    with chunked(113):
         want = correlation.rolling_statistics(r, 8, ("norm", "lambda1"))
     blas = correlation._openblas_threads()
     before = blas[0]() if blas else None
@@ -330,7 +473,7 @@ def test_concurrent_passes_share_the_cores_safely():
 
     sys.setswitchinterval(1e-6)
     try:
-        with chunked(6, 8, 1, 8):
+        with chunked(1, 8):
             callers = [threading.Thread(target=caller) for _ in range(2)]
             for thread in callers:
                 thread.start()
@@ -363,7 +506,7 @@ def test_overlapping_passes_restore_the_blas_count():
     before = get()
     try:
         put(3)
-        with chunked(3, 5, 26), mock.patch.object(correlation, "chunk_norms", slow):
+        with chunked(26), mock.patch.object(correlation, "chunk_norms", slow):
             passes = {name: threading.Thread(target=cd.rolling_norm_series, args=(r, 5),
                                              name=name) for name in naps}
             passes["A"].start()
