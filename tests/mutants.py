@@ -1,14 +1,13 @@
 """Mutation sweep: does some test fail when one decision in a module flips?
 
-    python tests/mutants.py MODULE [TEST_FILE ...] [--functions NAME,...]
+    python tests/mutants.py MODULE [TEST_FILE ...]
 
 Each mutant changes one site of ``src/cryptodynamics/MODULE.py``: one
 comparison operator swapped (``<``↔``<=``, ``>``↔``>=``, ``==``↔``!=``)
 or one integer constant moved by −1 or +1. It runs the given test files
 (by default ``tests/test_MODULE.py``) in a scratch copy of ``src/`` and
 ``tests/``, stopping at the first failure, with hypothesis at a fixed
-seed. A failing or hanging run kills the mutant. ``--functions`` limits
-the sites to the named top-level functions, classes and constants.
+seed. A failing or hanging run kills the mutant.
 
 A survivor either gets a test at its boundary or, if no input can tell it
 from the original, an entry in ``ALLOWED``. An entry names its line by
@@ -99,22 +98,6 @@ def mutated(source, k):
     return ast.unparse(tree)
 
 
-def in_functions(tree, functions):
-    """Line numbers of the named top-level definitions; all lines if none are named.
-
-    A definition is a function, a class or a module-level constant.
-    """
-    if not functions:
-        return range(1, sys.maxsize)
-    lines = set()
-    for node in tree.body:
-        targets = getattr(node, "targets", [])
-        names = {getattr(node, "name", None)} | {getattr(t, "id", None) for t in targets}
-        if names & set(functions):
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
-
-
 def run_tests(work, tests, timeout):
     """True if the tests pass in ``work`` within ``timeout`` seconds."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -127,10 +110,6 @@ def run_tests(work, tests, timeout):
 
 
 def main(argv):
-    functions = ()
-    if "--functions" in argv:
-        i = argv.index("--functions")
-        functions, argv = argv[i + 1].split(","), argv[:i] + argv[i + 2:]
     module, tests = argv[0], argv[1:] or [f"tests/test_{argv[0]}.py"]
     path = ROOT / "src" / "cryptodynamics" / f"{module}.py"
     source = path.read_text(encoding="utf-8")
@@ -153,12 +132,8 @@ def main(argv):
             sys.exit(f"the tests fail on the unmutated {module}.py")
         timeout = max(60.0, 5 * (time.monotonic() - start))
         survivors = []
-        tree = ast.parse(source)
-        lines_swept = in_functions(tree, functions)
-        for k, site in enumerate(list(sites(tree, lines))):
+        for k, site in enumerate(list(sites(ast.parse(source), lines))):
             line, what, shown = site[4:]
-            if line not in lines_swept:
-                continue
             target.write_text(mutated(source, k), encoding="utf-8")
             killed = not run_tests(work, tests, timeout)
             verdict = ("killed" if killed else "allowed" if (line, what) in allowed
