@@ -87,7 +87,7 @@ def _prepare_out_dir(cfg):
 
 
 def _load_returns(cfg):
-    """The loaded panel's returns, after its drop report is written and its path printed.
+    """Yield the loaded panel's drop report as it is written; return its returns.
 
     The returns panel carries the caps, so the price panel, closes
     included, is freed when this returns.
@@ -99,7 +99,7 @@ def _load_returns(cfg):
             raise InputError(f"data path is not a regular file: {path}")
     panel, drops = load_panel_with_report(cfg.price_csv, cfg.marketcap_csv,
                                           cfg.start, cfg.end)
-    print(write_drop_report(drops, cfg.out_dir / "drop_report.json"))
+    yield write_drop_report(drops, cfg.out_dir / "drop_report.json")
     return correlation.log_returns(panel)
 
 
@@ -109,22 +109,21 @@ def cmd_fetch(cfg):
     cfg.data_dir.mkdir(parents=True, exist_ok=True)
     fetch_dataset(cfg.url_template, cfg.tickers, cfg.start, cfg.end,
                   cfg.price_csv, cfg.marketcap_csv, raw_dir=cfg.data_dir / "raw")
-    return [cfg.price_csv, cfg.marketcap_csv]
+    yield cfg.price_csv
+    yield cfg.marketcap_csv
 
 
 def cmd_correlation(cfg, returns, days, stats):
     out = cfg.out_dir
     series = correlation.rolling_norm_series(returns, days, stats)
     series = series.with_smoothed(cfg.sg_window, cfg.sg_degree)
-    written = [
-        exports.write_csv(out / "norm_series.csv", date=series.dates, raw=series.raw,
-                          smoothed=series.smoothed),
-        exports.write_json(out / "norm_series.json", {
-            "dates": [d.isoformat() for d in series.dates],
-            "raw": [float(v) for v in series.raw],
-            "smoothed": [float(v) for v in series.smoothed],
-        }),
-    ]
+    yield exports.write_csv(out / "norm_series.csv", date=series.dates, raw=series.raw,
+                            smoothed=series.smoothed)
+    yield exports.write_json(out / "norm_series.json", {
+        "dates": [d.isoformat() for d in series.dates],
+        "raw": [float(v) for v in series.raw],
+        "smoothed": [float(v) for v in series.smoothed],
+    })
 
     # A series flat up to rounding (one asset, clone assets, or S = 2, where
     # every correlation is ±1) has no co-movement to segment: its wobble is
@@ -133,10 +132,9 @@ def cmd_correlation(cfg, returns, days, stats):
     flat = np.ptp(smoothed) <= _FLAT_ULPS * np.spacing(np.abs(smoothed).max())
     points = [] if flat else find_turning_points(smoothed, cfg.turning_point_params(),
                                                  dates=series.dates)
-    written.append(exports.write_csv(
-        out / "turning_points.csv", index=[p.index for p in points],
-        date=[p.date for p in points], value=[p.value for p in points],
-        kind=[p.kind for p in points]))
+    yield exports.write_csv(out / "turning_points.csv", index=[p.index for p in points],
+                            date=[p.date for p in points], value=[p.value for p in points],
+                            kind=[p.kind for p in points])
 
     # stats only for periods the analysis range actually covers (>= 2 return days)
     first, last = returns.dates[0], returns.dates[-1]
@@ -144,32 +142,25 @@ def cmd_correlation(cfg, returns, days, stats):
                     if (min(p.end, last) - max(p.start, first)).days + 1 >= 2)
     periods = correlation.period_entry_stats(returns, PeriodPartition(covered),
                                              exclude_diagonal=cfg.exclude_diagonal)
-    written += [
-        exports.write_csv(out / "period_stats.csv", period=[s.label for s in periods],
-                          mean=[s.mean for s in periods], std=[s.std for s in periods]),
-        exports.write_json(out / "period_stats.json", [
-            {"period": s.label, "start": s.start.isoformat(),
-             "end": s.end.isoformat(), "n_days": s.n_days,
-             "mean": float(s.mean), "std": float(s.std)}
-            for s in periods
-        ]),
-        # a zero-variance period has no density estimate: a header-only file
-        *(exports.write_csv(out / f"density_{exports.slugify(s.label)}.csv",
-                            x=s.density_x, density=s.density_y)
-          for s in periods),
-    ]
-    return written
+    yield exports.write_csv(out / "period_stats.csv", period=[s.label for s in periods],
+                            mean=[s.mean for s in periods], std=[s.std for s in periods])
+    yield exports.write_json(out / "period_stats.json", [
+        {"period": s.label, "start": s.start.isoformat(),
+         "end": s.end.isoformat(), "n_days": s.n_days,
+         "mean": float(s.mean), "std": float(s.std)}
+        for s in periods
+    ])
+    for s in periods:  # a zero-variance period has no density estimate: a header-only file
+        yield exports.write_csv(out / f"density_{exports.slugify(s.label)}.csv",
+                                x=s.density_x, density=s.density_y)
 
 
 def cmd_spectral(cfg, returns, days, stats):
     out = cfg.out_dir
     lam = spectral.lambda1_series(returns, days, stats=stats)
     size = spectral.rolling_market_size(returns, days)
-    written = [
-        exports.write_csv(out / "lambda1_series.csv", date=lam.dates, lambda1=lam.lambda1),
-        exports.write_csv(out / "market_size.csv", date=size.dates,
-                          market_size=size.values),
-    ]
+    yield exports.write_csv(out / "lambda1_series.csv", date=lam.dates, lambda1=lam.lambda1)
+    yield exports.write_csv(out / "market_size.csv", date=size.dates, market_size=size.values)
     try:
         rho = spectral.series_correlation(size.values, lam.lambda1)
         summary = {"rho_market_size_lambda1": rho}
@@ -177,40 +168,35 @@ def cmd_spectral(cfg, returns, days, stats):
         summary = {"rho_market_size_lambda1": "degenerate"}
     summary["n_windows"] = len(lam.dates)
     summary["window_days"] = days
-    written.append(exports.write_json(out / "correlation_summary.json", summary))
-    return written
+    yield exports.write_json(out / "correlation_summary.json", summary)
 
 
 def cmd_inconsistency(cfg, returns, days, stats):
     vol = inconsistency.rolling_volatility(returns, days, stats)
     series = inconsistency.inconsistency_norms(returns, vol)
-    return [exports.write_csv(cfg.out_dir / "inconsistency_norms.csv", date=series.dates,
-                              nu_MR=series.nu_MR, nu_MSigma=series.nu_MSigma)]
+    yield exports.write_csv(cfg.out_dir / "inconsistency_norms.csv", date=series.dates,
+                            nu_MR=series.nu_MR, nu_MSigma=series.nu_MSigma)
 
 
 def cmd_dispersion(cfg, returns, days, stats):
     out = cfg.out_dir
     vol = inconsistency.rolling_volatility(returns, days, stats)
     variances = dispersion.variance_series(vol)
-    written = [exports.write_csv(out / "variance_series.csv", date=variances.dates,
-                                 variance=variances.values)]
+    yield exports.write_csv(out / "variance_series.csv", date=variances.dates,
+                            variance=variances.values)
 
     dendro = dispersion.hierarchical_cluster(vol, cfg.linkage)
     a, b, height, size = dendro.merges.T
-    written += [
-        exports.write_csv(out / "dendrogram.csv", step=range(len(height)), cluster_a=a,
-                          cluster_b=b, height=height, size=size),
-        exports.write_dendrogram_json(dendro, out / "dendrogram.json"),
-    ]
+    yield exports.write_csv(out / "dendrogram.csv", step=range(len(height)), cluster_a=a,
+                            cluster_b=b, height=height, size=size)
+    yield exports.write_dendrogram_json(dendro, out / "dendrogram.json")
     labels = dispersion.two_cluster_cut(dendro)
-    written.append(exports.write_csv(out / "two_cluster_cut.csv", date=dendro.dates,
-                                     cluster=labels))
-    return written
+    yield exports.write_csv(out / "two_cluster_cut.csv", date=dendro.dates, cluster=labels)
 
 
 class _Analysis(NamedTuple):
     run: Callable     # (cfg, returns, days, stats): writes its outputs,
-                      # returns every path it wrote, in write order
+                      # yielding each path as it is written
     statistic: str    # what it reads from the kernel pass (correlation.STATISTICS)
     window: str       # the RunConfig field holding its window length in days
     blurb: str
@@ -232,11 +218,10 @@ _ANALYSES = {
 def _run_analyses(cfg, analyses):
     """Load the returns, make one kernel pass per distinct window length, run ``analyses``.
 
-    Analyses reading the same window length share its pass. The drop
-    report's path is printed after the load, and each analysis's output
-    paths after it has run.
+    Analyses reading the same window length share its pass. Yields every
+    output path as it is written: the drop report's, then each analysis's.
     """
-    returns = _load_returns(cfg)
+    returns = yield from _load_returns(cfg)
     windows = [getattr(cfg, analysis.window) for analysis in analyses]
     wanted = {}
     for analysis, days in zip(analyses, windows):
@@ -244,7 +229,7 @@ def _run_analyses(cfg, analyses):
     stats = {days: correlation.rolling_statistics(returns, days, what)
              for days, what in wanted.items()}
     for analysis, days in zip(analyses, windows):
-        print(*analysis.run(cfg, returns, days, stats[days]), sep="\n")
+        yield from analysis.run(cfg, returns, days, stats[days])
 
 
 def main(argv=None) -> int:
@@ -253,10 +238,12 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         _prepare_out_dir(cfg)
         if args.command == "fetch":
-            print(*cmd_fetch(cfg), sep="\n")
+            written = cmd_fetch(cfg)
         else:
-            _run_analyses(cfg, _ANALYSES.values() if args.command == "all"
-                          else [_ANALYSES[args.command]])
+            written = _run_analyses(cfg, _ANALYSES.values() if args.command == "all"
+                                    else [_ANALYSES[args.command]])
+        for path in written:  # each as it is written, so a failed run names its files too
+            print(path)
     except AnalysisError as exc:
         print(f"error: {exc.prefix}{exc}", file=sys.stderr)
         return exc.exit_code

@@ -17,7 +17,7 @@ from pathlib import Path
 from .correlation import DEFAULT_SG_DEGREE, DEFAULT_SG_WINDOW, DEFAULT_WINDOW_DAYS
 from .dispersion import LINKAGES
 from .errors import ConfigError
-from .panel import DEFAULT_TICKERS
+from .panel import DEFAULT_TICKERS, parse_date
 from .turning_points import TurningPointParams
 
 
@@ -32,7 +32,7 @@ def _parse_bool(text):
 
 def _parse_date(text):
     try:
-        return dt.date.fromisoformat(str(text).strip())
+        return parse_date(str(text).strip())
     except ValueError as exc:
         raise ConfigError(f"bad date {text!r}: {exc}") from None
 

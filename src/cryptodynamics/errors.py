@@ -90,18 +90,22 @@ class NumericalError(AnalysisError):
 
 
 class TransportError(AnalysisError):
-    """HTTP fetch failed at the transport level."""
+    """HTTP fetch failed at the transport level, for one URL or for several.
+
+    ``more`` holds one (url, status, detail) triple per further failed URL,
+    as another TransportError holds them; the one-line message names every
+    URL in order.
+    """
 
     exit_code = 3
     prefix = "transport: "
 
-    def __init__(self, url, status=None, detail=""):
+    def __init__(self, url, status=None, detail="", *more):
         detail = " ".join(detail.split())  # an HTML error page spans lines
         self.url = url
         self.status = status
-        msg = f"fetch failed for {url}"
-        if status is not None:
-            msg += f" (HTTP {status})"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        self.detail = detail
+        shown = [u + ("" if s is None else f" (HTTP {s})") + (f": {d}" if d else "")
+                 for u, s, d in [(url, status, detail), *more]]
+        count = f"{len(shown)} URLs: " if more else ""
+        super().__init__(f"fetch failed for {count}{'; '.join(shown)}")

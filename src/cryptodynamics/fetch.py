@@ -96,6 +96,10 @@ def fetch_dataset(url_template, tickers, start, end,
     returned dates in range, with blank cells where a ticker has no value
     (the loader's drop policy deals with those). The pair replaces the old
     one only once both files are written (``panel._write_pair``).
+
+    A ticker that fails to download does not stop the others: once all are
+    tried, one TransportError names every failed URL in ticker order, and
+    no pair is written. A ParseError in a payload stops the fetch at once.
     """
     tickers = list(tickers)
     if not tickers:
@@ -107,15 +111,23 @@ def fetch_dataset(url_template, tickers, start, end,
     shape = ((end - start).days + 1, len(tickers))
     closes, caps = np.full(shape, np.nan), np.full(shape, np.nan)
     any_row = np.zeros(shape[0], dtype=bool)
+    failed = []
     for k, ticker in enumerate(tickers):
+        try:
+            body = fetch_daily_history(url_template, ticker, start, end)
+        except TransportError as exc:
+            failed.append((exc.url, exc.status, exc.detail))
+            continue
         raw = raw_dir / f"{ticker}.csv"
-        raw.write_bytes(fetch_daily_history(url_template, ticker, start, end))
+        raw.write_bytes(body)
         header, values, _, present = panel._read_range(raw, start, end)
         if [h.lower() for h in header] != list(RAW_HEADER[1:]):
             raise ParseError(raw, 1, "", f"expected header {','.join(RAW_HEADER)!r}, "
                                          f"got {','.join(['date'] + header)!r}")
         closes[present, k], caps[present, k] = values[present].T
         any_row |= present
+    if failed:
+        raise TransportError(*failed[0], *failed[1:])
 
     days = np.flatnonzero(any_row)
     dates = [start + dt.timedelta(days=int(d)) for d in days]

@@ -5,7 +5,7 @@ Assets with any unusable value inside the requested range are dropped and
 reported rather than imputed. Panels are immutable once built; every
 downstream module can rely on their invariants.
 
-CSV schema: first column ``date`` (ISO-8601), one column per ticker,
+CSV schema: first column ``date`` (``YYYY-MM-DD``), one column per ticker,
 header row required, UTF-8 (a byte-order mark is accepted), ``.`` decimal
 point. The loader streams each file line by line. Every row is checked for
 structure, but only the rows inside the requested range are split into
@@ -145,6 +145,18 @@ def default_periods() -> PeriodPartition:
     ))
 
 
+def parse_date(text):
+    """The date ``text`` writes as ``YYYY-MM-DD``; any other text is a ValueError.
+
+    From Python 3.11 on ``date.fromisoformat`` also reads ``20190101`` and
+    ISO week dates such as ``2019-W01-2``; the shape check keeps the one
+    format on every supported version, with the same message.
+    """
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _coerce_date(value):
     if isinstance(value, dt.datetime):
         # A date subclass (so is a pandas Timestamp) that does not compare with dates.
@@ -152,7 +164,7 @@ def _coerce_date(value):
     if isinstance(value, dt.date):
         return value
     try:
-        return dt.date.fromisoformat(str(value))
+        return parse_date(str(value))
     except ValueError as exc:
         raise InputError(f"bad date {value!r}: {exc}") from None
 
@@ -222,7 +234,7 @@ def _read_lines(path, start, end):
             if not head and not "".join(cells or line.split(",")).strip():
                 continue
             try:
-                date = dt.date.fromisoformat(head)
+                date = parse_date(head)
             except ValueError as exc:
                 raise ParseError(path, lineno, "date", str(exc)) from None
             if date in seen:
@@ -282,8 +294,8 @@ def load_panel_with_report(price_csv_path, marketcap_csv_path, start, end):
     Each file is streamed once. Every row is checked for structure, but
     only rows inside [start, end] are converted to numbers, so a malformed
     cell outside the range is never read. The checks then run as masks
-    over the kept (T, N) blocks. ``start`` and ``end`` are dates or ISO
-    date strings; a datetime is an InputError.
+    over the kept (T, N) blocks. ``start`` and ``end`` are dates or
+    ``YYYY-MM-DD`` strings; a datetime is an InputError.
     """
     start = _coerce_date(start)
     end = _coerce_date(end)

@@ -5,9 +5,10 @@
 Each mutant changes one site of ``src/cryptodynamics/MODULE.py``: one
 comparison operator swapped (``<``↔``<=``, ``>``↔``>=``, ``==``↔``!=``)
 or one integer constant moved by −1 or +1. It runs the given test files
-(by default ``tests/test_MODULE.py``) in a scratch copy of ``src/`` and
-``tests/``, stopping at the first failure, with hypothesis at a fixed
-seed. A failing or hanging run kills the mutant.
+(by default ``tests/test_MODULE.py``) in a scratch copy of ``src/``,
+``tests/``, ``pyproject.toml`` and ``README.md`` (which a CLI test reads),
+stopping at the first failure, with hypothesis at a fixed seed. A failing
+or hanging run kills the mutant.
 
 A survivor either gets a test at its boundary or, if no input can tell it
 from the original, an entry in ``ALLOWED``. An entry names its line by
@@ -60,6 +61,8 @@ ALLOWED = [
     ("correlation", 635, _WHOLE, "stops[0] == hi -> stops[0] != hi", _WHOLE_WHY),
     ("correlation", 635, _WHOLE, "1 -> 0 at col 24", _WHOLE_WHY),
     ("correlation", 635, _WHOLE, "0 -> -1 at col 43", _WHOLE_WHY),
+    ("config", 80, "if self.sg_window < 1 or self.sg_window % 2 == 0:", "1 -> 0 at col 28",
+     "sg.window = 0 is even, so the other clause rejects it with the same message"),
 ]
 
 
@@ -125,7 +128,8 @@ def main(argv):
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, Path(work) / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", work)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work)
         target = Path(work) / "src" / "cryptodynamics" / f"{module}.py"
         start = time.monotonic()
         if not run_tests(work, tests, None):

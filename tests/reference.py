@@ -9,6 +9,7 @@ import csv
 import datetime as dt
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -355,6 +356,8 @@ def _read_table(path):
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", row[0].strip()):
+                raise ValueError(f"date not written YYYY-MM-DD: {row[0]!r}")
             date = dt.date.fromisoformat(row[0].strip())
             if date in rows:
                 raise ValueError(f"duplicate date {date}")

@@ -267,6 +267,34 @@ def test_printed_paths_are_the_files_written(small_dataset_dir, tmp_path, capsys
         assert set(printed) == written, command
 
 
+@pytest.mark.parametrize("n_assets, flag, written", [
+    # one day of prices forms no returns: only the drop report is written
+    (6, ["--from", "2019-06-01", "--to", "2019-06-01"], []),
+    # the turning points need a series longer than 2·l
+    (6, ["--tp-l", "500"], ["norm_series.csv", "norm_series.json"]),
+    # one asset has no off-diagonal entries for the period statistics
+    (1, ["--exclude-diagonal"], ["norm_series.csv", "norm_series.json",
+                                 "turning_points.csv"]),
+])
+def test_a_failed_run_prints_the_files_it_wrote(small_panel, tmp_path, capsys,
+                                                n_assets, flag, written):
+    data = tmp_path / "data"
+    data.mkdir()
+    cryptodynamics.write_panel(
+        cryptodynamics.PricePanel(small_panel.dates, small_panel.tickers[:n_assets],
+                                  small_panel.closes[:n_assets],
+                                  small_panel.market_caps[:n_assets]),
+        data / "price.csv", data / "marketcap.csv")
+    out = tmp_path / "out"
+    assert run("all", data, out, *flag) == 1
+    captured = capsys.readouterr()
+    one_error_line(captured.err)
+    assert captured.out.splitlines() == [str(out / name)
+                                         for name in ["drop_report.json", *written]]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["resolved_config.txt", "drop_report.json", *written])
+
+
 def test_bool_flag_overrides_the_config_file(small_dataset_dir, tmp_path, capsys):
     # Flags beat file values for bool keys too; bare, the flag means true.
     cfg, out = tmp_path / "run.cfg", tmp_path / "out"
@@ -294,6 +322,14 @@ def test_bad_date_is_exit_code_1(small_dataset_dir, tmp_path):
     code = main(["correlation", "--data-dir", str(small_dataset_dir),
                  "--out-dir", str(tmp_path / "out"), "--from", "junk"])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_a_date_flag_not_written_yyyy_mm_dd_is_exit_code_1(small_dataset_dir, tmp_path,
+                                                           capsys, flag):
+    assert run("correlation", small_dataset_dir, tmp_path / "out", flag, "20190801") == 1
+    assert capsys.readouterr().err == (
+        "error: bad date '20190801': Invalid isoformat string: '20190801'\n")
 
 
 def test_flags_match_the_config_schema_and_the_readme():

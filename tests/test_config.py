@@ -68,6 +68,19 @@ def test_config_file_rejects_bad_lines(tmp_path, line):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize("text", ["20190101", "2019-W01-2", "2019W012", "2019-1-01"])
+def test_a_date_not_written_yyyy_mm_dd_is_a_config_error(tmp_path, text):
+    # From Python 3.11 on date.fromisoformat reads the first three as
+    # 2019-01-01; the config reads them on no version.
+    path = tmp_path / "run.cfg"
+    path.write_text(f"range.from = {text}\n")
+    with pytest.raises(ConfigError, match=f"run.cfg:1: bad date '{text}'"):
+        parse_config_file(path)
+    for key in ("range.from", "range.to"):
+        with pytest.raises(ConfigError, match=f"^bad date '{text}': Invalid isoformat"):
+            KEY_FIELDS[key][1](text)
+
+
 def test_flags_beat_file_beats_defaults(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("windows.correlation_days = 30\nsg.window = 11\n")
@@ -109,6 +122,22 @@ def test_bool_spellings(tmp_path, text, expected):
 def test_invalid_values_rejected(kwargs):
     with pytest.raises((ConfigError, ValueError)):
         resolve_config(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"start": dt.date(2020, 1, 1), "end": dt.date(2020, 1, 1)},
+    {"sg_window": 1, "sg_degree": 0},
+    {"sg_degree": 0},
+], ids=["one-day-range", "sg-window-1", "sg-degree-0"])
+def test_values_on_each_bound_are_accepted(kwargs):
+    cfg = resolve_config(**kwargs)
+    assert {name: getattr(cfg, name) for name in kwargs} == kwargs
+
+
+def test_a_negative_sg_degree_is_rejected():
+    with pytest.raises(ConfigError, match=r"^sg\.degree must lie in 0\.\.sg\.window-1, "
+                                          r"got -1$"):
+        resolve_config(sg_degree=-1)
 
 
 def test_unknown_flag_rejected():

@@ -69,7 +69,7 @@ def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path, monkeypatch):
         dates=days(3), values=[1.0, 2.0, 3.0]))
     monkeypatch.setattr(cli.inconsistency, "rolling_volatility", lambda *args: None)
     cfg = SimpleNamespace(out_dir=tmp_path, linkage="average")
-    written = cli.cmd_dispersion(cfg, None, 3, {})
+    written = list(cli.cmd_dispersion(cfg, None, 3, {}))
     path = tmp_path / "dendrogram.csv"
     assert path in written
     assert path.read_text().splitlines() == [
@@ -77,7 +77,7 @@ def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path, monkeypatch):
         "0,0,1,0.0625,2",
         "1,2,3,0.333333333333,3",
     ]
-    # every path a command returns is the one a writer was given
+    # every path a command yields is the one a writer was given
     csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.json"
     assert exports.write_csv(csv_path, x=[1.0]) is csv_path
     assert exports.write_json(json_path, {"x": 1}) is json_path

@@ -180,6 +180,8 @@ def test_parse_history_accepts_mixed_case_header_and_blank_lines(local_http, tmp
                  id="date,close,market_cap\n2019-06-01,abc,2.0\n-line 2"),
     pytest.param("date,close,market_cap\nJune 1st,1.0,2.0\n", 2, "Invalid isoformat",
                  id="date,close,market_cap\nJune 1st,1.0,2.0\n-line 2"),
+    pytest.param("date,close,market_cap\n20190601,1.0,2.0\n", 2,
+                 "Invalid isoformat string: '20190601'", id="-YYYYMMDD date"),
 ])
 def test_parse_history_rejects_malformed_payloads(local_http, tmp_path, text, row, detail):
     with pytest.raises(cd.ParseError) as info:
@@ -276,6 +278,47 @@ def test_fetch_dataset_assembles_union_of_dates(local_http, tmp_path):
     (drop,) = drops
     assert drop.ticker == "ETH"
     assert drop.first_missing_date == dt.date(2019, 6, 3)
+
+
+def test_every_failing_ticker_is_named_in_ticker_order(local_http, tmp_path, capsys):
+    # Two tickers the server lacks or refuses, among two it serves: every
+    # ticker is tried, and one error names both failures in ticker order.
+    base, routes = local_http
+    routes["/hist/BTC.csv"] = (200, BTC_CSV)
+    routes["/hist/ETH.csv"] = (200, ETH_CSV)
+    routes["/hist/XRP.csv"] = (503, "<html>\n upstream  down\n</html>")
+    tickers = ["NOPE", "BTC", "XRP", "ETH"]
+    nope, xrp = (history_url(template(base), t, START, END) for t in ("NOPE", "XRP"))
+    data = tmp_path / "data"
+    with pytest.raises(cd.TransportError) as info:
+        fetch_dataset(template(base), tickers, START, END, data / "price.csv",
+                      data / "marketcap.csv", data / "raw")
+    assert (info.value.url, info.value.status) == (nope, 404)
+    message = (f"fetch failed for 2 URLs: {nope} (HTTP 404): no such route; "
+               f"{xrp} (HTTP 503): <html> upstream down </html>")
+    assert str(info.value) == message
+    assert sorted(os.listdir(data)) == ["raw"]
+    assert sorted(os.listdir(data / "raw")) == ["BTC.csv", "ETH.csv"]
+
+    code = main(["fetch", "--data-dir", str(tmp_path / "cli"),
+                 "--out-dir", str(tmp_path / "out"), "--from", str(START), "--to", str(END),
+                 "--url-template", template(base), "--tickers", ",".join(tickers)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: transport: {message}\n"
+    assert sorted(os.listdir(tmp_path / "cli")) == ["raw"]
+
+
+def test_a_malformed_payload_stops_the_fetch_after_a_failed_ticker(local_http, tmp_path):
+    base, routes = local_http
+    routes["/hist/BAD.csv"] = (200, "date,close,market_cap\n2019-06-01,abc,2.0\n")
+    routes["/hist/BTC.csv"] = (200, BTC_CSV)
+    raw = tmp_path / "raw"
+    with pytest.raises(cd.ParseError, match="not a number: 'abc'"):
+        fetch_dataset(template(base), ["NOPE", "BAD", "BTC"], START, END,
+                      tmp_path / "price.csv", tmp_path / "marketcap.csv", raw)
+    assert sorted(os.listdir(raw)) == ["BAD.csv"]
 
 
 def test_history_url_rejects_malformed_template():

@@ -249,6 +249,23 @@ def test_row_structure_is_checked_outside_the_range(tmp_path, bad_row):
     assert exc.value.column == "date"
 
 
+@pytest.mark.parametrize("written", ["20200102", "2020-W01-4", "2020W014", "2020-01-2"])
+def test_a_date_not_written_yyyy_mm_dd_is_a_parse_error(tmp_path, written):
+    # From Python 3.11 on date.fromisoformat reads the first three as
+    # 2020-01-02; the loader reads them on no version.
+    p, c = files(tmp_path, PRICE.replace("2020-01-02", written))
+    with pytest.raises(cd.ParseError, match=f"row 3, column 'date': "
+                                            f"Invalid isoformat string: '{written}'$"):
+        cd.load_panel_with_report(p, c, JAN1, JAN3)
+
+
+@pytest.mark.parametrize("bound", ["20200101", "2020-W01-3"])
+def test_a_bound_not_written_yyyy_mm_dd_is_an_input_error(tmp_path, bound):
+    p, c = files(tmp_path)
+    with pytest.raises(cd.InputError, match=f"^bad date '{bound}': Invalid isoformat"):
+        cd.load_panel_with_report(p, c, bound, JAN3)
+
+
 def test_a_quoted_field_may_not_run_onto_the_next_line(tmp_path):
     # The csv module would join rows 3 and 4 into one record whose BBB cell
     # is "4.5\n"; the loader reads one line at a time and names the row,
