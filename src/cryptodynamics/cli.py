@@ -10,23 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import correlation, dispersion, exports, inconsistency, spectral
-from .config import KEY_FIELDS, RunConfig, resolve_config, config_echo_text
+from .config import KEY_FIELDS, config_echo_text, parse_bool, parse_value, resolve_config
 from .errors import AnalysisError, InputError
 from .exports import write_drop_report
 from .panel import PeriodPartition, default_periods, load_panel_with_report
 from .turning_points import find_turning_points
 
-# Fields whose flag is not "--" plus the field name with dashes.
-_FLAG_NAMES = {"start": "--from", "end": "--to"}
-# Key parsers argparse applies itself, so that a bad value is a usage error;
-# the others raise ConfigError, which has to reach main's handler.
-_ARGPARSE_TYPES = (int, float, str, Path)
 # A smoothed norm series whose max − min is at most this many float
 # spacings at its largest magnitude counts as flat. Smoothing a constant
 # series wobbles by about 10 spacings at the default fit (31 points,
@@ -35,15 +29,18 @@ _ARGPARSE_TYPES = (int, float, str, Path)
 _FLAT_ULPS = 1024
 
 
+def _flag(field):
+    """A RunConfig field's flag: "--" and the field name with dashes, but --from and --to."""
+    return {"start": "--from", "end": "--to"}.get(field, "--" + field.replace("_", "-"))
+
+
 def _add_common_flags(parser):
     parser.add_argument("--config", metavar="PATH", help="flat-keyed config file")
     for key, (field, parse) in KEY_FIELDS.items():
-        flag = _FLAG_NAMES.get(field, "--" + field.replace("_", "-"))
-        switch = isinstance(getattr(RunConfig, field), bool)  # bare, it means true
-        parser.add_argument(flag, dest=field, help=f"config key {key}",
+        switch = parse is parse_bool  # bare, it means true
+        parser.add_argument(_flag(field), dest=field, help=f"config key {key}",
                             nargs="?" if switch else None,
-                            const="true" if switch else None,
-                            type=parse if parse in _ARGPARSE_TYPES else None)
+                            const="true" if switch else None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,13 +67,9 @@ def build_parser():
 
 
 def _config_from_args(args):
-    """The run configuration; flags argparse did not type go through their key's parser."""
-    flags = {}
-    for field, parse in KEY_FIELDS.values():
-        value = getattr(args, field)
-        if value is not None and parse not in _ARGPARSE_TYPES:
-            value = parse(value)
-        flags[field] = value
+    """The run configuration; each flag's text is read as its key's file value is."""
+    flags = {field: parse_value(key, getattr(args, field), _flag(field))
+             for key, (field, _) in KEY_FIELDS.items() if getattr(args, field) is not None}
     return resolve_config(args.config, **flags)
 
 

@@ -1,17 +1,18 @@
 """Run configuration: defaults, flat-keyed config files, flag overrides.
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
-Keys are the dotted names listed in KEY_FIELDS; command-line flags always
-win over file values, which win over defaults. Every run echoes its fully
-resolved configuration next to its outputs so results are reproducible
-from the output directory alone.
+Each RunConfig field declares its dotted key and the parser of the key's
+text; KEY_FIELDS lists them. File values and command-line flags are both
+read by parse_value, and flags always win over file values, which win
+over defaults. Every run echoes its fully resolved configuration next to
+its outputs so results are reproducible from the output directory alone.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .correlation import DEFAULT_SG_DEGREE, DEFAULT_SG_WINDOW, DEFAULT_WINDOW_DAYS
@@ -21,8 +22,8 @@ from .panel import DEFAULT_TICKERS, parse_date
 from .turning_points import TurningPointParams
 
 
-def _parse_bool(text):
-    lowered = str(text).strip().lower()
+def parse_bool(text):
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -30,11 +31,10 @@ def _parse_bool(text):
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-def _parse_date(text):
-    try:
-        return parse_date(str(text).strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad date {text!r}: {exc}") from None
+def _parse_path(text):
+    if not text:
+        raise ConfigError("a blank path would mean the working directory")
+    return Path(text)
 
 
 def parse_tickers(text):
@@ -46,25 +46,30 @@ def parse_tickers(text):
     return parts
 
 
+def _key(key, parse, default):
+    """A RunConfig field set by config key ``key``, whose text ``parse`` reads."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    data_dir: Path = Path("data")
-    out_dir: Path = Path("out")
-    start: dt.date = dt.date(2019, 1, 1)
-    end: dt.date = dt.date(2021, 6, 30)
-    correlation_days: int = DEFAULT_WINDOW_DAYS
-    spectral_days: int = DEFAULT_WINDOW_DAYS
-    inconsistency_days: int = DEFAULT_WINDOW_DAYS
-    volatility_days: int = DEFAULT_WINDOW_DAYS
-    tp_l: int = TurningPointParams.l
-    tp_delta: float = TurningPointParams.delta
-    tp_epsilon: float = TurningPointParams.epsilon
-    sg_window: int = DEFAULT_SG_WINDOW
-    sg_degree: int = DEFAULT_SG_DEGREE
-    exclude_diagonal: bool = False
-    linkage: str = "average"
-    url_template: str = ""
-    tickers: tuple = DEFAULT_TICKERS
+    data_dir: Path = _key("data.dir", _parse_path, Path("data"))
+    out_dir: Path = _key("output.dir", _parse_path, Path("out"))
+    start: dt.date = _key("range.from", parse_date, dt.date(2019, 1, 1))
+    end: dt.date = _key("range.to", parse_date, dt.date(2021, 6, 30))
+    correlation_days: int = _key("windows.correlation_days", int, DEFAULT_WINDOW_DAYS)
+    spectral_days: int = _key("windows.spectral_days", int, DEFAULT_WINDOW_DAYS)
+    inconsistency_days: int = _key("windows.inconsistency_days", int, DEFAULT_WINDOW_DAYS)
+    volatility_days: int = _key("windows.volatility_days", int, DEFAULT_WINDOW_DAYS)
+    tp_l: int = _key("tp.l", int, TurningPointParams.l)
+    tp_delta: float = _key("tp.delta", float, TurningPointParams.delta)
+    tp_epsilon: float = _key("tp.epsilon", float, TurningPointParams.epsilon)
+    sg_window: int = _key("sg.window", int, DEFAULT_SG_WINDOW)
+    sg_degree: int = _key("sg.degree", int, DEFAULT_SG_DEGREE)
+    exclude_diagonal: bool = _key("stats.exclude_diagonal", parse_bool, False)
+    linkage: str = _key("cluster.linkage", str, "average")
+    url_template: str = _key("data.url_template", str, "")
+    tickers: tuple = _key("data.tickers", parse_tickers, DEFAULT_TICKERS)
 
     def __post_init__(self):
         object.__setattr__(self, "data_dir", Path(self.data_dir))
@@ -72,11 +77,13 @@ class RunConfig:
         for name in ("correlation_days", "spectral_days",
                      "inconsistency_days", "volatility_days"):
             if getattr(self, name) < 2:
-                raise ConfigError(f"windows.{name.removesuffix('_days')}_days "
-                                  f"must be >= 2, got {getattr(self, name)}")
+                raise ConfigError(f"windows.{name} must be >= 2, got {getattr(self, name)}")
         if self.end < self.start:
             raise ConfigError(f"range end {self.end} before start {self.start}")
-        self.turning_point_params()  # validates l/delta/epsilon
+        try:
+            self.turning_point_params()
+        except ConfigError as exc:  # "l must be …" names the key tp.l
+            raise ConfigError(f"tp.{exc}") from None
         if self.sg_window < 1 or self.sg_window % 2 == 0:
             raise ConfigError(f"sg.window must be odd and positive, got {self.sg_window}")
         if not 0 <= self.sg_degree < self.sg_window:
@@ -104,28 +111,20 @@ class RunConfig:
         return self.data_dir / "marketcap.csv"
 
 
-# dotted config key -> (RunConfig field, parser)
-KEY_FIELDS = {
-    "data.dir": ("data_dir", Path),
-    "output.dir": ("out_dir", Path),
-    "range.from": ("start", _parse_date),
-    "range.to": ("end", _parse_date),
-    "windows.correlation_days": ("correlation_days", int),
-    "windows.spectral_days": ("spectral_days", int),
-    "windows.inconsistency_days": ("inconsistency_days", int),
-    "windows.volatility_days": ("volatility_days", int),
-    "tp.l": ("tp_l", int),
-    "tp.delta": ("tp_delta", float),
-    "tp.epsilon": ("tp_epsilon", float),
-    "sg.window": ("sg_window", int),
-    "sg.degree": ("sg_degree", int),
-    "stats.exclude_diagonal": ("exclude_diagonal", _parse_bool),
-    "cluster.linkage": ("linkage", str),
-    "data.url_template": ("url_template", str),
-    "data.tickers": ("tickers", parse_tickers),
-}
+# dotted config key -> (RunConfig field, parser), in field order
+KEY_FIELDS = {f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
 
-_FIELD_KEYS = {field: key for key, (field, _) in KEY_FIELDS.items()}
+
+def parse_value(key, text, source):
+    """The value config key ``key`` reads from ``text``, stripped.
+
+    A value its parser rejects is one ConfigError naming ``source`` (the
+    file line or flag it came from) and the key.
+    """
+    try:
+        return KEY_FIELDS[key][1](text.strip())
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: bad value for {key}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -150,13 +149,7 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if key not in KEY_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field, parser = KEY_FIELDS[key]
-        try:
-            overrides[field] = parser(value.strip())
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        overrides[KEY_FIELDS[key][0]] = parse_value(key, value, f"{path}:{lineno}")
     return overrides
 
 
@@ -175,14 +168,13 @@ def resolve_config(config_path=None, **flag_overrides) -> RunConfig:
 def config_echo_text(cfg: RunConfig) -> str:
     """The fully resolved configuration in config-file syntax."""
     lines = []
-    for field in fields(cfg):
-        key = _FIELD_KEYS[field.name]
-        value = getattr(cfg, field.name)
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             value = ",".join(value)
         elif isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, dt.date):
             value = value.isoformat()
-        lines.append(f"{key} = {value}")
+        lines.append(f"{f.metadata['key']} = {value}")
     return "\n".join(sorted(lines)) + "\n"

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cryptodynamics
-from cryptodynamics.cli import build_parser, main
+from cryptodynamics.cli import _flag, build_parser, main
 from cryptodynamics.config import KEY_FIELDS
 
 SMALL_FLAGS = [
@@ -308,7 +308,8 @@ def test_bool_flag_overrides_the_config_file(small_dataset_dir, tmp_path, capsys
         assert f"stats.exclude_diagonal = {echoed}\n" in text, (in_file, flag)
     capsys.readouterr()
     assert run("correlation", small_dataset_dir, out, "--exclude-diagonal", "maybe") == 1
-    assert capsys.readouterr().err == "error: not a boolean: 'maybe'\n"
+    assert capsys.readouterr().err == ("error: --exclude-diagonal: bad value for "
+                                       "stats.exclude_diagonal: not a boolean: 'maybe'\n")
 
 
 def test_bad_parameter_is_exit_code_1(small_dataset_dir, tmp_path, capsys):
@@ -327,9 +328,10 @@ def test_bad_date_is_exit_code_1(small_dataset_dir, tmp_path):
 @pytest.mark.parametrize("flag", ["--from", "--to"])
 def test_a_date_flag_not_written_yyyy_mm_dd_is_exit_code_1(small_dataset_dir, tmp_path,
                                                            capsys, flag):
+    key = {"--from": "range.from", "--to": "range.to"}[flag]
     assert run("correlation", small_dataset_dir, tmp_path / "out", flag, "20190801") == 1
     assert capsys.readouterr().err == (
-        "error: bad date '20190801': Invalid isoformat string: '20190801'\n")
+        f"error: {flag}: bad value for {key}: Invalid isoformat string: '20190801'\n")
 
 
 def test_flags_match_the_config_schema_and_the_readme():
@@ -362,7 +364,7 @@ def test_flags_match_the_config_schema_and_the_readme():
 
 def test_unknown_command_is_a_usage_error(capsys):
     # argparse's own exit code 2 would read as a numerical failure
-    for argv in (["frobnicate"], [], ["all", "--correlation-days", "abc"]):
+    for argv in (["frobnicate"], []):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1, argv
@@ -372,6 +374,43 @@ def test_unknown_command_is_a_usage_error(capsys):
             main(argv)
         assert info.value.code == 0, argv
         assert "usage:" in capsys.readouterr().out
+
+
+# A text each key's parser rejects. cluster.linkage and data.url_template
+# take any text; RunConfig's own checks reject a bad linkage.
+BAD_VALUES = {
+    "data.dir": "", "output.dir": " ",
+    "range.from": "junk", "range.to": "2019-13-01",
+    "windows.correlation_days": "abc", "windows.spectral_days": "9.5",
+    "windows.inconsistency_days": "", "windows.volatility_days": "ninety",
+    "tp.l": "x", "tp.delta": "0,2", "tp.epsilon": "1e",
+    "sg.window": "31.0", "sg.degree": "three",
+    "stats.exclude_diagonal": "maybe", "data.tickers": " , ",
+}
+
+
+@pytest.mark.parametrize("route", ["flag", "file"])
+@pytest.mark.parametrize("key", BAD_VALUES)
+def test_a_bad_value_is_one_error_line_naming_its_key_and_source(tmp_path, monkeypatch,
+                                                                 capsys, key, route):
+    # Flags and file lines go through the key's one parser. The run writes
+    # nothing: not even a blank output.dir or data.dir, which would mean
+    # the working directory.
+    assert set(BAD_VALUES) == set(KEY_FIELDS) - {"cluster.linkage", "data.url_template"}
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if route == "flag":
+        source = _flag(KEY_FIELDS[key][0])
+        argv = ["all", source, BAD_VALUES[key]]
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = {BAD_VALUES[key]}\n")
+        source, argv = f"{config}:1", ["all", "--config", str(config)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err).startswith(f"error: {source}: bad value for {key}: ")
+    assert captured.out == "" and list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("tickers", ["BTC,ETH,BTC", "BTC/USD"])

@@ -11,6 +11,7 @@ from cryptodynamics.config import (
     config_echo_text,
     parse_config_file,
     parse_tickers,
+    parse_value,
     resolve_config,
 )
 
@@ -74,11 +75,12 @@ def test_a_date_not_written_yyyy_mm_dd_is_a_config_error(tmp_path, text):
     # 2019-01-01; the config reads them on no version.
     path = tmp_path / "run.cfg"
     path.write_text(f"range.from = {text}\n")
-    with pytest.raises(ConfigError, match=f"run.cfg:1: bad date '{text}'"):
+    with pytest.raises(ConfigError, match=f"run.cfg:1: bad value for range.from: "
+                                          f"Invalid isoformat string: '{text}'$"):
         parse_config_file(path)
-    for key in ("range.from", "range.to"):
-        with pytest.raises(ConfigError, match=f"^bad date '{text}': Invalid isoformat"):
-            KEY_FIELDS[key][1](text)
+    for key, flag in (("range.from", "--from"), ("range.to", "--to")):
+        with pytest.raises(ConfigError, match=f"^{flag}: bad value for {key}: Invalid isoformat"):
+            parse_value(key, text, flag)
 
 
 def test_flags_beat_file_beats_defaults(tmp_path):

@@ -33,6 +33,17 @@ def test_log_returns_by_hand():
     assert r.dates == panel.dates[1:]
 
 
+def test_log_returns_need_two_days_of_prices():
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    two = cd.PricePanel(dates, ("AAA",), np.array([[1.0, math.e]]), np.ones((1, 2)))
+    r = cd.log_returns(two)
+    assert r.dates == dates[1:]
+    np.testing.assert_allclose(r.returns, [[1.0]], atol=1e-15)
+    one = cd.PricePanel(dates[:1], ("AAA",), np.array([[1.0]]), np.ones((1, 1)))
+    with pytest.raises(cd.InputError, match="^need at least two days of prices"):
+        cd.log_returns(one)
+
+
 def test_log_returns_keep_the_caps_at_each_return_days_close(small_panel, small_returns):
     caps = small_returns.market_caps
     assert caps.shape == small_returns.returns.shape
@@ -67,6 +78,34 @@ def test_correlation_rejects_bad_windows():
         cd.correlation_matrix(r, 5, 21)
     with pytest.raises(cd.InputError):
         cd.correlation_matrix(r, 7, 7)
+
+
+def test_correlation_window_bounds():
+    # A window of one day is too short, and says so; two days is the
+    # shortest, where every correlation is ±1.
+    r = make_returns(np.random.default_rng(3).standard_normal((3, 20)))
+    for a in (1, 7, 20):
+        with pytest.raises(cd.InputError, match="^correlation window must span at least 2 days$"):
+            cd.correlation_matrix(r, a, a)
+    m = cd.correlation_matrix(r, 19, 20)
+    assert m.window == (19, 20)
+    np.testing.assert_allclose(np.abs(m.matrix), 1.0, rtol=0.0, atol=1e-12)
+
+
+def test_correlation_matrix_record_bounds():
+    unit = [[1.0, 0.5], [0.5, 1.0]]
+    assert cd.CorrelationMatrix((3, 3), unit).window == (3, 3)
+    with pytest.raises(cd.InputError, match=r"^bad window \[3:2\]$"):
+        cd.CorrelationMatrix((3, 2), unit)
+    for shape in ((2, 3), (3, 2)):
+        with pytest.raises(cd.InputError, match=r"must be square, got \(\d, \d\)$"):
+            cd.CorrelationMatrix((1, 3), np.zeros(shape))
+    # entries may exceed 1 in magnitude by rounding, up to 1e-12 exactly
+    edge = 1.0 + 1e-12
+    assert cd.CorrelationMatrix((1, 3), [[1.0, -edge], [-edge, 1.0]]).matrix[0, 1] == -edge
+    with pytest.raises(cd.InputError, match=r"must lie in \[-1, 1\]$"):
+        cd.CorrelationMatrix((1, 3), [[1.0, np.nextafter(edge, 2.0)],
+                                      [np.nextafter(edge, 2.0), 1.0]])
 
 
 def test_constant_asset_raises_and_names_the_ticker():
@@ -167,6 +206,8 @@ def test_smoothing_parameter_validation():
         cd.smooth_series(y, 10, 3)       # even window
     with pytest.raises(cd.ConfigError):
         cd.smooth_series(y, 7, 7)        # degree not below window
+    with pytest.raises(cd.ConfigError, match="^sg_degree must satisfy 0 <= degree"):
+        cd.smooth_series(y, 7, -1)       # degree below 0
     with pytest.raises(cd.ConfigError):
         cd.smooth_series(y, 51, 3)       # window longer than series
 
@@ -229,6 +270,14 @@ def test_norm_series_rejects_non_finite(bad):
         cd.NormSeries(dates, [0.5, 0.5], [0.5, bad])
 
 
+def test_norm_series_tolerates_rounding_up_to_1e_9_exactly():
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    assert cd.NormSeries(dates, [-1e-9, 1.0 + 1e-9]).raw.tolist() == [-1e-9, 1.0 + 1e-9]
+    for bad in (np.nextafter(-1e-9, -1.0), np.nextafter(1.0 + 1e-9, 2.0)):
+        with pytest.raises(cd.InputError, match=r"must lie in \[0, 1\]$"):
+            cd.NormSeries(dates, [0.5, bad])
+
+
 def test_period_stats_zero_variance_pool_has_no_density():
     # a single-asset panel pools only the diagonal 1.0 entry
     rng = np.random.default_rng(9)
@@ -258,6 +307,16 @@ def test_period_with_constant_asset_names_that_period():
         f"asset 'A1' has zero variance on return days [21:40] "
         f"(window ending {r.dates[39]})"
     )
+
+
+def test_a_period_needs_two_return_days():
+    r = make_returns(np.random.default_rng(5).standard_normal((3, 20)))
+    two = cd.PeriodPartition((cd.Period("two", r.dates[4], r.dates[5]),))
+    (s,) = cd.period_entry_stats(r, two)
+    assert (s.start, s.end, s.n_days) == (r.dates[4], r.dates[5], 2)
+    one = cd.PeriodPartition((cd.Period("one", r.dates[4], r.dates[4]),))
+    with pytest.raises(cd.InputError, match="^period 'one' covers fewer than 2 return days"):
+        cd.period_entry_stats(r, one)
 
 
 def test_period_outside_range_raises(small_returns):

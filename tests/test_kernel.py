@@ -7,6 +7,7 @@ one chunk, and there is one worker per CPU.
 """
 
 import datetime as dt
+import os
 import sys
 import threading
 import time
@@ -232,6 +233,19 @@ def test_without_an_openblas_setter_a_pass_runs_one_worker():
         with mock.patch.multiple(correlation, _openblas_threads=lambda: blas,
                                  _cpu_count=lambda: 4):
             assert correlation._worker_count() == workers
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity call")
+def test_the_worker_count_reads_this_threads_cpus():
+    # One worker per CPU this thread may run on, pinned to one (as by
+    # taskset) or not, however many CPUs the machine or its first process has.
+    cpus = os.sched_getaffinity(0)
+    assert correlation._cpu_count() == len(cpus)
+    try:
+        os.sched_setaffinity(0, {min(cpus)})
+        assert correlation._cpu_count() == 1
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def test_every_buffer_set_gets_its_own_thread():
