@@ -18,7 +18,7 @@ from . import correlation, dispersion, exports, inconsistency, spectral
 from .config import KEY_FIELDS, config_echo_text, parse_bool, parse_value, resolve_config
 from .errors import AnalysisError, InputError
 from .exports import write_drop_report
-from .panel import PeriodPartition, default_periods, load_panel_with_report
+from .panel import default_periods, load_panel_with_report
 from .turning_points import find_turning_points
 
 # A smoothed norm series whose max − min is at most this many float
@@ -129,11 +129,7 @@ def cmd_correlation(cfg, returns, days, stats):
                             date=[p.date for p in points], value=[p.value for p in points],
                             kind=[p.kind for p in points])
 
-    # stats only for periods the analysis range actually covers (>= 2 return days)
-    first, last = returns.dates[0], returns.dates[-1]
-    covered = tuple(p for p in default_periods()
-                    if (min(p.end, last) - max(p.start, first)).days + 1 >= 2)
-    periods = correlation.period_entry_stats(returns, PeriodPartition(covered),
+    periods = correlation.period_entry_stats(returns, default_periods(),
                                              exclude_diagonal=cfg.exclude_diagonal)
     yield exports.write_csv(out / "period_stats.csv", period=[s.label for s in periods],
                             mean=[s.mean for s in periods], std=[s.std for s in periods])

@@ -11,14 +11,13 @@ its outputs so results are reproducible from the output directory alone.
 from __future__ import annotations
 
 import datetime as dt
-import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .correlation import DEFAULT_SG_DEGREE, DEFAULT_SG_WINDOW, DEFAULT_WINDOW_DAYS
 from .dispersion import LINKAGES
 from .errors import ConfigError
-from .panel import DEFAULT_TICKERS, parse_date
+from .panel import DEFAULT_TICKERS, check_tickers, parse_date
 from .turning_points import TurningPointParams
 
 
@@ -38,9 +37,7 @@ def _parse_path(text):
 
 
 def parse_tickers(text):
-    if isinstance(text, (tuple, list)):
-        return tuple(text)
-    parts = tuple(p.strip() for p in str(text).split(",") if p.strip())
+    parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
         raise ConfigError("empty ticker list")
     return parts
@@ -91,13 +88,7 @@ class RunConfig:
         if self.linkage not in LINKAGES:
             raise ConfigError(f"cluster.linkage must be one of {LINKAGES}, "
                               f"got {self.linkage!r}")
-        # each ticker is a panel column and names its raw file <data>/raw/<ticker>.csv
-        repeated = sorted({t for t in self.tickers if self.tickers.count(t) > 1})
-        if repeated:
-            raise ConfigError(f"data.tickers repeats {', '.join(repeated)}")
-        pathlike = [t for t in self.tickers if "/" in t or os.sep in t]
-        if pathlike:
-            raise ConfigError(f"data.tickers holds a path separator: {', '.join(pathlike)}")
+        check_tickers(self.tickers, "data.tickers")
 
     def turning_point_params(self) -> TurningPointParams:
         return TurningPointParams(self.tp_l, self.tp_delta, self.tp_epsilon)

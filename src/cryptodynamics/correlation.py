@@ -248,11 +248,12 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
     return CorrelationMatrix((a, b), stack[0])
 
 
-def window_length(returns: ReturnsPanel, window_days) -> int:
-    """S as an int, once ``returns`` is known to hold a trailing S-day window.
+def window_length(returns: ReturnsPanel, window_days):
+    """S as an int, and the dates t = S..T of the trailing S-day windows.
 
-    Every rolling series takes its windows by this rule: S < 2 is a
-    ConfigError, fewer than S return days an InputError.
+    Every rolling series takes its windows and dates by this rule, with or
+    without a kernel pass handed to it: S < 2 is a ConfigError, fewer than
+    S return days an InputError.
     """
     S = int(window_days)
     if S < 2:
@@ -260,7 +261,7 @@ def window_length(returns: ReturnsPanel, window_days) -> int:
     T = returns.n_days
     if T < S:
         raise InputError(f"need at least {S} return days, have {T}")
-    return S
+    return S, returns.dates[S - 1:]
 
 
 def _window_shapes(n_assets, window_days, wanted):
@@ -289,8 +290,8 @@ def window_chunks(returns: ReturnsPanel, window_days, workers, wanted):
     ``_CHUNK_BYTES`` of the buffers a pass for ``wanted`` holds
     (``_window_shapes``), but at least ``_MIN_CHUNK_WINDOWS``.
     """
-    S = window_length(returns, window_days)
-    W = returns.n_days - S + 1
+    S, dates = window_length(returns, window_days)
+    W = len(dates)
     per_window = _window_bytes(_window_shapes(returns.n_assets, S, wanted))
     step = max(_MIN_CHUNK_WINDOWS, _CHUNK_BYTES // (per_window * workers))
     return [slice(lo, min(lo + step, W)) for lo in range(0, W, step)]
@@ -471,13 +472,13 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     wanted = set(wanted)
     if not wanted or not wanted <= set(STATISTICS):
         raise InputError(f"wanted must name some of {STATISTICS}, got {sorted(wanted)}")
-    S, n = int(window_days), returns.n_assets
+    S, dates = window_length(returns, window_days)
+    n = returns.n_assets
     norm, eig, sigma = "norm" in wanted, "lambda1" in wanted, "sigma" in wanted
     workers = _worker_count()
     chunks = window_chunks(returns, S, workers, wanted)
     workers = min(workers, len(chunks))
     W, c = chunks[-1].stop, chunks[0].stop
-    dates = returns.dates[S - 1:]
     # Per worker, c windows of each buffer. The calling thread allocates
     # them all, so that no worker thread's heap keeps a freed chunk.
     shapes = _window_shapes(n, S, wanted)
@@ -519,9 +520,10 @@ def rolling_norm_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     ``stats``, a ``rolling_statistics`` result for the same window length
     that holds "norm", stands in for the kernel pass.
     """
+    S, dates = window_length(returns, window_days)
     if stats is None:
-        stats = rolling_statistics(returns, window_days, ("norm",))
-    return NormSeries(returns.dates[int(window_days) - 1:], stats["norm"])
+        stats = rolling_statistics(returns, S, ("norm",))
+    return NormSeries(dates, stats["norm"])
 
 
 def _fit_weights(x, degree):
@@ -587,7 +589,7 @@ def _entry_pool(m, exclude_diagonal):
 def _gaussian_densities(estimates):
     """Gaussian kernel-density estimates, one per ``(pool, grid, bw)``.
 
-    Equal entries share one kernel weighted by their count (a symmetric
+    An empty grid gets an empty density. Equal entries share one kernel weighted by their count (a symmetric
     matrix holds each off-diagonal entry twice). A grid point sums, in one
     ``ndarray.dot``, the kernels of the centres within ``_KDE_REACH``
     bandwidths of it, a window of the sorted centres found by
@@ -643,8 +645,9 @@ def _gaussian_densities(estimates):
             sums[k] = window.dot(counts[a:b])
         sums /= norm
 
-    buffers = [np.empty(step * widest) for _ in range(min(workers, len(blocks)))]
-    _map_chunks(work, blocks, buffers)
+    if blocks:  # none if every grid is empty
+        buffers = [np.empty(step * widest) for _ in range(min(workers, len(blocks)))]
+        _map_chunks(work, blocks, buffers)
     return [t[-1] for t in terms]
 
 
@@ -652,18 +655,18 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
                        exclude_diagonal=False):
     """Per-period correlation-entry statistics and kernel-density curves.
 
-    For each period, one correlation matrix is built over every return day
-    falling inside the period (periods are intersected with the return
-    series' date range, which starts one day after the price panel).
-    Reported are the signed mean and population standard deviation of all
-    N² entries (or the N²−N off-diagonal entries when
-    ``exclude_diagonal``), plus a Gaussian kernel-density estimate of the
-    same pool on ``_DENSITY_POINTS`` (256) points spanning the pool's range
-    widened by 3 bandwidths on each side. The bandwidth is Silverman's,
-    (3n/4)^(−1/5) times the pool's sample standard deviation for a pool
-    of n entries. The estimates are computed in numpy by
-    ``_gaussian_densities``, all periods' grids together on one thread per
-    CPU. OpenBLAS is held at one thread for the whole call, the
+    One record per period covering at least 2 return days, in order; a
+    period with fewer has no correlation matrix and is skipped (the return
+    series starts one day after the price panel). Each period's matrix is
+    built over the return days it covers. Reported are the signed mean and
+    population standard deviation of all N² entries (or the N²−N
+    off-diagonal entries when ``exclude_diagonal``), plus a Gaussian
+    kernel-density estimate of the same pool on ``_DENSITY_POINTS`` (256)
+    points spanning the pool's range widened by 3 bandwidths on each side.
+    The bandwidth is Silverman's, (3n/4)^(−1/5) times the pool's sample
+    standard deviation for a pool of n entries. The estimates are computed
+    in numpy by ``_gaussian_densities``, all periods' grids together on one
+    thread per CPU. OpenBLAS is held at one thread for the whole call, the
     correlation matrices included, so the results depend neither on the
     CPU count nor on ``OPENBLAS_NUM_THREADS``.
     """
@@ -675,10 +678,7 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
             hi = min(period.end, last)
             n_days = (hi - lo).days + 1
             if n_days < 2:
-                raise InputError(
-                    f"period {period.label!r} covers fewer than 2 return days "
-                    f"of {first}..{last}"
-                )
+                continue
             a = (lo - first).days + 1
             b = (hi - first).days + 1
             pool = _entry_pool(correlation_matrix(returns, a, b).matrix, exclude_diagonal)
@@ -686,16 +686,14 @@ def period_entry_stats(returns: ReturnsPanel, periods: PeriodPartition,
                 raise InputError(
                     "cannot pool off-diagonal entries of a single-asset panel"
                 )
-            mean = float(pool.mean())
             std = float(pool.std())
-            grid = np.empty(0)
+            grid, bw = np.empty(0), 0.0
             if std > 0.0:
                 bw = (0.75 * pool.size) ** -0.2 * float(pool.std(ddof=1))
                 grid = np.linspace(pool.min() - 3.0 * bw, pool.max() + 3.0 * bw,
                                    _DENSITY_POINTS)
-                estimates.append((pool, grid, bw))
-            summaries.append((period.label, lo, hi, n_days, mean, std, grid))
-        densities = iter(_gaussian_densities(estimates))
-    # A period without a grid (zero variance) has no density either.
-    return [PeriodEntryStats(*summary, next(densities) if summary[-1].size else np.empty(0))
-            for summary in summaries]
+            summaries.append((period.label, lo, hi, n_days, float(pool.mean()), std, grid))
+            estimates.append((pool, grid, bw))
+        densities = _gaussian_densities(estimates)
+    return [PeriodEntryStats(*summary, density)
+            for summary, density in zip(summaries, densities)]

@@ -97,13 +97,17 @@ def fetch_dataset(url_template, tickers, start, end,
     (the loader's drop policy deals with those). The pair replaces the old
     one only once both files are written (``panel._write_pair``).
 
-    A ticker that fails to download does not stop the others: once all are
-    tried, one TransportError names every failed URL in ticker order, and
-    no pair is written. A ParseError in a payload stops the fetch at once.
+    Tickers must be non-empty, distinct and free of path separators
+    (``panel.check_tickers``); any other list is a ConfigError before any
+    request or file write. A ticker that fails to download does not stop
+    the others: once all are tried, one TransportError names every failed
+    URL in ticker order, and no pair is written. A ParseError in a payload
+    stops the fetch at once.
     """
     tickers = list(tickers)
     if not tickers:
         raise InputError("no tickers to fetch")
+    panel.check_tickers(tickers, "tickers")
     if end < start:
         raise InputError(f"date range end {end} before start {start}")
     raw_dir = Path(raw_dir)

@@ -106,19 +106,18 @@ def rolling_volatility(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     """Population standard deviation of each asset's trailing S returns.
 
     ``stats``, a ``rolling_statistics`` result for the same window length
-    that holds "sigma", stands in for the kernel pass. S < 2 or S > T is an
-    InputError: the kernel pass's, or given ``stats``, ``VolatilityPanel``'s.
+    that holds "sigma", stands in for the kernel pass.
     """
-    S = int(window_days)
+    S, dates = window_length(returns, window_days)
     if stats is None:
         stats = rolling_statistics(returns, S, ("sigma",))
-    return VolatilityPanel(returns.dates[S - 1:], stats["sigma"], S)
+    return VolatilityPanel(dates, stats["sigma"], S)
 
 
 def _window_feature_tracks(returns, vol):
     """Cap means, return sums and volatilities per window of ``vol``'s length S, all (N, W)."""
-    S = window_length(returns, vol.window_days)
-    if vol.dates != returns.dates[S - 1:]:
+    S, dates = window_length(returns, vol.window_days)
+    if vol.dates != dates:
         raise InputError("volatility panel does not align with the returns panel")
     cap_means = sliding_window_view(returns.market_caps, S, axis=1).mean(axis=2)
     ret_sums = sliding_window_view(returns.returns, S, axis=1).sum(axis=2)

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyPanelError, GapError, InputError, ParseError, frozen_array, set_fields
+from .errors import (ConfigError, EmptyPanelError, GapError, InputError, ParseError,
+                     frozen_array, set_fields)
 
 _DAY = dt.timedelta(days=1)
 
@@ -127,6 +129,23 @@ class DropRecord:
             "reason": self.reason,
             "first_missing_date": self.first_missing_date.isoformat(),
         }
+
+
+def check_tickers(tickers, name):
+    """Raise a ConfigError naming ``name`` unless every ticker can name a file.
+
+    Each ticker is a panel column, and ``fetch`` writes its payload to
+    ``<raw_dir>/<ticker>.csv``: so tickers must be non-empty and distinct,
+    and may hold no path separator.
+    """
+    if not all(tickers):
+        raise ConfigError(f"{name} holds an empty ticker")
+    repeated = sorted({t for t in tickers if tickers.count(t) > 1})
+    if repeated:
+        raise ConfigError(f"{name} repeats {', '.join(repeated)}")
+    pathlike = [t for t in tickers if "/" in t or os.sep in t]
+    if pathlike:
+        raise ConfigError(f"{name} holds a path separator: {', '.join(pathlike)}")
 
 
 def default_periods() -> PeriodPartition:

@@ -70,10 +70,11 @@ def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
     ``stats``, a ``rolling_statistics`` result for the same window length
     that holds "lambda1", stands in for the kernel pass.
     """
+    S, dates = window_length(returns, window_days)
     if stats is None:
-        stats = rolling_statistics(returns, window_days, ("lambda1",))
+        stats = rolling_statistics(returns, S, ("lambda1",))
     n = returns.n_assets
-    return SpectralSeries(returns.dates[int(window_days) - 1:], stats["lambda1"] / n, n)
+    return SpectralSeries(dates, stats["lambda1"] / n, n)
 
 
 def rolling_market_size(returns: ReturnsPanel,
@@ -84,9 +85,9 @@ def rolling_market_size(returns: ReturnsPanel,
     ``log_returns`` aligned them, so the output dates align with
     lambda1_series.
     """
-    S = window_length(returns, window_days)
+    S, dates = window_length(returns, window_days)
     total = returns.market_caps.sum(axis=0)
-    return MarketSizeSeries(returns.dates[S - 1:], sliding_window_view(total, S).mean(axis=1))
+    return MarketSizeSeries(dates, sliding_window_view(total, S).mean(axis=1))
 
 
 def series_correlation(x, y) -> float:

@@ -16,8 +16,8 @@ number and text, so an edit that moves the line fails the sweep rather
 than quietly keeping a stale entry. The exit status is 1 if any survivor
 is not allowed. This takes minutes per module, so pytest does not
 collect this file: it is run by hand before a change, and CI runs the
-``config`` sweep, about a minute, which must report no
-survivor.
+``config`` and ``exports`` sweeps, about a minute and half a minute, which
+must report no survivor.
 """
 
 import ast
@@ -45,29 +45,29 @@ ALLOWED = [
      "matmul broadcasts the one window into both matrices, and stack[0] is returned"),
     ("correlation", 248, "return CorrelationMatrix((a, b), stack[0])", "0 -> -1 at col 43",
      "the stack holds one window"),
-    ("correlation", 341, "n = stack.shape[1]", "1 -> 2 at col 20",
+    ("correlation", 342, "n = stack.shape[1]", "1 -> 2 at col 20",
      "every stack is (c, N, N)"),
-    ("correlation", 561, "if w < 1 or w % 2 == 0:", "1 -> 0 at col 11",
+    ("correlation", 563, "if w < 1 or w % 2 == 0:", "1 -> 0 at col 11",
      "w = 0 is even, so the other clause rejects it with the same message"),
-    ("correlation", 583, "n = m.shape[0]", "0 -> -1 at col 16",
+    ("correlation", 585, "n = m.shape[0]", "0 -> -1 at col 16",
      "correlation matrices are square"),
-    ("correlation", 583, "n = m.shape[0]", "0 -> 1 at col 16",
+    ("correlation", 585, "n = m.shape[0]", "0 -> 1 at col 16",
      "correlation matrices are square"),
-    ("correlation", 619, "widest = max(t[1].size for t in terms)", "1 -> 2 at col 19",
+    ("correlation", 621, "widest = max(t[1].size for t in terms)", "1 -> 2 at col 19",
      "t[2], the counts, has one entry per centre, as t[1] does"),
-    ("correlation", 622, "blocks = [(t, slice(lo, min(lo + step, t[0].size)))",
+    ("correlation", 624, "blocks = [(t, slice(lo, min(lo + step, t[0].size)))",
      "0 -> -1 at col 45", "t[-1], the density, has one entry per grid point, as t[0] does"),
-    ("correlation", 623, "for t in terms for lo in range(0, t[0].size, step)]",
+    ("correlation", 625, "for t in terms for lo in range(0, t[0].size, step)]",
      "0 -> -1 at col 50", "t[-1], the density, has one entry per grid point, as t[0] does"),
-    ("correlation", 635, _WHOLE, "starts[-1] == lo -> starts[-1] != lo", _WHOLE_WHY),
-    ("correlation", 635, _WHOLE, "stops[0] == hi -> stops[0] != hi", _WHOLE_WHY),
-    ("correlation", 635, _WHOLE, "1 -> 0 at col 24", _WHOLE_WHY),
-    ("correlation", 635, _WHOLE, "0 -> -1 at col 43", _WHOLE_WHY),
-    ("correlation", 369, "return os.cpu_count() or 1", "1 -> 0 at col 33",
+    ("correlation", 637, _WHOLE, "starts[-1] == lo -> starts[-1] != lo", _WHOLE_WHY),
+    ("correlation", 637, _WHOLE, "stops[0] == hi -> stops[0] != hi", _WHOLE_WHY),
+    ("correlation", 637, _WHOLE, "1 -> 0 at col 24", _WHOLE_WHY),
+    ("correlation", 637, _WHOLE, "0 -> -1 at col 43", _WHOLE_WHY),
+    ("correlation", 370, "return os.cpu_count() or 1", "1 -> 0 at col 33",
      "reached only without os.sched_getaffinity (macOS, Windows), where no test runs"),
-    ("correlation", 369, "return os.cpu_count() or 1", "1 -> 2 at col 33",
+    ("correlation", 370, "return os.cpu_count() or 1", "1 -> 2 at col 33",
      "reached only without os.sched_getaffinity (macOS, Windows), where no test runs"),
-    ("config", 87, "if self.sg_window < 1 or self.sg_window % 2 == 0:", "1 -> 0 at col 28",
+    ("config", 84, "if self.sg_window < 1 or self.sg_window % 2 == 0:", "1 -> 0 at col 28",
      "sg.window = 0 is even, so the other clause rejects it with the same message"),
 ]
 

@@ -52,6 +52,25 @@ def test_correlation_command(small_dataset_dir, tmp_path, capsys):
     assert str(out / "norm_series.csv") in emitted
 
 
+@pytest.mark.parametrize("start,periods", [
+    ("2020-02-26", [("Pre-COVID", 2), ("Peak COVID", 91)]),
+    ("2020-02-27", [("Peak COVID", 91)]),
+])
+def test_a_period_gets_a_density_file_from_two_return_days(sim_dataset_dir, tmp_path,
+                                                           start, periods):
+    # Pre-COVID ends on 2020-02-28 and the returns start the day after
+    # --from; Post-COVID starts on --to, so it has one return day.
+    out = tmp_path / "out"
+    assert main(["correlation", "--data-dir", str(sim_dataset_dir), "--out-dir", str(out),
+                 "--from", start, "--to", "2020-05-31", "--correlation-days", "30",
+                 "--sg-window", "11", "--tp-l", "5"]) == 0
+    stats = json.loads((out / "period_stats.json").read_text())
+    assert [(s["period"], s["n_days"]) for s in stats] == periods
+    slugs = {"Pre-COVID": "pre_covid", "Peak COVID": "peak_covid"}
+    assert sorted(p.name for p in out.glob("density_*.csv")) == sorted(
+        f"density_{slugs[label]}.csv" for label, _ in periods)
+
+
 def test_resolved_config_echo(small_dataset_dir, tmp_path):
     out = tmp_path / "out"
     assert run("correlation", small_dataset_dir, out, "--exclude-diagonal") == 0

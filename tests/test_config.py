@@ -163,9 +163,15 @@ def test_bad_tickers_rejected(tmp_path, tickers, message):
         resolve_config(path)
 
 
+def test_an_empty_ticker_is_rejected():
+    # the file and flag parser drops blank entries; a caller's tuple may hold one
+    with pytest.raises(ConfigError, match="^data.tickers holds an empty ticker$"):
+        RunConfig(tickers=("BTC", ""))
+
+
 def test_parse_tickers():
     assert parse_tickers("BTC,ETH") == ("BTC", "ETH")
-    assert parse_tickers(["BTC", "ETH"]) == ("BTC", "ETH")
+    assert parse_tickers(" BTC , ,ETH ") == ("BTC", "ETH")
     with pytest.raises(ConfigError):
         parse_tickers(" , ,")
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
 import cryptodynamics as cd
+from cryptodynamics import correlation
 from cryptodynamics.correlation import chunk_norms, fill_chunk, window_chunks
 
 import reference
@@ -21,6 +22,12 @@ def make_returns(X):
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=k + 1) for k in range(t))
     tickers = tuple(f"A{i}" for i in range(n))
     return cd.ReturnsPanel(dates, tickers, X, np.ones((n, t)))
+
+
+def test_default_windows_and_smoothing():
+    # every window and the Savitzky-Golay fit start from these
+    assert (correlation.DEFAULT_WINDOW_DAYS, correlation.DEFAULT_SG_WINDOW,
+            correlation.DEFAULT_SG_DEGREE) == (90, 31, 3)
 
 
 def test_log_returns_by_hand():
@@ -310,17 +317,22 @@ def test_period_with_constant_asset_names_that_period():
 
 
 def test_a_period_needs_two_return_days():
+    # A period with one return day in range has no correlation matrix and
+    # is skipped, at either end of the range or inside it; one with two
+    # gets its record, also when the range cuts it to two. The records keep
+    # the periods' order.
     r = make_returns(np.random.default_rng(5).standard_normal((3, 20)))
-    two = cd.PeriodPartition((cd.Period("two", r.dates[4], r.dates[5]),))
-    (s,) = cd.period_entry_stats(r, two)
-    assert (s.start, s.end, s.n_days) == (r.dates[4], r.dates[5], 2)
-    one = cd.PeriodPartition((cd.Period("one", r.dates[4], r.dates[4]),))
-    with pytest.raises(cd.InputError, match="^period 'one' covers fewer than 2 return days"):
-        cd.period_entry_stats(r, one)
+    d, month = r.dates, dt.timedelta(days=30)
+    periods = cd.PeriodPartition((
+        cd.Period("head", d[0] - month, d[0]), cd.Period("one", d[4], d[4]),
+        cd.Period("two", d[6], d[7]), cd.Period("tail", d[-2], d[-1] + month),
+    ))
+    stats = cd.period_entry_stats(r, periods)
+    assert [(s.label, s.start, s.end, s.n_days) for s in stats] == [
+        ("two", d[6], d[7], 2), ("tail", d[-2], d[-1], 2)]
 
 
-def test_period_outside_range_raises(small_returns):
+def test_a_period_outside_the_range_is_skipped(small_returns):
     periods = cd.PeriodPartition((cd.Period("future", dt.date(2030, 1, 1),
                                             dt.date(2030, 6, 1)),))
-    with pytest.raises(cd.InputError):
-        cd.period_entry_stats(small_returns, periods)
+    assert cd.period_entry_stats(small_returns, periods) == []

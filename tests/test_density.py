@@ -12,7 +12,6 @@ each below the smallest normal double, so the two agree to rounding
 wherever the density is not itself near underflow.
 """
 
-import datetime as dt
 import sys
 import threading
 import tracemalloc
@@ -122,6 +121,16 @@ def test_density_values_do_not_depend_on_the_workers(cases, blocks):
             np.testing.assert_array_equal(got, expected)
 
 
+def test_an_empty_grid_gets_an_empty_density():
+    # A pool of equal entries has no grid; alone, it starts no block.
+    pool, grid, ones = np.linspace(-1.0, 1.0, 50), np.linspace(-1.5, 1.5, 7), np.ones(4)
+    assert densities([]) == []
+    assert [y.shape for y in densities([(ones, np.empty(0), 0.0)], 2)] == [(0,)]
+    empty, y = densities([(ones, np.empty(0), 0.0), (pool, grid, 0.1)], 2)
+    assert empty.shape == (0,)
+    np.testing.assert_array_equal(y, densities([(pool, grid, 0.1)], 2)[0])
+
+
 def test_a_budget_below_one_point_gives_one_point_blocks():
     pool = np.linspace(-1.0, 1.0, 50)
     estimates = [(pool, np.linspace(-1.5, 1.5, 7), 0.1), (pool[:20], np.linspace(-1.0, 1.0, 5), 0.2)]
@@ -164,10 +173,12 @@ def test_period_stats_hold_blas_at_one_thread_and_restore_it():
     # OpenBLAS thread, on two workers; the count comes back afterwards,
     # also when a later period raises.
     get, put = blas_threads()
-    r = make_returns(np.random.default_rng(5).standard_normal((12, 80)))
+    X = np.random.default_rng(5).standard_normal((12, 80))
+    X[3, 60:] = 0.5  # constant over all of "flat"
+    r = make_returns(X)
     d = r.dates
     first, second = cd.Period("first", d[0], d[39]), cd.Period("second", d[40], d[-1])
-    stub = cd.Period("stub", d[-1], d[-1] + dt.timedelta(days=30))
+    flat = cd.Period("flat", d[60], d[-1])
     seen = []
     matrix, map_chunks = correlation.correlation_matrix, correlation._map_chunks
 
@@ -191,8 +202,8 @@ def test_period_stats_hold_blas_at_one_thread_and_restore_it():
             stats = cd.period_entry_stats(r, cd.PeriodPartition((first, second)))
             assert get() == 3
             assert len(seen) == 2 + 2 * 26  # two matrices, 26 blocks of <= 10 points each
-            with pytest.raises(cd.InputError, match="'stub'"):
-                cd.period_entry_stats(r, cd.PeriodPartition((first, stub)))
+            with pytest.raises(cd.DegenerateDataError, match="'A3'"):
+                cd.period_entry_stats(r, cd.PeriodPartition((first, flat)))
             assert get() == 3
     finally:
         put(before)

@@ -81,3 +81,9 @@ def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path, monkeypatch):
     csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.json"
     assert exports.write_csv(csv_path, x=[1.0]) is csv_path
     assert exports.write_json(json_path, {"x": 1}) is json_path
+
+
+def test_write_json_indents_by_two_and_sorts_keys(tmp_path):
+    path = exports.write_json(tmp_path / "x.json", {"b": [1, 0.1], "a": {"d": None, "c": "é"}})
+    assert path.read_bytes() == (b'{\n  "a": {\n    "c": "\\u00e9",\n    "d": null\n  },\n'
+                                 b'  "b": [\n    1,\n    0.1\n  ]\n}\n')

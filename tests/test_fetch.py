@@ -1,10 +1,12 @@
 import datetime as dt
 import os
 import socket
+from urllib.parse import quote
 
 import pytest
 
 import cryptodynamics as cd
+from cryptodynamics import fetch
 from cryptodynamics.cli import main
 from cryptodynamics.fetch import fetch_daily_history, fetch_dataset, history_url
 
@@ -358,6 +360,29 @@ def test_fetch_dataset_needs_tickers(tmp_path):
     with pytest.raises(cd.InputError):
         fetch_dataset("http://x/{ticker}", [], START, END,
                       tmp_path / "p.csv", tmp_path / "c.csv", tmp_path / "raw")
+
+
+@pytest.mark.parametrize("tickers,message", [
+    (["BTC", "ETH", "BTC"], "^tickers repeats BTC$"),
+    (["BTC", "../escaped"], "^tickers holds a path separator: ../escaped$"),
+    (["BTC", ""], "^tickers holds an empty ticker$"),
+])
+def test_bad_tickers_fail_before_any_request_or_write(local_http, tmp_path, monkeypatch,
+                                                      tickers, message):
+    # The server answers 200 for every ticker: unchecked, "../escaped" was
+    # written to <data>/escaped.csv, beside raw/ instead of in it.
+    base, routes = local_http
+    for ticker in tickers:
+        routes[f"/hist/{quote(ticker, safe='')}.csv"] = (200, BTC_CSV)
+    requested = []
+    download = fetch.fetch_daily_history
+    monkeypatch.setattr(fetch, "fetch_daily_history",
+                        lambda *args: requested.append(args[1]) or download(*args))
+    data = tmp_path / "data"
+    with pytest.raises(cd.ConfigError, match=message):
+        fetch_dataset(template(base), tickers, START, END,
+                      data / "price.csv", data / "marketcap.csv", data / "raw")
+    assert requested == [] and list(tmp_path.iterdir()) == []
 
 
 def test_a_failed_write_leaves_the_previous_panel_pair(local_http, tmp_path,

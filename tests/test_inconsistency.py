@@ -28,16 +28,25 @@ def test_rolling_volatility_matches_two_pass_loop():
 
 
 def test_rolling_volatility_window_validation():
+    # window_length checks S whether or not a pass is handed in: S = 1 and
+    # S = T + 1 fail the same way either way, S = 2 and S = T pass. A pass
+    # made at another valid length fails VolatilityPanel's shape check, and
+    # a panel built by hand at S = 1 its window check.
     returns = make_returns(np.zeros((2, 10)))
-    for S in (1, 11):  # the kernel pass's checks
-        with pytest.raises(cd.InputError):
-            cd.rolling_volatility(returns, S)
-    # a pass made at another window length: VolatilityPanel's shape check,
-    # or at S = 0 its window check, rejects it
-    for made_at, S in ((5, 4), (5, 6), (5, 1), (5, 11), (10, 0)):
-        stats = rolling_statistics(returns, made_at, ("sigma",))
-        with pytest.raises(cd.InputError):
+    stats = rolling_statistics(returns, 5, ("sigma",))
+    for S, message in ((1, "^rolling window must be >= 2 days, got 1$"),
+                       (11, "^need at least 11 return days, have 10$")):
+        for args in ((returns, S), (returns, S, stats)):
+            with pytest.raises(cd.InputError, match=message):
+                cd.rolling_volatility(*args)
+    for S in (2, 10):
+        assert cd.rolling_volatility(returns, S).dates == returns.dates[S - 1:]
+    for S in (4, 6):
+        with pytest.raises(cd.InputError, match="^volatilities has shape"):
             cd.rolling_volatility(returns, S, stats)
+    assert cd.VolatilityPanel(returns.dates[:1], np.zeros((2, 1)), 2).window_days == 2
+    with pytest.raises(cd.InputError, match="^window_days must be >= 2$"):
+        cd.VolatilityPanel(returns.dates[:1], np.zeros((2, 1)), 1)
 
 
 def test_distance_matrices_match_loop_oracle(small_panel, small_returns, small_vol):

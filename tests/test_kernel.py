@@ -78,6 +78,25 @@ def test_kernel_matches_per_window_oracles(n, S, W, c, k, seed):
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("wrapper,statistic", [(cd.rolling_norm_series, "norm"),
+                                               (cd.lambda1_series, "lambda1"),
+                                               (cd.rolling_volatility, "sigma")])
+@pytest.mark.parametrize("S", [0, 1, 21])
+def test_a_bad_window_fails_alike_with_or_without_a_pass(wrapper, statistic, S):
+    # window_length checks S and dates every series, so a pass made at
+    # another, valid window length changes neither the error nor its text.
+    r = make_returns(np.random.default_rng(4).standard_normal((3, 20)))
+    stats = correlation.rolling_statistics(r, 5, (statistic,))
+    if S < 2:
+        error, message = cd.ConfigError, f"rolling window must be >= 2 days, got {S}"
+    else:
+        error, message = cd.InputError, "need at least 21 return days, have 20"
+    for args in ((r, S), (r, S, stats)):
+        with pytest.raises(cd.InputError) as info:
+            wrapper(*args)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 7), S=st.integers(2, 12), W=st.integers(1, 30),
        c=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))

@@ -217,6 +217,14 @@ def test_missing_day_raises_gap_error(tmp_path):
     assert exc.value.missing_dates == [dt.date(2020, 1, 2)]
 
 
+def test_a_gap_error_shows_the_first_ten_missing_dates():
+    missing = [dt.date(2020, 1, 1) + dt.timedelta(days=2 * k) for k in range(11)]
+    shown = "date axis is not contiguous; missing: " + ", ".join(map(str, missing[:10]))
+    assert str(cd.GapError(missing[:10])) == shown
+    assert str(cd.GapError(missing)) == shown + " (+1 more)"
+    assert cd.GapError(missing).missing_dates == missing
+
+
 def test_parse_error_names_row_and_column(tmp_path):
     price = PRICE.replace("11.0,4.5", "11.0,oops")
     p, c = files(tmp_path, price)
