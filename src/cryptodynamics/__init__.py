@@ -5,6 +5,8 @@ from .correlation import (
     CorrelationMatrix,
     NormSeries,
     ReturnsPanel,
+    SpectralSeries,
+    VolatilityPanel,
     correlation_matrix,
     log_returns,
     period_entry_stats,
@@ -31,7 +33,6 @@ from .errors import (
 )
 from .inconsistency import (
     InconsistencySeries,
-    VolatilityPanel,
     inconsistency_norms,
     rolling_volatility,
 )
@@ -46,7 +47,6 @@ from .panel import (
 from .simulate import simulated_market, write_simulated_dataset
 from .spectral import (
     MarketSizeSeries,
-    SpectralSeries,
     lambda1_series,
     rolling_market_size,
     series_correlation,

@@ -106,9 +106,8 @@ def cmd_fetch(cfg):
     yield cfg.marketcap_csv
 
 
-def cmd_correlation(cfg, returns, days, stats):
+def cmd_correlation(cfg, returns, series):
     out = cfg.out_dir
-    series = correlation.rolling_norm_series(returns, days, stats)
     series = series.with_smoothed(cfg.sg_window, cfg.sg_degree)
     yield exports.write_csv(out / "norm_series.csv", date=series.dates, raw=series.raw,
                             smoothed=series.smoothed)
@@ -144,10 +143,9 @@ def cmd_correlation(cfg, returns, days, stats):
                                 x=s.density_x, density=s.density_y)
 
 
-def cmd_spectral(cfg, returns, days, stats):
+def cmd_spectral(cfg, returns, lam):
     out = cfg.out_dir
-    lam = spectral.lambda1_series(returns, days, stats=stats)
-    size = spectral.rolling_market_size(returns, days)
+    size = spectral.rolling_market_size(returns, cfg.spectral_days)
     yield exports.write_csv(out / "lambda1_series.csv", date=lam.dates, lambda1=lam.lambda1)
     yield exports.write_csv(out / "market_size.csv", date=size.dates, market_size=size.values)
     try:
@@ -156,20 +154,18 @@ def cmd_spectral(cfg, returns, days, stats):
     except AnalysisError:
         summary = {"rho_market_size_lambda1": "degenerate"}
     summary["n_windows"] = len(lam.dates)
-    summary["window_days"] = days
+    summary["window_days"] = cfg.spectral_days
     yield exports.write_json(out / "correlation_summary.json", summary)
 
 
-def cmd_inconsistency(cfg, returns, days, stats):
-    vol = inconsistency.rolling_volatility(returns, days, stats)
+def cmd_inconsistency(cfg, returns, vol):
     series = inconsistency.inconsistency_norms(returns, vol)
     yield exports.write_csv(cfg.out_dir / "inconsistency_norms.csv", date=series.dates,
                             nu_MR=series.nu_MR, nu_MSigma=series.nu_MSigma)
 
 
-def cmd_dispersion(cfg, returns, days, stats):
+def cmd_dispersion(cfg, returns, vol):
     out = cfg.out_dir
-    vol = inconsistency.rolling_volatility(returns, days, stats)
     variances = dispersion.variance_series(vol)
     yield exports.write_csv(out / "variance_series.csv", date=variances.dates,
                             variance=variances.values)
@@ -184,9 +180,9 @@ def cmd_dispersion(cfg, returns, days, stats):
 
 
 class _Analysis(NamedTuple):
-    run: Callable     # (cfg, returns, days, stats): writes its outputs,
-                      # yielding each path as it is written
-    statistic: str    # what it reads from the kernel pass (correlation.STATISTICS)
+    run: Callable     # (cfg, returns, series): writes its outputs from its
+                      # statistic's record, yielding each path as it is written
+    statistic: str    # the record it reads from the kernel pass (correlation.STATISTICS)
     window: str       # the RunConfig field holding its window length in days
     blurb: str
 
@@ -207,18 +203,19 @@ _ANALYSES = {
 def _run_analyses(cfg, analyses):
     """Load the returns, make one kernel pass per distinct window length, run ``analyses``.
 
-    Analyses reading the same window length share its pass. Yields every
-    output path as it is written: the drop report's, then each analysis's.
+    Analyses reading the same window length share its pass, and each is
+    handed its statistic's record from it. Yields every output path as it
+    is written: the drop report's, then each analysis's.
     """
     returns = yield from _load_returns(cfg)
     windows = [getattr(cfg, analysis.window) for analysis in analyses]
     wanted = {}
     for analysis, days in zip(analyses, windows):
         wanted.setdefault(days, set()).add(analysis.statistic)
-    stats = {days: correlation.rolling_statistics(returns, days, what)
-             for days, what in wanted.items()}
+    passes = {days: correlation.rolling_statistics(returns, days, what)
+              for days, what in wanted.items()}
     for analysis, days in zip(analyses, windows):
-        yield from analysis.run(cfg, returns, days, stats[days])
+        yield from analysis.run(cfg, returns, passes[days][analysis.statistic])
 
 
 def main(argv=None) -> int:

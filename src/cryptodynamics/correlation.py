@@ -23,9 +23,11 @@ Neither product is symmetrised: numpy computes A·Aᵀ and Aᵀ·A by BLAS
 ``syrk`` and copies one triangle onto the other (its no-BLAS loop sums
 each entry and its mirror in the same order), so the products are
 exactly symmetric and 0.5·(A + Aᵀ) would return them unchanged.
-``rolling_norm_series`` (here), ``spectral.lambda1_series`` and
-``inconsistency.rolling_volatility`` wrap its results, or take a result
-computed once for several of them.
+A pass returns each statistic as its record, dated by ``window_length``:
+a ``NormSeries`` of ν, a ``SpectralSeries`` of λ₁/N and a
+``VolatilityPanel`` of σ. ``rolling_norm_series`` (here),
+``spectral.lambda1_series`` and ``inconsistency.rolling_volatility`` each
+make a pass for their one statistic.
 
 ``correlation_matrix`` runs its one window through ``fill_chunk``, so
 every correlation matrix takes one path. A constant asset raises
@@ -192,6 +194,52 @@ class NormSeries:
 
 
 @dataclass(frozen=True)
+class SpectralSeries:
+    """λ̃₁ per window end date."""
+
+    dates: tuple
+    lambda1: np.ndarray
+    n_assets: int
+
+    def __post_init__(self):
+        dates = tuple(self.dates)
+        n = int(self.n_assets)
+        if n < 1:
+            raise InputError("n_assets must be >= 1")
+        lam = frozen_array(self.lambda1, "lambda1 values", (len(dates),))
+        if np.any((lam < 1.0 / n - 1e-9) | (lam > 1.0 + 1e-9)):
+            raise InputError(f"lambda1 values must lie in [1/{n}, 1]")
+        set_fields(self, dates=dates, lambda1=lam, n_assets=n)
+
+
+@dataclass(frozen=True)
+class VolatilityPanel:
+    """Per-asset trailing-window population volatilities, dated t = S..T."""
+
+    dates: tuple
+    sigmas: np.ndarray
+    window_days: int
+
+    def __post_init__(self):
+        dates = tuple(self.dates)
+        if not dates:
+            raise InputError("volatility panel needs at least one date")
+        sigmas = frozen_array(self.sigmas, "volatilities", (None, len(dates)))
+        if np.any(sigmas < 0.0):
+            raise InputError("volatilities must be non-negative")
+        S = _whole(self.window_days)
+        if S is None:
+            raise InputError(f"window_days must be an integer, got {self.window_days!r}")
+        if S < 2:
+            raise InputError("window_days must be >= 2")
+        set_fields(self, dates=dates, sigmas=sigmas, window_days=S)
+
+    @property
+    def n_assets(self):
+        return self.sigmas.shape[0]
+
+
+@dataclass(frozen=True)
 class PeriodEntryStats:
     """Mean/std of correlation entries over one named period, with a KDE curve.
 
@@ -236,7 +284,10 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
     Raises DegenerateDataError if any asset is constant on the window.
     """
     T = returns.n_days
-    a, b = int(a), int(b)
+    ends = [_whole(a), _whole(b)]
+    if None in ends:
+        raise InputError(f"window [{a!r}:{b!r}] must have whole-day ends")
+    a, b = ends
     if not 1 <= a <= b <= T:
         raise InputError(f"window [{a}:{b}] out of range 1..{T}")
     S = b - a + 1
@@ -248,14 +299,25 @@ def correlation_matrix(returns: ReturnsPanel, a: int, b: int) -> CorrelationMatr
     return CorrelationMatrix((a, b), stack[0])
 
 
+def _whole(value):
+    """``value`` as an int, or None if ``int`` cannot read it or would change it."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if number == value else None
+
+
 def window_length(returns: ReturnsPanel, window_days):
     """S as an int, and the dates t = S..T of the trailing S-day windows.
 
-    Every rolling series takes its windows and dates by this rule, with or
-    without a kernel pass handed to it: S < 2 is a ConfigError, fewer than
-    S return days an InputError.
+    Every rolling series takes its windows and dates by this rule: an S
+    that ``int`` cannot read or would change (30.7, "30") or S < 2 is a
+    ConfigError, fewer than S return days an InputError.
     """
-    S = int(window_days)
+    S = _whole(window_days)
+    if S is None:
+        raise ConfigError(f"rolling window must be a whole number of days, got {window_days!r}")
     if S < 2:
         raise ConfigError(f"rolling window must be >= 2 days, got {S}")
     T = returns.n_days
@@ -458,11 +520,12 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
                        wanted=("norm",)):
     """Rolling statistics at one window length, from one pass of the kernel.
 
-    ``wanted`` names any of ``STATISTICS``: "norm" gives ν per window (W,),
-    "lambda1" the largest eigenvalue λ₁ per window (W,) and "sigma" the
-    population volatilities (N, W). Returns a dict keyed by those names.
-    ν and λ₁ share each chunk's stack when S >= N. Running out of memory
-    raises MemoryError with the estimated working set.
+    ``wanted`` names any of ``STATISTICS``. Returns each one's record,
+    keyed by its name and dated t = S..T: "norm" a ``NormSeries`` of ν,
+    "lambda1" a ``SpectralSeries`` of λ₁/N and "sigma" a
+    ``VolatilityPanel`` of the (N, W) population volatilities. ν and λ₁
+    share each chunk's stack when S >= N. Running out of memory raises
+    MemoryError with the estimated working set.
 
     The chunks run on one thread per CPU, with numpy's OpenBLAS held at
     one thread for the pass; without a way to set OpenBLAS threads the
@@ -508,22 +571,20 @@ def rolling_statistics(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
             f"estimated kernel working set {need / 2**20:.1f} MiB "
             f"(N={n}, S={S}, W={W})"
         ) from None
-    return out
+    records = {"norm": lambda nu: NormSeries(dates, nu),
+               "lambda1": lambda lam: SpectralSeries(dates, lam / n, n),
+               "sigma": lambda sigmas: VolatilityPanel(dates, sigmas, S)}
+    return {key: records[key](values) for key, values in out.items()}
 
 
-def rolling_norm_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
-                        stats=None) -> NormSeries:
+def rolling_norm_series(returns: ReturnsPanel,
+                        window_days=DEFAULT_WINDOW_DAYS) -> NormSeries:
     """ν(t) = normalized L1 norm of the trailing S-day correlation matrix, t = S..T.
 
     Window w (0-based) covers return days [w+1, w+S] and is dated by its
     last day; its matrix equals correlation_matrix(returns, t−S+1, t).
-    ``stats``, a ``rolling_statistics`` result for the same window length
-    that holds "norm", stands in for the kernel pass.
     """
-    S, dates = window_length(returns, window_days)
-    if stats is None:
-        stats = rolling_statistics(returns, S, ("norm",))
-    return NormSeries(dates, stats["norm"])
+    return rolling_statistics(returns, window_days, ("norm",))["norm"]
 
 
 def _fit_weights(x, degree):

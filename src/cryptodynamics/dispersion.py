@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
+from .correlation import VolatilityPanel
 from .errors import InputError, frozen_array, set_fields
-from .inconsistency import VolatilityPanel
 
 LINKAGES = ("average", "complete", "single")
 

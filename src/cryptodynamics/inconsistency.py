@@ -33,10 +33,10 @@ few thousand would otherwise lose about seven digits to the offset. The
 windows go through in blocks of about ``_BLOCK_BYTES`` per (windows, N)
 array, so beside the feature tracks the temporaries stay small.
 
-The volatilities come from ``rolling_volatility``, a wrapper of the
-chunked window kernel in ``correlation``, and the caps from the returns
-panel, where ``log_returns`` put each asset's cap at the close of each
-return day.
+The volatilities are a ``VolatilityPanel`` from a pass of the chunked
+window kernel in ``correlation`` (``rolling_volatility`` makes one for
+them alone), and the caps come from the returns panel, where
+``log_returns`` put each asset's cap at the close of each return day.
 """
 
 from __future__ import annotations
@@ -46,41 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics, window_length
+from .correlation import (DEFAULT_WINDOW_DAYS, ReturnsPanel, VolatilityPanel,
+                          rolling_statistics, window_length)
 from .errors import InputError, frozen_array, set_fields
 
 # Bytes of one (windows, N) array of a block of windows. A block holds three
 # such arrays; whole (W, N) temporaries would stay in the allocator's heap
 # after this layer and raise the peak RSS of the layers that run later.
 _BLOCK_BYTES = 64 << 10
-
-
-@dataclass(frozen=True)
-class VolatilityPanel:
-    """Per-asset trailing-window population volatilities, dated t = S..T."""
-
-    dates: tuple
-    sigmas: np.ndarray
-    window_days: int
-
-    def __post_init__(self):
-        dates = tuple(self.dates)
-        if not dates:
-            raise InputError("volatility panel needs at least one date")
-        sigmas = frozen_array(self.sigmas, "volatilities", (None, len(dates)))
-        if np.any(sigmas < 0.0):
-            raise InputError("volatilities must be non-negative")
-        if int(self.window_days) < 2:
-            raise InputError("window_days must be >= 2")
-        set_fields(self, dates=dates, sigmas=sigmas, window_days=int(self.window_days))
-
-    @property
-    def n_assets(self):
-        return self.sigmas.shape[0]
-
-    @property
-    def n_dates(self):
-        return len(self.dates)
 
 
 @dataclass(frozen=True)
@@ -101,17 +74,10 @@ class InconsistencySeries:
         set_fields(self, dates=dates, **norms)
 
 
-def rolling_volatility(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
-                       stats=None) -> VolatilityPanel:
-    """Population standard deviation of each asset's trailing S returns.
-
-    ``stats``, a ``rolling_statistics`` result for the same window length
-    that holds "sigma", stands in for the kernel pass.
-    """
-    S, dates = window_length(returns, window_days)
-    if stats is None:
-        stats = rolling_statistics(returns, S, ("sigma",))
-    return VolatilityPanel(dates, stats["sigma"], S)
+def rolling_volatility(returns: ReturnsPanel,
+                       window_days=DEFAULT_WINDOW_DAYS) -> VolatilityPanel:
+    """Population standard deviation of each asset's trailing S returns."""
+    return rolling_statistics(returns, window_days, ("sigma",))["sigma"]
 
 
 def _window_feature_tracks(returns, vol):

@@ -25,27 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .correlation import DEFAULT_WINDOW_DAYS, ReturnsPanel, rolling_statistics, window_length
+from .correlation import (DEFAULT_WINDOW_DAYS, ReturnsPanel, SpectralSeries,
+                          rolling_statistics, window_length)
 from .errors import DegenerateDataError, InputError, frozen_array, set_fields
-
-
-@dataclass(frozen=True)
-class SpectralSeries:
-    """λ̃₁ per window end date."""
-
-    dates: tuple
-    lambda1: np.ndarray
-    n_assets: int
-
-    def __post_init__(self):
-        dates = tuple(self.dates)
-        n = int(self.n_assets)
-        if n < 1:
-            raise InputError("n_assets must be >= 1")
-        lam = frozen_array(self.lambda1, "lambda1 values", (len(dates),))
-        if np.any((lam < 1.0 / n - 1e-9) | (lam > 1.0 + 1e-9)):
-            raise InputError(f"lambda1 values must lie in [1/{n}, 1]")
-        set_fields(self, dates=dates, lambda1=lam, n_assets=n)
 
 
 @dataclass(frozen=True)
@@ -63,18 +45,10 @@ class MarketSizeSeries:
         set_fields(self, dates=dates, values=values)
 
 
-def lambda1_series(returns: ReturnsPanel, window_days=DEFAULT_WINDOW_DAYS,
-                   stats=None) -> SpectralSeries:
-    """λ̃₁(t) = λ₁/N of the trailing S-day correlation matrix, t = S..T.
-
-    ``stats``, a ``rolling_statistics`` result for the same window length
-    that holds "lambda1", stands in for the kernel pass.
-    """
-    S, dates = window_length(returns, window_days)
-    if stats is None:
-        stats = rolling_statistics(returns, S, ("lambda1",))
-    n = returns.n_assets
-    return SpectralSeries(dates, stats["lambda1"] / n, n)
+def lambda1_series(returns: ReturnsPanel,
+                   window_days=DEFAULT_WINDOW_DAYS) -> SpectralSeries:
+    """λ̃₁(t) = λ₁/N of the trailing S-day correlation matrix, t = S..T."""
+    return rolling_statistics(returns, window_days, ("lambda1",))["lambda1"]
 
 
 def rolling_market_size(returns: ReturnsPanel,

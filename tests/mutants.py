@@ -16,8 +16,8 @@ number and text, so an edit that moves the line fails the sweep rather
 than quietly keeping a stale entry. The exit status is 1 if any survivor
 is not allowed. This takes minutes per module, so pytest does not
 collect this file: it is run by hand before a change, and CI runs the
-``config`` and ``exports`` sweeps, about a minute and half a minute, which
-must report no survivor.
+``config``, ``exports`` and ``inconsistency`` sweeps, about a minute, half
+a minute and two minutes, which must report no survivor.
 """
 
 import ast
@@ -35,38 +35,50 @@ SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 _WHOLE = "whole = starts[-1] == lo and stops[0] == hi  # every window is [lo, hi)"
 _WHOLE_WHY = ("only picks exp over the whole block or window by window; "
               "every term a sum reads gets the same exp either way")
+_BLOCK = "_BLOCK_BYTES = 64 << 10"
+_STEP = "step = max(1, _BLOCK_BYTES // (8 * n))"
+_STEP_WHY = "only sizes the blocks of windows; no window's norms depend on its block"
 # (module, line, line text, mutation, why no input can tell it apart)
 ALLOWED = [
-    ("correlation", 168, "return self.matrix.shape[0]", "0 -> -1 at col 33",
+    ("correlation", 170, "return self.matrix.shape[0]", "0 -> -1 at col 33",
      "the matrix is checked 2-d and square"),
-    ("correlation", 168, "return self.matrix.shape[0]", "0 -> 1 at col 33",
+    ("correlation", 170, "return self.matrix.shape[0]", "0 -> 1 at col 33",
      "the matrix is checked 2-d and square"),
-    ("correlation", 246, "stack = np.empty((1, n, n))", "1 -> 2 at col 22",
+    ("correlation", 297, "stack = np.empty((1, n, n))", "1 -> 2 at col 22",
      "matmul broadcasts the one window into both matrices, and stack[0] is returned"),
-    ("correlation", 248, "return CorrelationMatrix((a, b), stack[0])", "0 -> -1 at col 43",
+    ("correlation", 299, "return CorrelationMatrix((a, b), stack[0])", "0 -> -1 at col 43",
      "the stack holds one window"),
-    ("correlation", 342, "n = stack.shape[1]", "1 -> 2 at col 20",
+    ("correlation", 404, "n = stack.shape[1]", "1 -> 2 at col 20",
      "every stack is (c, N, N)"),
-    ("correlation", 563, "if w < 1 or w % 2 == 0:", "1 -> 0 at col 11",
+    ("correlation", 624, "if w < 1 or w % 2 == 0:", "1 -> 0 at col 11",
      "w = 0 is even, so the other clause rejects it with the same message"),
-    ("correlation", 585, "n = m.shape[0]", "0 -> -1 at col 16",
+    ("correlation", 646, "n = m.shape[0]", "0 -> -1 at col 16",
      "correlation matrices are square"),
-    ("correlation", 585, "n = m.shape[0]", "0 -> 1 at col 16",
+    ("correlation", 646, "n = m.shape[0]", "0 -> 1 at col 16",
      "correlation matrices are square"),
-    ("correlation", 621, "widest = max(t[1].size for t in terms)", "1 -> 2 at col 19",
+    ("correlation", 682, "widest = max(t[1].size for t in terms)", "1 -> 2 at col 19",
      "t[2], the counts, has one entry per centre, as t[1] does"),
-    ("correlation", 624, "blocks = [(t, slice(lo, min(lo + step, t[0].size)))",
+    ("correlation", 685, "blocks = [(t, slice(lo, min(lo + step, t[0].size)))",
      "0 -> -1 at col 45", "t[-1], the density, has one entry per grid point, as t[0] does"),
-    ("correlation", 625, "for t in terms for lo in range(0, t[0].size, step)]",
+    ("correlation", 686, "for t in terms for lo in range(0, t[0].size, step)]",
      "0 -> -1 at col 50", "t[-1], the density, has one entry per grid point, as t[0] does"),
-    ("correlation", 637, _WHOLE, "starts[-1] == lo -> starts[-1] != lo", _WHOLE_WHY),
-    ("correlation", 637, _WHOLE, "stops[0] == hi -> stops[0] != hi", _WHOLE_WHY),
-    ("correlation", 637, _WHOLE, "1 -> 0 at col 24", _WHOLE_WHY),
-    ("correlation", 637, _WHOLE, "0 -> -1 at col 43", _WHOLE_WHY),
-    ("correlation", 370, "return os.cpu_count() or 1", "1 -> 0 at col 33",
+    ("correlation", 698, _WHOLE, "starts[-1] == lo -> starts[-1] != lo", _WHOLE_WHY),
+    ("correlation", 698, _WHOLE, "stops[0] == hi -> stops[0] != hi", _WHOLE_WHY),
+    ("correlation", 698, _WHOLE, "1 -> 0 at col 24", _WHOLE_WHY),
+    ("correlation", 698, _WHOLE, "0 -> -1 at col 43", _WHOLE_WHY),
+    ("correlation", 432, "return os.cpu_count() or 1", "1 -> 0 at col 33",
      "reached only without os.sched_getaffinity (macOS, Windows), where no test runs"),
-    ("correlation", 370, "return os.cpu_count() or 1", "1 -> 2 at col 33",
+    ("correlation", 432, "return os.cpu_count() or 1", "1 -> 2 at col 33",
      "reached only without os.sched_getaffinity (macOS, Windows), where no test runs"),
+    ("inconsistency", 56, _BLOCK, "64 -> 63 at col 15", _STEP_WHY),
+    ("inconsistency", 56, _BLOCK, "64 -> 65 at col 15", _STEP_WHY),
+    ("inconsistency", 56, _BLOCK, "10 -> 9 at col 21", _STEP_WHY),
+    ("inconsistency", 56, _BLOCK, "10 -> 11 at col 21", _STEP_WHY),
+    ("inconsistency", 125, _STEP, "1 -> 2 at col 15", _STEP_WHY),
+    ("inconsistency", 125, _STEP, "8 -> 7 at col 35", _STEP_WHY),
+    ("inconsistency", 125, _STEP, "8 -> 9 at col 35", _STEP_WHY),
+    ("inconsistency", 126, "norms = np.empty((2, n_windows))", "2 -> 3 at col 22",
+     "a third row is never written or read"),
     ("config", 84, "if self.sg_window < 1 or self.sg_window % 2 == 0:", "1 -> 0 at col 28",
      "sg.window = 0 is even, so the other clause rejects it with the same message"),
 ]

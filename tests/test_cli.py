@@ -130,20 +130,36 @@ def test_dispersion_command(small_dataset_dir, tmp_path):
 
 
 def test_standalone_commands_match_all(small_dataset_dir, tmp_path, capsys):
-    everything = tmp_path / "all"
-    assert run("all", small_dataset_dir, everything) == 0
-    emitted_by_all = capsys.readouterr().out.replace(str(everything), "OUT").splitlines()
-    emitted = emitted_by_all[:1]  # drop_report.json, written once per run
-    for command in ("correlation", "spectral", "inconsistency", "dispersion"):
-        out = tmp_path / command
-        assert run(command, small_dataset_dir, out) == 0
-        emitted += capsys.readouterr().out.replace(str(out), "OUT").splitlines()[1:]
-        names = sorted(p.name for p in out.iterdir() if p.name != "resolved_config.txt")
-        assert len(names) >= 2, command
-        for name in names:
-            assert (out / name).read_bytes() == (everything / name).read_bytes(), (
-                command, name)
-    assert emitted == emitted_by_all
+    # Under SMALL_FLAGS all four windows are 30 days and share one pass;
+    # with four distinct windows `all` makes four, and every series must
+    # have its own window's count of dates, whichever command writes it.
+    distinct = {"correlation": 30, "spectral": 35, "inconsistency": 40, "volatility": 45}
+    for windows in ({}, distinct):
+        flags = [arg for name, days in windows.items()
+                 for arg in (f"--{name}-days", str(days))]
+        everything = tmp_path / f"all{len(windows)}"
+        assert run("all", small_dataset_dir, everything, *flags) == 0
+        emitted_by_all = capsys.readouterr().out.replace(str(everything), "OUT").splitlines()
+        emitted = emitted_by_all[:1]  # drop_report.json, written once per run
+        for command in ("correlation", "spectral", "inconsistency", "dispersion"):
+            out = tmp_path / f"{command}{len(windows)}"
+            assert run(command, small_dataset_dir, out, *flags) == 0
+            emitted += capsys.readouterr().out.replace(str(out), "OUT").splitlines()[1:]
+            names = sorted(p.name for p in out.iterdir() if p.name != "resolved_config.txt")
+            assert len(names) >= 2, command
+            for name in names:
+                assert (out / name).read_bytes() == (everything / name).read_bytes(), (
+                    command, name)
+        assert emitted == emitted_by_all
+    rows = {name: len((everything / name).read_text().splitlines()) - 1 for name in (
+        "norm_series.csv", "lambda1_series.csv", "market_size.csv",
+        "inconsistency_norms.csv", "variance_series.csv", "two_cluster_cut.csv")}
+    T = rows["norm_series.csv"] + 29  # return days
+    assert rows == {"norm_series.csv": T - 29, "lambda1_series.csv": T - 34,
+                    "market_size.csv": T - 34, "inconsistency_norms.csv": T - 39,
+                    "variance_series.csv": T - 44, "two_cluster_cut.csv": T - 44}
+    summary = json.loads((everything / "correlation_summary.json").read_text())
+    assert (summary["window_days"], summary["n_windows"]) == (35, T - 34)
 
 
 def test_all_runs_are_byte_identical(small_dataset_dir, tmp_path):

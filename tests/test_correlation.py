@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ def test_correlation_rejects_bad_windows():
         cd.correlation_matrix(r, 5, 21)
     with pytest.raises(cd.InputError):
         cd.correlation_matrix(r, 7, 7)
+
+
+def test_correlation_rejects_bounds_that_int_would_change():
+    # [1.5, 10.9] would otherwise be read as [1, 10], and "a" would escape
+    # as int's own ValueError; whole floats and numpy integers still name
+    # return days.
+    r = make_returns(np.random.default_rng(0).standard_normal((3, 20)))
+    for a, b in ((1.5, 10.9), (1, 10.9), (1.5, 10), ("1", 10), (1, "10"), ("a", 10),
+                 (1, None), (math.nan, 10)):
+        with pytest.raises(cd.InputError, match=re.escape(f"window [{a!r}:{b!r}] must have ")):
+            cd.correlation_matrix(r, a, b)
+    want = cd.correlation_matrix(r, 1, 10)
+    for a, b in ((1.0, 10.0), (np.int64(1), np.int64(10))):
+        got = cd.correlation_matrix(r, a, b)
+        assert got.window == (1, 10)
+        np.testing.assert_array_equal(got.matrix, want.matrix)
 
 
 def test_correlation_window_bounds():

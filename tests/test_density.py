@@ -221,7 +221,7 @@ def test_concurrent_densities_and_kernel_passes_share_the_cores_safely():
     periods = cd.PeriodPartition((cd.Period("a", d[0], d[59]), cd.Period("b", d[60], d[-1])))
     with mock.patch.object(correlation, "_cpu_count", lambda: 1):
         want_kde = [s.density_y for s in cd.period_entry_stats(r, periods)]
-        want_norm = correlation.rolling_statistics(r, 8)["norm"]
+        want_norm = correlation.rolling_statistics(r, 8)["norm"].raw
     blas = correlation._openblas_threads()
     before = blas[0]() if blas else None
     results, interval = [], sys.getswitchinterval()
@@ -232,7 +232,7 @@ def test_concurrent_densities_and_kernel_passes_share_the_cores_safely():
 
     def kernel():
         for _ in range(5):
-            results.append(("norm", [correlation.rolling_statistics(r, 8)["norm"]]))
+            results.append(("norm", [correlation.rolling_statistics(r, 8)["norm"].raw]))
 
     sys.setswitchinterval(1e-6)
     try:

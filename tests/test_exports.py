@@ -67,9 +67,8 @@ def test_dendrogram_csv_writes_ids_and_sizes_as_integers(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.dispersion, "hierarchical_cluster", lambda vol, method: dendro)
     monkeypatch.setattr(cli.dispersion, "variance_series", lambda vol: SimpleNamespace(
         dates=days(3), values=[1.0, 2.0, 3.0]))
-    monkeypatch.setattr(cli.inconsistency, "rolling_volatility", lambda *args: None)
-    cfg = SimpleNamespace(out_dir=tmp_path, linkage="average")
-    written = list(cli.cmd_dispersion(cfg, None, 3, {}))
+    cfg, vol = SimpleNamespace(out_dir=tmp_path, linkage="average"), object()
+    written = list(cli.cmd_dispersion(cfg, None, vol))
     path = tmp_path / "dendrogram.csv"
     assert path in written
     assert path.read_text().splitlines() == [

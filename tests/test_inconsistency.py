@@ -23,30 +23,39 @@ def test_rolling_volatility_matches_two_pass_loop():
     np.testing.assert_allclose(vol.sigmas, reference.rolling_std(X, 10),
                                rtol=0.0, atol=1e-14)
     assert vol.window_days == 10
-    assert vol.n_dates == 41
+    assert len(vol.dates) == 41
     assert vol.dates[0] == make_returns(X).dates[9]
 
 
 def test_rolling_volatility_window_validation():
-    # window_length checks S whether or not a pass is handed in: S = 1 and
-    # S = T + 1 fail the same way either way, S = 2 and S = T pass. A pass
-    # made at another valid length fails VolatilityPanel's shape check, and
-    # a panel built by hand at S = 1 its window check.
+    # window_length checks S for the wrapper and for a pass made directly:
+    # S = 1 and S = T + 1 fail the same way on both, S = 2 and S = T pass,
+    # and the panel a pass returns records the S it was made at. A panel
+    # built by hand at S = 1 fails its window check.
     returns = make_returns(np.zeros((2, 10)))
-    stats = rolling_statistics(returns, 5, ("sigma",))
     for S, message in ((1, "^rolling window must be >= 2 days, got 1$"),
                        (11, "^need at least 11 return days, have 10$")):
-        for args in ((returns, S), (returns, S, stats)):
+        for call in (cd.rolling_volatility,
+                     lambda *args: rolling_statistics(*args, ("sigma",))["sigma"]):
             with pytest.raises(cd.InputError, match=message):
-                cd.rolling_volatility(*args)
+                call(returns, S)
     for S in (2, 10):
-        assert cd.rolling_volatility(returns, S).dates == returns.dates[S - 1:]
-    for S in (4, 6):
-        with pytest.raises(cd.InputError, match="^volatilities has shape"):
-            cd.rolling_volatility(returns, S, stats)
+        vol = rolling_statistics(returns, S, ("sigma",))["sigma"]
+        assert (vol.dates, vol.window_days) == (returns.dates[S - 1:], S)
+        assert cd.rolling_volatility(returns, S).dates == vol.dates
     assert cd.VolatilityPanel(returns.dates[:1], np.zeros((2, 1)), 2).window_days == 2
     with pytest.raises(cd.InputError, match="^window_days must be >= 2$"):
         cd.VolatilityPanel(returns.dates[:1], np.zeros((2, 1)), 1)
+
+
+@pytest.mark.parametrize("days", [2.5, "30", 30.7, "x", None])
+def test_volatility_panel_rejects_a_window_that_int_would_change(days):
+    dates = make_returns(np.zeros((2, 3))).dates[:1]
+    with pytest.raises(cd.InputError, match=f"^window_days must be an integer, got {days!r}$"):
+        cd.VolatilityPanel(dates, np.zeros((2, 1)), days)
+    for days in (30.0, np.int64(30)):
+        vol = cd.VolatilityPanel(dates, np.zeros((2, 1)), days)
+        assert (type(vol.window_days), vol.window_days) == (int, 30)
 
 
 def test_distance_matrices_match_loop_oracle(small_panel, small_returns, small_vol):
@@ -143,6 +152,13 @@ def test_inconsistency_series_rejects_out_of_range():
         cd.InconsistencySeries(dates, [0.2, 0.3], [-0.1, 0.1])
 
 
+def test_inconsistency_series_accepts_its_exact_bounds():
+    # rounding may leave a norm 1e-12 outside [0, 1], and no further
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    series = cd.InconsistencySeries(dates, [-1e-12, 1.0 + 1e-12], [1.0 + 1e-12, -1e-12])
+    assert series.nu_MR.tolist() == [-1e-12, 1.0 + 1e-12]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_inconsistency_series_rejects_non_finite(bad):
     dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
@@ -190,6 +206,22 @@ def test_window_blocks_do_not_change_the_norms(small_returns, small_vol, monkeyp
     for got, feature in ((blocked.nu_MR, ret_sums), (blocked.nu_MSigma, sigmas)):
         np.testing.assert_allclose(got, reference.affinity_gap_norms(cap_means, feature),
                                    rtol=0.0, atol=1e-14)
+
+
+def test_one_window_per_block_when_a_window_fills_the_budget(monkeypatch):
+    # One window's (1, N) array is 8 bytes over _BLOCK_BYTES (N = 8193 at
+    # 64 KiB), so each block holds one window, and the norms equal those of
+    # one block holding all three
+    rng = np.random.default_rng(13)
+    n, S, W = inconsistency._BLOCK_BYTES // 8 + 1, 2, 3
+    closes = 10.0 * np.exp(np.cumsum(0.03 * rng.standard_normal((n, S + W)), axis=1))
+    r = cd.log_returns(make_panel(closes, closes * rng.uniform(1.0, 50.0, (n, 1))))
+    vol = cd.rolling_volatility(r, S)
+    single = cd.inconsistency_norms(r, vol)
+    monkeypatch.setattr(inconsistency, "_BLOCK_BYTES", 8 * n * W)
+    whole = cd.inconsistency_norms(r, vol)
+    np.testing.assert_array_equal(single.nu_MR, whole.nu_MR)
+    np.testing.assert_array_equal(single.nu_MSigma, whole.nu_MSigma)
 
 
 def test_memory_stays_linear_in_assets():

@@ -7,6 +7,7 @@ one chunk, and there is one worker per CPU.
 """
 
 import datetime as dt
+import math
 import os
 import sys
 import threading
@@ -38,6 +39,12 @@ def chunked(c, workers=1):
         workers = 1
     return mock.patch.multiple(correlation, _cpu_count=lambda: workers,
                                _CHUNK_BYTES=0, _MIN_CHUNK_WINDOWS=c)
+
+
+def arrays(records):
+    """The values of a kernel pass's records, keyed by statistic."""
+    fields = {"norm": "raw", "lambda1": "lambda1", "sigma": "sigmas"}
+    return {key: getattr(record, fields[key]) for key, record in records.items()}
 
 
 def blas_threads():
@@ -83,18 +90,35 @@ def test_kernel_matches_per_window_oracles(n, S, W, c, k, seed):
                                                (cd.rolling_volatility, "sigma")])
 @pytest.mark.parametrize("S", [0, 1, 21])
 def test_a_bad_window_fails_alike_with_or_without_a_pass(wrapper, statistic, S):
-    # window_length checks S and dates every series, so a pass made at
-    # another, valid window length changes neither the error nor its text.
+    # window_length checks S and dates every series, so a wrapper and a
+    # pass made directly for its statistic raise the same error and text.
     r = make_returns(np.random.default_rng(4).standard_normal((3, 20)))
-    stats = correlation.rolling_statistics(r, 5, (statistic,))
     if S < 2:
         error, message = cd.ConfigError, f"rolling window must be >= 2 days, got {S}"
     else:
         error, message = cd.InputError, "need at least 21 return days, have 20"
-    for args in ((r, S), (r, S, stats)):
+    for call in (wrapper, lambda *args: correlation.rolling_statistics(*args, (statistic,))):
         with pytest.raises(cd.InputError) as info:
-            wrapper(*args)
+            call(r, S)
         assert (type(info.value), str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("days", [30.7, 2.99, "30", "5", "abc", None, math.nan, math.inf])
+def test_a_window_that_int_would_change_is_rejected(days):
+    # Truncating 30.7 to 30 or reading "30" as 30 would silently analyse
+    # another window, and "abc" would escape as int's own ValueError; a
+    # whole float or a numpy integer is still a length.
+    r = make_returns(np.random.default_rng(4).standard_normal((3, 40)))
+    message = f"rolling window must be a whole number of days, got {days!r}"
+    for call in (cd.rolling_norm_series, cd.lambda1_series, cd.rolling_volatility,
+                 cd.rolling_market_size, correlation.window_length):
+        with pytest.raises(cd.ConfigError) as info:
+            call(r, days)
+        assert str(info.value) == message
+    for days in (30.0, np.int64(30)):
+        S, dates = correlation.window_length(r, days)
+        assert (type(S), S, dates) == (int, 30, r.dates[29:])
+        assert cd.rolling_volatility(r, days).window_days == 30
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,15 +159,17 @@ def test_shared_pass_equals_separate_passes(n, S):
     X = np.random.default_rng(4).standard_normal((n, 60))
     r = make_returns(X)
     with chunked(7):
-        stats = correlation.rolling_statistics(r, S, ("norm", "lambda1", "sigma"))
-        nu = cd.rolling_norm_series(r, S)
-        lam = cd.lambda1_series(r, S)
-        vol = cd.rolling_volatility(r, S)
-    assert sorted(stats) == ["lambda1", "norm", "sigma"]
-    np.testing.assert_array_equal(cd.rolling_norm_series(r, S, stats).raw, nu.raw)
-    shared = cd.lambda1_series(r, S, stats=stats)
-    np.testing.assert_array_equal(shared.lambda1, lam.lambda1)
-    np.testing.assert_array_equal(cd.rolling_volatility(r, S, stats).sigmas, vol.sigmas)
+        shared = correlation.rolling_statistics(r, S, ("sigma", "norm", "lambda1"))
+        separate = {"norm": cd.rolling_norm_series(r, S), "lambda1": cd.lambda1_series(r, S),
+                    "sigma": cd.rolling_volatility(r, S)}
+    assert list(shared) == ["norm", "lambda1", "sigma"]
+    kinds = {"norm": cd.NormSeries, "lambda1": cd.SpectralSeries, "sigma": cd.VolatilityPanel}
+    for key, record in shared.items():
+        assert type(record) is type(separate[key]) is kinds[key]
+        assert record.dates == separate[key].dates == r.dates[S - 1:]
+        np.testing.assert_array_equal(arrays(shared)[key], arrays(separate)[key])
+    assert shared["lambda1"].n_assets == separate["lambda1"].n_assets == n
+    assert shared["sigma"].window_days == separate["sigma"].window_days == S
 
 
 def test_rolling_statistics_rejects_unknown_names():
@@ -414,11 +440,11 @@ def test_worker_count_does_not_change_results(n, S, W, seed):
     r = make_returns(np.random.default_rng(seed).standard_normal((n, S + W - 1)))
     wanted = ("norm", "lambda1", "sigma")
     with chunked(W):
-        want = correlation.rolling_statistics(r, S, wanted)
+        want = arrays(correlation.rolling_statistics(r, S, wanted))
     for k in (1, 2, 3):
         for c in (1, 2, 5):
             with chunked(c, k):
-                got = correlation.rolling_statistics(r, S, wanted)
+                got = arrays(correlation.rolling_statistics(r, S, wanted))
             assert sorted(got) == sorted(want)
             for key in want:
                 np.testing.assert_array_equal(got[key], want[key])
@@ -495,14 +521,14 @@ def test_concurrent_passes_share_the_cores_safely():
     X = np.random.default_rng(12).standard_normal((6, 120))
     r = make_returns(X)
     with chunked(113):
-        want = correlation.rolling_statistics(r, 8, ("norm", "lambda1"))
+        want = arrays(correlation.rolling_statistics(r, 8, ("norm", "lambda1")))
     blas = correlation._openblas_threads()
     before = blas[0]() if blas else None
     results, interval = [], sys.getswitchinterval()
 
     def caller():
         for _ in range(5):
-            results.append(correlation.rolling_statistics(r, 8, ("norm", "lambda1")))
+            results.append(arrays(correlation.rolling_statistics(r, 8, ("norm", "lambda1"))))
 
     sys.setswitchinterval(1e-6)
     try:

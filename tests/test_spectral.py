@@ -55,6 +55,17 @@ def test_spectral_series_rejects_non_finite_lambda1(bad):
         cd.SpectralSeries(dates, [bad, 0.5], 2)
 
 
+def test_spectral_series_bounds():
+    # rounding may leave λ₁/N 1e-9 outside [1/N, 1], and no further; one
+    # asset is the smallest panel, and with none there is no 1/N
+    dates = (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+    edges = [1.0 / 2 - 1e-9, 1.0 + 1e-9]
+    assert cd.SpectralSeries(dates, edges, 2).lambda1.tolist() == edges
+    assert cd.SpectralSeries(dates, [1.0, 1.0], 1).n_assets == 1
+    with pytest.raises(cd.InputError, match="^n_assets must be >= 1$"):
+        cd.SpectralSeries(dates, [1.0, 1.0], 0)
+
+
 def test_power_iteration_agrees_with_eigensolver():
     rng = np.random.default_rng(2)
     for seed in range(20):
